@@ -98,8 +98,7 @@ def canonical_token(value) -> str:
 
 
 def run_key(ir_text: str, machine, workload, validate: bool,
-            telemetry: bool = False, timeline: bool = False,
-            vector: bool = False) -> str:
+            telemetry: bool = False, timeline: bool = False) -> str:
     """Content hash identifying one simulation run.
 
     ``ir_text`` is the printed module *after* variant construction, so
@@ -109,11 +108,7 @@ def run_key(ir_text: str, machine, workload, validate: bool,
     snapshot inside the cached result — a telemetry-off entry must not
     satisfy a telemetry-on request (it would be silently snapshot-free),
     nor vice versa.  ``timeline`` participates for the same reason (the
-    windowed snapshot rides the cached row).  ``vector`` participates
-    even though the vectorized tier is bit-identical by contract: a
-    tier bug must surface as a diff against reference-tier rows, not be
-    silently masked by a cache hit on them (and telemetry snapshots in
-    vector-tier rows carry the per-PC vector-attribution section).
+    windowed snapshot rides the cached row).
     """
     token = "\n".join((
         simulator_code_hash(),
@@ -122,7 +117,6 @@ def run_key(ir_text: str, machine, workload, validate: bool,
         repr(validate),
         f"telemetry={telemetry}",
         f"timeline={timeline}",
-        f"vector={vector}",
         ir_text,
     ))
     return hashlib.sha256(token.encode()).hexdigest()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..envcfg import env_int
@@ -18,7 +19,6 @@ from ..ir import print_module
 from ..machine.configs import MachineConfig
 from ..machine.interpreter import Interpreter
 from ..machine.memory import Memory
-from ..machine.vectorsim import vector_enabled
 from ..passes.prefetch import PrefetchOptions
 from ..telemetry import telemetry_enabled
 from ..telemetry.spans import span
@@ -53,18 +53,30 @@ def _make_metrics():
 #: --obs-out FILE`` writes the Prometheus text exposition after a run.
 METRICS, RUNS_COUNTER, STAGE_SECONDS = _make_metrics()
 
-#: Per-trace rows from trace-JIT runs (``REPRO_SIM_TRACEJIT=1``), each
-#: tagged with the run's workload/variant/machine — the raw material of
-#: ``repro bench --hot-report``.  In-process only: pooled workers do
-#: not propagate their rows back.
-TRACE_REPORT: list[dict] = []
+#: Where simulated runs append their compiled-trace rows while
+#: :func:`collecting_traces` is active; ``None`` the rest of the time,
+#: so long-lived processes keep nothing.
+_TRACE_ROWS: list[dict] | None = None
 
 
 def reset_telemetry() -> None:
-    """Zero the run telemetry counters and the trace report."""
+    """Zero the run telemetry counters."""
     for key in TELEMETRY:
         TELEMETRY[key] = 0
-    TRACE_REPORT.clear()
+
+
+@contextmanager
+def collecting_traces():
+    """Collect per-trace rows from every run simulated in this process
+    inside the block, each tagged with the run's workload/variant/
+    machine — the raw material of ``repro bench --hot-report``.  Pooled
+    workers and cache hits contribute nothing."""
+    global _TRACE_ROWS
+    saved, _TRACE_ROWS = _TRACE_ROWS, []
+    try:
+        yield _TRACE_ROWS
+    finally:
+        _TRACE_ROWS = saved
 
 
 @dataclass
@@ -152,8 +164,7 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
             # the built IR, pin down the run's inputs exactly.
             key = run_key(print_module(module), machine, workload,
                           validate, telemetry=with_telemetry,
-                          timeline=recorder is not None,
-                          vector=vector_enabled(None))
+                          timeline=recorder is not None)
             hit = run_cache.get(key)
         memory = Memory(machine.line_size)
         t0 = _time.perf_counter()
@@ -205,11 +216,11 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
             timeline=result.timeline)
         TELEMETRY["simulated_runs"] += 1
         TELEMETRY["simulated_instructions"] += out.instructions
-        if interp.tracejit:
+        if _TRACE_ROWS is not None:
             for row in interp.trace_report():
                 row.update(workload=workload.name, variant=variant,
                            machine=machine.name)
-                TRACE_REPORT.append(row)
+                _TRACE_ROWS.append(row)
         if run_cache is not None:
             run_cache.put(key, dataclasses.asdict(out))
         return out

@@ -25,6 +25,7 @@ from .passes import (CommonSubexpressionEliminationPass,
                      DeadCodeEliminationPass, IndirectPrefetchPass,
                      LoopInvariantCodeMotionPass, PassManager,
                      PrefetchOptions, SimplifyCFGPass)
+from .serve.protocol import TIERS
 
 
 def _version() -> str:
@@ -93,11 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cache root (default: REPRO_SIM_CACHE_DIR or .sim-cache)")
     bench_cmd.add_argument(
         "--hot-report", action="store_true",
-        help="run the figure under the trace-JIT + vector tiers (disk "
-             "cache off, single process) and print the hottest compiled "
-             "traces, their vectorized-batch coverage, and their "
-             "TraceCompiled/TraceDeopt/VectorBatchCompiled/VectorDeopt "
-             "remarks")
+        help="run the figure with the disk cache off in a single "
+             "process and print the hottest compiled traces and their "
+             "TraceCompiled/TraceDeopt remarks")
     bench_cmd.add_argument(
         "--hot-top", type=int, default=10, metavar="N",
         help="rows in the --hot-report table (default 10)")
@@ -270,9 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--small", action="store_true",
         help="scaled-down workload (quick smoke sizes)")
     submit_cmd.add_argument(
-        "--tier", default="auto",
-        choices=("auto", "reference", "fastpath", "tracejit", "vector"),
-        help="execution tier gate for the worker (default auto)")
+        "--tier", default="auto", choices=TIERS,
+        help="execution tier for the worker (default auto)")
     submit_cmd.add_argument(
         "--include", default="", metavar="LIST",
         help="comma-separated extras to return: "
@@ -485,53 +483,42 @@ _FIGURES = {
 
 
 def _bench_hot_report(figure, args: argparse.Namespace, out) -> int:
-    """Run one figure under the trace-JIT + vector tiers and print the
-    hottest traces: loop header, iteration count, share of the simulated
-    instructions, and how much of each trace ran as vectorized batches,
-    plus the tiers' remark stream."""
-    from .bench.runner import TELEMETRY, TRACE_REPORT, reset_telemetry
+    """Run one figure and print the hottest compiled traces: loop
+    header, iteration count and share of the simulated instructions,
+    plus the trace JIT's remark stream."""
+    from .bench.runner import TELEMETRY, collecting_traces, reset_telemetry
     from .remarks import RemarkEmitter, collecting, render_remarks
-    saved = {k: os.environ.get(k)
-             for k in ("REPRO_SIM_CACHE", "REPRO_SIM_TRACEJIT",
-                       "REPRO_SIM_VECTOR")}
+    saved = os.environ.get("REPRO_SIM_CACHE")
     # Cached runs never execute (no traces) and pooled workers keep
     # their trace rows: force real single-process simulation.
     os.environ["REPRO_SIM_CACHE"] = "0"
-    os.environ["REPRO_SIM_TRACEJIT"] = "1"
-    os.environ["REPRO_SIM_VECTOR"] = "1"
     reset_telemetry()
     emitter = RemarkEmitter()
     try:
-        with collecting(emitter):
+        with collecting(emitter), collecting_traces() as rows:
             table = figure(args.small, 1)
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_SIM_CACHE", None)
+        else:
+            os.environ["REPRO_SIM_CACHE"] = saved
     print(table, file=out)
     total = TELEMETRY["simulated_instructions"]
-    rows = sorted(TRACE_REPORT, key=lambda r: r["instructions"],
-                  reverse=True)
+    rows.sort(key=lambda r: r["instructions"], reverse=True)
     top = rows[:max(args.hot_top, 0)]
     headers = ["workload", "variant", "machine", "function", "loop",
-               "iterations", "instructions", "% sim", "vec iters"]
+               "iterations", "instructions", "% sim"]
     body = [[r["workload"], r["variant"], r["machine"], r["function"],
              r["header"], r["iterations"], r["instructions"],
              (f"{100.0 * r['instructions'] / total:.1f}%"
-              if total else "-"),
-             (f"{r['vector_iterations']} "
-              f"({r['vector_batches']} batches)"
-              if r.get("vector_batches") else "-")]
+              if total else "-")]
             for r in top]
     print(format_table(
         headers, body,
         f"Hottest traces — top {len(top)} of {len(rows)} "
         f"({total} simulated instructions)"), file=out)
     trace_remarks = [r for r in emitter
-                     if r.name in ("TraceCompiled", "TraceDeopt",
-                                   "VectorBatchCompiled", "VectorDeopt")]
+                     if r.name in ("TraceCompiled", "TraceDeopt")]
     print(render_remarks(trace_remarks,
                          title="Trace-JIT remarks (repro-remarks-v1):"),
           file=out)

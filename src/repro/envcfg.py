@@ -3,10 +3,10 @@
 Runtime knobs (worker counts, queue bounds, ring sizes) arrive through
 ``REPRO_*`` environment variables, frequently set by CI scripts and
 shell one-liners where a typo is easy.  A bad value must never abort a
-run: like :func:`repro.telemetry.collector.ring_capacity` and the
-trace-JIT threshold clamp, an out-of-range or non-integer value
-produces a Python warning plus (when remarks are being collected) an
-``EnvVarClamped`` warning remark, and a documented fallback is used.
+run: like :func:`repro.telemetry.collector.ring_capacity`, an
+out-of-range or non-integer value produces a Python warning plus (when
+remarks are being collected) an ``EnvVarClamped`` warning remark, and a
+documented fallback is used.
 
 :func:`env_int` is the one shared implementation; callers state their
 fallback and bounds, so every knob degrades the same way.

@@ -70,18 +70,6 @@ class Cache:
     def _set_and_tag(self, line_addr: int) -> tuple[dict, int]:
         return self._sets[line_addr % self.num_sets], line_addr
 
-    def sets_of(self, lines):
-        """Vectorized set indices for an int64 line-address array.
-
-        Batch entry point for the vectorized tier: numpy's int64 ``%``
-        and ``&`` match Python's floor-modulo for every line address,
-        so the indices are bit-identical to ``line % num_sets``.
-        """
-        n = self.num_sets
-        if n & (n - 1) == 0:
-            return lines & (n - 1)
-        return lines % n
-
     def lookup(self, line_addr: int, *, touch: bool = True) -> float | None:
         """Return the line's fill time if resident (marking it MRU)."""
         lines, tag = self._set_and_tag(line_addr)

@@ -17,14 +17,15 @@ call), and the memory system's hot-line hit path (see
 with the full-walk call as the fallback.
 
 The per-op code generation lives in :class:`_Emitter`, which is
-parametrized over operand naming so the same emission logic serves two
-execution tiers:
+parametrized over operand naming so the same emission logic serves both
+halves of the fast engine:
 
 * **fused segments** (this module) address the interpreter's register
   file directly (``regs[i]`` / ``ready[i]``);
-* **compiled traces** (:mod:`repro.machine.tracejit`) lower register
-  slots to function locals (``r{i}`` / ``t{i}``) and splice whole loop
-  iterations — ops, terminators, phi moves — into one closure.
+* **compiled traces** (:mod:`repro.machine.tracejit`) of hot loops
+  lower register slots to function locals (``r{i}`` / ``t{i}``) and
+  splice whole loop iterations — ops, terminators, phi moves — into one
+  closure.
 
 Equivalence contract
 --------------------
@@ -152,8 +153,8 @@ def fuse_function(compiled, mode: str, bindings: dict) -> None:
     """Rewrite ``compiled.blocks`` in place, fusing instruction runs.
 
     The pre-fusion blocks are stashed as ``compiled.raw_blocks`` so the
-    trace-JIT tier (:mod:`repro.machine.tracejit`) can recompile hot
-    loop paths from the original instruction tuples.
+    trace JIT (:mod:`repro.machine.tracejit`) can recompile hot loop
+    paths from the original instruction tuples.
 
     :param compiled: a :class:`~repro.machine.interpreter._CompiledFunction`.
     :param mode: ``"func"`` (no timing), ``"inorder"`` or ``"ooo"``.
@@ -190,7 +191,7 @@ class _Emitter:
 
     One instance accumulates source lines (:attr:`body`) and runtime
     bindings (:attr:`env`) for a single generated closure.  The operand
-    naming is the only thing the two tiers disagree on:
+    naming is the only thing segments and traces disagree on:
 
     * ``locals_tier=False`` (fused segments): operands address the
       interpreter's register file, ``regs[i]`` / ``ready[i]``;
@@ -200,7 +201,7 @@ class _Emitter:
       prologue and epilogue.
 
     All timing arithmetic (issue/retire, hot-line probe, blocking
-    thresholds) is identical between tiers — it is the transcription of
+    thresholds) is identical between the two — it is the transcription of
     the core and memory-system models documented in the module
     docstring.
     """
@@ -212,11 +213,6 @@ class _Emitter:
         self.env = env
         self.body: list[str] = []
         self.locals_tier = locals_tier
-        #: When false, only the timing arithmetic is emitted: the
-        #: vectorized tier (:mod:`repro.machine.vectorsim`) computes all
-        #: functional effects with numpy up front and replays timing
-        #: from precomputed per-iteration values.
-        self.functional = True
         self.slots: set[int] = set()
         self.counts = {"loads": 0, "stores": 0, "prefetches": 0}
         self.site = 0
@@ -373,13 +369,11 @@ class _Emitter:
         :param wrapped: expression put through 64-bit signed wrap first.
         """
         emit = self.out
-        if self.functional:
-            if wrapped is not None:
-                emit(f"_v = {wrapped} & {_M64}")
-                emit(f"{self.reg(dst)} = "
-                     f"_v - {_W64} if _v >= {_H64} else _v")
-            else:
-                emit(f"{self.reg(dst)} = {value}")
+        if wrapped is not None:
+            emit(f"_v = {wrapped} & {_M64}")
+            emit(f"{self.reg(dst)} = _v - {_W64} if _v >= {_H64} else _v")
+        else:
+            emit(f"{self.reg(dst)} = {value}")
         if not self.timed:
             return
         self.issue_and(specs)
@@ -478,24 +472,6 @@ class _Emitter:
         # on failure go straight to the inlined miss walk.
         emit(f"    rdy = _ms_demand({pc}, addr, issue, {is_write})")
 
-    # -- functional memory effects (overridable per tier) --------------
-
-    def load_functional(self, dst: int, ptr_spec, site: int) -> None:
-        """Functional effect of a load: resolve ``addr`` + data read."""
-        self.env[f"_c{site}"] = [None, 0, -1, 1, None]
-        self.address(ptr_spec, site, "load")
-        self.out(f"{self.reg(dst)} = _m[4][_q]")
-
-    def store_functional(self, val_spec, ptr_spec, site: int) -> None:
-        """Functional effect of a store: resolve ``addr`` + data write."""
-        self.env[f"_c{site}"] = [None, 0, -1, 1, None]
-        self.address(ptr_spec, site, "store")
-        self.out(f"_m[4][_q] = {self.operand(*val_spec)}")
-
-    def prefetch_functional(self, ptr_spec) -> None:
-        """Resolve ``addr`` for a prefetch (no architectural effect)."""
-        self.out(f"addr = {self.operand(*ptr_spec)}")
-
     # -- one fusable instruction ---------------------------------------
 
     def op(self, inst: tuple) -> None:
@@ -556,8 +532,10 @@ class _Emitter:
         elif kind == _LOAD:
             _, dst, pc, pc_const, p, cache = inst
             self.counts["loads"] += 1
-            self.load_functional(dst, (pc_const, p), self.site)
+            self.env[f"_c{self.site}"] = [None, 0, -1, 1, None]
+            self.address((pc_const, p), self.site, "load")
             self.site += 1
+            emit(f"{self.reg(dst)} = _m[4][_q]")
             if self.timed:
                 self.issue_and([(pc_const, p)])
                 self.demand(pc, is_write=False)
@@ -572,8 +550,10 @@ class _Emitter:
         elif kind == _STORE:
             _, pc, vc, v, pc_const, p, cache = inst
             self.counts["stores"] += 1
-            self.store_functional((vc, v), (pc_const, p), self.site)
+            self.env[f"_c{self.site}"] = [None, 0, -1, 1, None]
+            self.address((pc_const, p), self.site, "store")
             self.site += 1
+            emit(f"_m[4][_q] = {self.operand(vc, v)}")
             if self.timed:
                 self.issue_and([(vc, v), (pc_const, p)])
                 self.demand(pc, is_write=True)
@@ -585,7 +565,7 @@ class _Emitter:
         elif kind == _PREFETCH:
             _, pc, pc_const, p = inst
             self.counts["prefetches"] += 1
-            self.prefetch_functional((pc_const, p))
+            emit(f"addr = {self.operand(pc_const, p)}")
             if self.timed:
                 self.issue_and([(pc_const, p)])
                 hot = self.hot

@@ -35,8 +35,7 @@ from .fastexec import (_ALLOC, _BIN, _CALL, _CAST, _CMP, _GEP, _LOAD,
                        fuse_function)
 from .memory import Allocation, Memory, MemoryFault
 from .system import MemorySystem
-from .tracejit import NO_BUDGET, TraceJIT, tracejit_enabled
-from .vectorsim import vector_enabled
+from .tracejit import NO_BUDGET, TraceJIT
 
 _M64 = (1 << 64) - 1
 
@@ -341,31 +340,25 @@ class Interpreter:
     :param machine: a :class:`MachineConfig` for timed execution, or
         ``None`` for functional execution.
     :param dram: optionally a shared DRAM channel (multicore runs).
-    :param fastpath: enable fused-block execution and the memory-system
-        hot-line memo (``None`` = follow ``REPRO_SIM_FASTPATH``).
+    :param fastpath: ``True`` selects the fast engine: fused-block
+        execution, the memory-system hot-line memo and, in timed mode,
+        the trace JIT, which compiles a loop once its header has been
+        visited :data:`~repro.machine.tracejit.DEFAULT_THRESHOLD`
+        times.  ``False`` selects the reference engine; the two are
+        bit-identical.  ``None`` follows ``REPRO_SIM_FASTPATH``
+        (default on).
     :param telemetry: a :class:`~repro.telemetry.TelemetryCollector`,
         ``True``/``False`` to force telemetry on/off, or ``None`` to
         follow ``REPRO_SIM_TELEMETRY``.  Telemetry needs a machine model
         (it observes the memory hierarchy); a collector forces the
         memory system onto its instrumented reference walks, which are
         cycle-for-cycle identical to the fast path.
-    :param tracejit: enable the trace-JIT tier on top of the fast path
-        (``None`` = follow ``REPRO_SIM_TRACEJIT``, default off).  Needs
-        both a machine model and the fast path; silently off otherwise.
-        Bit-identical to the other tiers (see
-        :mod:`repro.machine.tracejit`).
     :param timeline: a :class:`~repro.telemetry.TimelineRecorder`,
         ``True``/``False`` to force windowed counter sampling on/off,
         or ``None`` to follow ``REPRO_SIM_TIMELINE`` (default off).
         Needs a machine model.  Sampling reads counters only at the
         reference yield boundaries, so cycles are bit-identical with
-        sampling on or off under every execution tier.
-    :param vector: enable the vectorized batch tier on top of the
-        trace-JIT (``None`` = follow ``REPRO_SIM_VECTOR``, default
-        off).  Implies the trace-JIT machinery; single-block hot loops
-        with dependence-free address streams run as numpy-planned
-        batches, bit-identical to every other tier (see
-        :mod:`repro.machine.vectorsim`).
+        sampling on or off under both engines.
     """
 
     def __init__(self, module: Module, memory: Memory | None = None,
@@ -373,9 +366,7 @@ class Interpreter:
                  dram: DRAMChannel | None = None,
                  fastpath: bool | None = None,
                  telemetry: "TelemetryCollector | bool | None" = None,
-                 tracejit: bool | None = None,
-                 timeline: "TimelineRecorder | bool | None" = None,
-                 vector: bool | None = None):
+                 timeline: "TimelineRecorder | bool | None" = None):
         self.module = module
         self.memory = memory if memory is not None else Memory()
         self.machine = machine
@@ -394,18 +385,11 @@ class Interpreter:
         self._pc_base = 0
         self.stats = RunStats()
         self.max_steps: int | None = None
-        # The vector tier plans batches over compiled traces, so
-        # enabling it implies the trace-JIT machinery.
-        self.vector = (self.fastpath and machine is not None
-                       and vector_enabled(vector))
-        self.tracejit = (self.fastpath and machine is not None
-                         and (tracejit_enabled(tracejit) or self.vector))
         self._tj = TraceJIT(
-            mode="inorder" if machine and machine.in_order else "ooo",
+            mode="inorder" if machine.in_order else "ooo",
             bind={"memory": self.memory, "stats": self.stats,
-                  "core": self.core, "ms": self.memory_system},
-            vector=self.vector
-        ) if self.tracejit else None
+                  "core": self.core, "ms": self.memory_system}
+        ) if self.fastpath and machine is not None else None
 
     def _compile(self, func: Function) -> _CompiledFunction:
         compiled = self._compiled.get(func.name)
@@ -438,8 +422,8 @@ class Interpreter:
         return pcs
 
     def trace_report(self) -> list[dict]:
-        """Per-trace statistics from the trace-JIT tier, hottest first
-        (empty when the tier is disabled).  Row keys: ``function``,
+        """Per-trace statistics from the trace JIT, hottest first
+        (empty on the reference engine).  Row keys: ``function``,
         ``header``, ``blocks``, ``ops``, ``entries``, ``iterations``,
         ``instructions``."""
         return self._tj.report() if self._tj is not None else []
@@ -450,8 +434,8 @@ class Interpreter:
         With a timeline recorder attached, the run is driven at the
         recorder's sampling interval — the same reference yield
         boundaries ``run_stepped`` exposes, so the cycle count is
-        unchanged (yields never advance time; the trace-JIT budget
-        exits at exactly these boundaries in every tier).
+        unchanged (yields never advance time; compiled traces exit at
+        exactly these boundaries).
         """
         yield_every = (self.timeline.sample_every
                        if self.timeline is not None else 0)
@@ -523,7 +507,7 @@ class Interpreter:
         block = 0
         steps = 0
         max_steps = self.max_steps
-        # Trace-JIT tier: needs timing and clashes with max_steps (a
+        # Trace JIT: needs timing and clashes with max_steps (a
         # trace books its instructions only at exit, after the check).
         tj = self._tj if (core is not None and max_steps is None) \
             else None
@@ -543,15 +527,7 @@ class Interpreter:
                         if tr.fp == ms.fastpath:
                             budget = (yield_every - steps) \
                                 if yield_every else NO_BUDGET
-                            vec = tr.vector
-                            out = (vec(regs, ready, budget)
-                                   if vec is not None else None)
-                            if out is None:
-                                # No vector driver, or a batch guard
-                                # deopted before any state changed:
-                                # the compiled trace replays the loop.
-                                out = tr.fn(regs, ready, budget)
-                            block, used = out
+                            block, used = tr.fn(regs, ready, budget)
                             steps += used
                             if tr.entries >= 256 and \
                                     tr.iters < (tr.entries >> 1):

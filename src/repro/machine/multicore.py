@@ -5,38 +5,13 @@ cores share one :class:`~repro.machine.dram.DRAMChannel`.  The scheduler
 repeatedly resumes the interpreter whose core clock is furthest behind,
 so requests reach the shared channel in approximately global time order.
 Used by the Fig. 9 bandwidth experiment.
-
-Within-run parallelism
-----------------------
-
-``REPRO_SIM_MC_WORKERS=<n>`` (or ``workers=`` explicitly) switches to a
-*barrier schedule*: every live core advances one quantum concurrently on
-a worker-thread pool, each against a **private** DRAM channel, and the
-channels are reconciled at the epoch barrier — the canonical channel
-horizon advances by the *sum* of the bandwidth every core consumed (and
-at least to the latest per-core horizon), and each private channel is
-re-based on the canonical horizon before the next epoch.  Both the merge
-(fixed core-index order, commutative sums/maxes) and each core's epoch
-(private state only) are order-independent, so the schedule is
-**deterministic**: two parallel runs produce identical results
-regardless of thread timing.  It is *not* bit-identical to the
-sequential shared-queue schedule — cross-core contention is settled at
-quantum granularity instead of per request — so the mode is off by
-default and the two schedules are tagged on :class:`MulticoreResult`.
-
-The threads mostly contend on the interpreter's Python bytecode (the
-GIL), so wall-clock gains today come on free-threaded builds; the
-barrier structure is what bounds the determinism argument, not the
-thread count.
 """
 
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from ..envcfg import env_int
 from ..ir.module import Module
 from .configs import MachineConfig
 from .dram import DRAMChannel
@@ -50,13 +25,10 @@ class MulticoreResult:
 
     :ivar per_core: each core's :class:`RunResult`.
     :ivar makespan: cycles until the *last* core finished.
-    :ivar schedule: ``"shared-queue"`` (sequential reference scheduler)
-        or ``"barrier"`` (parallel epoch schedule).
     """
 
     per_core: list[RunResult]
     makespan: float
-    schedule: str = "shared-queue"
 
     @property
     def throughput(self) -> float:
@@ -64,32 +36,10 @@ class MulticoreResult:
         return len(self.per_core) / self.makespan if self.makespan else 0.0
 
 
-#: Upper bound on ``REPRO_SIM_MC_WORKERS`` — the barrier schedule runs
-#: one thread per live core, so more than this is a typo.
-MAX_MC_WORKERS = 256
-
-
-def mc_workers(explicit: int | None = None) -> int:
-    """Resolve the worker count: explicit setting, else the
-    ``REPRO_SIM_MC_WORKERS`` environment variable (default 0 = the
-    sequential shared-queue scheduler).
-
-    The variable is validated like the other runtime knobs
-    (:func:`repro.envcfg.env_int`): a non-integer or negative value
-    warns and falls back to the sequential scheduler, an absurd one
-    clamps to :data:`MAX_MC_WORKERS` — never a crash.
-    """
-    if explicit is not None:
-        return max(0, explicit)
-    return env_int("REPRO_SIM_MC_WORKERS", 0, minimum=0,
-                   maximum=MAX_MC_WORKERS)
-
-
 def run_multicore(modules: list[Module], func_name: str,
                   args_per_core: list[list], config: MachineConfig,
                   memories: list[Memory] | None = None,
-                  quantum: int = 2000,
-                  workers: int | None = None) -> MulticoreResult:
+                  quantum: int = 2000) -> MulticoreResult:
     """Run one task per core with a shared DRAM channel.
 
     :param modules: one module per core (typically copies of the same
@@ -98,16 +48,10 @@ def run_multicore(modules: list[Module], func_name: str,
     :param args_per_core: entry-function arguments per core.
     :param memories: per-core address spaces (fresh ones if omitted).
     :param quantum: instructions executed per scheduling turn.
-    :param workers: worker threads for the barrier schedule (``None`` =
-        follow ``REPRO_SIM_MC_WORKERS``; 0/1 = sequential reference).
     """
     n = len(modules)
     if len(args_per_core) != n:
         raise ValueError("need one argument list per core")
-    nworkers = mc_workers(workers)
-    if nworkers > 1 and n > 1:
-        return _run_barrier(modules, func_name, args_per_core, config,
-                            memories, quantum, nworkers)
     shared_dram = DRAMChannel(config.dram_latency,
                               config.dram_cycles_per_line,
                               config.dram_contention_penalty)
@@ -140,61 +84,3 @@ def run_multicore(modules: list[Module], func_name: str,
     makespan = max(r.cycles for r in per_core)
     return MulticoreResult(per_core=per_core, makespan=makespan)
 
-
-def _step(gen) -> float | None:
-    """Advance one core by one quantum; ``None`` when it finished."""
-    try:
-        return next(gen)
-    except StopIteration:
-        return None
-
-
-def _run_barrier(modules: list[Module], func_name: str,
-                 args_per_core: list[list], config: MachineConfig,
-                 memories: list[Memory] | None, quantum: int,
-                 workers: int) -> MulticoreResult:
-    """The parallel epoch scheduler (see the module docstring)."""
-    n = len(modules)
-    channels = []
-    interpreters = []
-    for i in range(n):
-        channel = DRAMChannel(config.dram_latency,
-                              config.dram_cycles_per_line,
-                              config.dram_contention_penalty)
-        channel.set_sharers(n)
-        channels.append(channel)
-        memory = memories[i] if memories else Memory(config.line_size)
-        interpreters.append(Interpreter(
-            modules[i], memory, machine=config, dram=channel))
-    gens = [interp.run_stepped(func_name, args_per_core[i],
-                               yield_every=quantum)
-            for i, interp in enumerate(interpreters)]
-
-    alive = list(range(n))
-    horizon = 0.0  # canonical channel-free time across all cores
-    with ThreadPoolExecutor(max_workers=min(workers, n)) as pool:
-        while alive:
-            busy_before = []
-            for i in alive:
-                channels[i]._next_free = horizon
-                busy_before.append(channels[i].stats.busy_cycles)
-            # The barrier: every live core advances one quantum against
-            # private state only, so thread order cannot matter.
-            outcomes = list(pool.map(_step, (gens[i] for i in alive)))
-            consumed = 0.0
-            latest = horizon
-            for pos, i in enumerate(alive):
-                consumed += channels[i].stats.busy_cycles \
-                    - busy_before[pos]
-                nf = channels[i]._next_free
-                if nf > latest:
-                    latest = nf
-            merged = horizon + consumed
-            horizon = merged if merged > latest else latest
-            alive = [i for pos, i in enumerate(alive)
-                     if outcomes[pos] is not None]
-
-    per_core = [interp._result for interp in interpreters]
-    makespan = max(r.cycles for r in per_core)
-    return MulticoreResult(per_core=per_core, makespan=makespan,
-                           schedule="barrier")

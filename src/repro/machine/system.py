@@ -123,19 +123,6 @@ class MemorySystem:
 
     # -- public access points ---------------------------------------------
 
-    def lines_of(self, addrs):
-        """Vectorized line indices for an int64 address array.
-
-        Batch entry point for the vectorized tier
-        (:mod:`repro.machine.vectorsim`): bit-identical to the per-access
-        ``addr // line_size`` because numpy's int64 ``>>`` and ``//``
-        share Python's floor semantics for every address.
-        """
-        size = self.line_size
-        if size & (size - 1) == 0:
-            return addrs >> (size.bit_length() - 1)
-        return addrs // size
-
     def load(self, pc: int, addr: int, time: float) -> float:
         """Demand load; returns data-ready time."""
         if self.fastpath:

@@ -79,15 +79,6 @@ class TLB:
         """Page size in bytes."""
         return 1 << self.page_bits
 
-    def pages_of(self, addrs):
-        """Vectorized page numbers for an int64 address array.
-
-        Batch entry point for the vectorized tier: int64 ``>>`` is the
-        same arithmetic shift as Python's, so the page numbers are
-        bit-identical to the per-access ``addr >> page_bits``.
-        """
-        return addrs >> self.page_bits
-
     def translate(self, addr: int, time: float) -> float:
         """Translate ``addr`` at ``time``; returns translation-ready time.
 

@@ -1,11 +1,12 @@
-"""Trace-JIT execution tier: compile hot loop paths to closures.
+"""Trace JIT: compile hot loop paths to closures.
 
-The third (and fastest) execution tier, above the reference dispatch
-loop and the fused-segment fast path:
+The hot-loop half of the fast engine (``fastpath=True``, the default),
+on top of the fused-segment dispatch loop:
 
 1. **Profile** — the interpreter's dispatch loop counts visits to every
    basic block of a function (a superset of back-edge counting: a loop
-   header crosses the threshold after ``threshold`` iterations).
+   header crosses the threshold after :data:`DEFAULT_THRESHOLD`
+   iterations).
 2. **Record** — once a block is hot, the dispatcher records the dynamic
    block path of one full loop iteration: the sequence of blocks
    executed until control returns to the hot block.  Recording aborts
@@ -47,18 +48,14 @@ Guards and deoptimization
 Equivalence: compiled traces execute the same arithmetic in the same
 order as the fused tier (which replays the reference engine bit-for-
 bit); instruction/branch/memory-op counters are charged in bulk at
-trace exit with identical totals.  The equivalence matrix in
-``tests/test_tracejit.py`` drives all tiers against each other.
+trace exit with identical totals.  ``tests/test_tracejit.py`` drives
+the fast engine against the reference engine.
 
-The tier is gated by ``REPRO_SIM_TRACEJIT`` (default off) and requires
-the fast path; ``REPRO_SIM_TRACEJIT_THRESHOLD`` tunes the hotness
-threshold (default 16 visits).
+The JIT runs whenever the fast path does and a machine model is
+attached; the reference engine (``fastpath=False``) never traces.
 """
 
 from __future__ import annotations
-
-import os
-import warnings
 
 from ..remarks import emit as remark_emit
 from ..telemetry.spans import instant, span
@@ -76,70 +73,15 @@ _MAX_OPS = 2000
 _COUNT_LOCALS = (("loads", "_nl"), ("stores", "_nst"),
                  ("prefetches", "_npf"))
 
-
-def tracejit_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the trace-JIT gate: explicit setting, else the
-    ``REPRO_SIM_TRACEJIT`` environment variable (default off)."""
-    if explicit is not None:
-        return bool(explicit)
-    return os.environ.get("REPRO_SIM_TRACEJIT", "0") == "1"
-
-
-#: Default hotness threshold (block visits before recording).
+#: Hotness threshold (block visits before recording).
 DEFAULT_THRESHOLD = 16
-#: Bounds on the env-tunable threshold.  Below 2 a block would record
-#: on its first visit; above the max the tier would simply never fire.
-MIN_THRESHOLD = 2
-MAX_THRESHOLD = 1 << 20
-
-
-def _threshold_fallback(raw: str, used: int, reason: str) -> int:
-    """Report a bad ``REPRO_SIM_TRACEJIT_THRESHOLD`` and carry on.
-
-    Mirrors telemetry's ``_ring_fallback``: an invalid value must never
-    abort a run — it produces a Python warning plus (when remarks are
-    being collected) a ``TraceJitThresholdClamped`` warning remark, and
-    the clamped/default threshold is used.
-    """
-    warnings.warn(
-        f"REPRO_SIM_TRACEJIT_THRESHOLD={raw!r} is {reason}; "
-        f"using {used}", RuntimeWarning, stacklevel=3)
-    remark_emit("warning", "trace-jit", "TraceJitThresholdClamped",
-                value=raw, used=used, reason=reason)
-    return used
-
-
-def trace_threshold() -> int:
-    """Block-visit count that triggers recording (env-tunable).
-
-    Invalid values fall back to :data:`DEFAULT_THRESHOLD` and
-    out-of-range ones clamp to :data:`MIN_THRESHOLD` /
-    :data:`MAX_THRESHOLD`, in both cases with a warning (and a remark
-    when collecting) instead of a crash.
-    """
-    raw = os.environ.get("REPRO_SIM_TRACEJIT_THRESHOLD")
-    if not raw:
-        return DEFAULT_THRESHOLD
-    try:
-        n = int(raw)
-    except ValueError:
-        return _threshold_fallback(raw, DEFAULT_THRESHOLD,
-                                   "not an integer")
-    if n < MIN_THRESHOLD:
-        return _threshold_fallback(raw, MIN_THRESHOLD,
-                                   "below the minimum")
-    if n > MAX_THRESHOLD:
-        return _threshold_fallback(raw, MAX_THRESHOLD,
-                                   "above the maximum")
-    return n
 
 
 class Trace:
     """One compiled trace plus its execution statistics."""
 
     __slots__ = ("fn", "func", "header", "header_name", "fp", "blocks",
-                 "ops", "entries", "iters", "insts", "vector",
-                 "vbatches", "viters")
+                 "ops", "entries", "iters", "insts")
 
     def __init__(self, func: str, header: int, header_name: str,
                  blocks: int, ops: int):
@@ -153,21 +95,13 @@ class Trace:
         self.entries = 0
         self.iters = 0
         self.insts = 0
-        #: Vectorized batch driver (repro.machine.vectorsim), or None.
-        #: A runtime batch-guard failure clears it; the batch counters
-        #: below survive so reports stay honest after a deopt.
-        self.vector = None
-        self.vbatches = 0
-        self.viters = 0
 
     def report(self) -> dict:
         """Hot-report row (JSON-ready)."""
         return {"function": self.func, "header": self.header_name,
                 "blocks": self.blocks, "ops": self.ops,
                 "entries": self.entries, "iterations": self.iters,
-                "instructions": self.insts,
-                "vector_batches": self.vbatches,
-                "vector_iterations": self.viters}
+                "instructions": self.insts}
 
 
 class FunctionState:
@@ -189,28 +123,20 @@ class TraceJIT:
 
     :param mode: ``"inorder"`` or ``"ooo"`` (matches the fused tier).
     :param bind: the fuse bindings (``memory``/``stats``/``core``/``ms``).
-    :param threshold: override the recording threshold (tests).
-    :param vector: additionally plan vectorized batch drivers for
-        single-block traces (:mod:`repro.machine.vectorsim`).
     """
 
-    def __init__(self, mode: str, bind: dict,
-                 threshold: int | None = None, vector: bool = False):
+    def __init__(self, mode: str, bind: dict):
         self.mode = mode
         self.bind = bind
-        self.threshold = (trace_threshold() if threshold is None
-                          else max(2, threshold))
+        self.threshold = DEFAULT_THRESHOLD
         self.max_blocks = _MAX_BLOCKS
         self.max_ops = _MAX_OPS
-        self.vector = vector
         self._states: dict[str, FunctionState] = {}
         #: every trace ever compiled (for the hot report).
         self.traces: list[Trace] = []
         self.compiles = 0
         self.deopts = 0
         self.aborts = 0
-        self.vector_compiles = 0
-        self.vector_deopts = 0
 
     def state_for(self, compiled) -> FunctionState:
         """The (lazily created) trace state for one compiled function."""
@@ -258,15 +184,6 @@ class TraceJIT:
             nops += len(insts)
         if nops > self.max_ops:
             return self.abort(state, header, "too-many-ops")
-        if self.vector:
-            # An outer trace would run a nested inner loop inside its
-            # own while, bypassing dispatch — and with it any vector
-            # driver already compiled for the inner header.  Keep the
-            # dispatcher in charge of vector-planned inner loops.
-            for bi in selfloops:
-                inner = state.traces.get(bi)
-                if inner is not None and inner.vector is not None:
-                    return self.abort(state, header, "vector-inner-loop")
         with span("tracejit", "compile", function=compiled.function.name,
                  blocks=len(path), ops=nops):
             trace = self._compile(compiled, path, nops, selfloops)
@@ -279,9 +196,6 @@ class TraceJIT:
                     mode=self.mode, fastpath=trace.fp)
         instant("tracejit", "TraceCompiled", function=trace.func,
                 header=trace.header_name, blocks=len(path), ops=nops)
-        if self.vector and len(path) == 1 and not selfloops:
-            from .vectorsim import plan_vector
-            plan_vector(compiled, trace, self)
         return trace
 
     def abort(self, state: FunctionState, header: int, reason: str

@@ -54,11 +54,15 @@ class LoopInvariantCodeMotionPass:
         if preheader is None or preheader.terminator is None:
             return 0
         insertion = preheader.terminator
+        # Walk the body in function order: ``loop.blocks`` is a set
+        # hashed by identity, so its order (and with it the order of
+        # the hoisted instructions) would follow heap layout.
+        body = [block for block in func.blocks if block in loop.blocks]
         hoisted = 0
         changed = True
         while changed:
             changed = False
-            for block in list(loop.blocks):
+            for block in body:
                 for inst in block.instructions:
                     if self._can_hoist(inst, loop):
                         inst.remove_from_parent()

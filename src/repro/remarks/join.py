@@ -33,12 +33,9 @@ from .serialize import dumps_stream, remark_to_dict
 INSERTION_REMARKS = ("PrefetchInserted", "PrefetchHoisted",
                      "BaselinePrefetchInserted")
 
-#: Columns of the rendered per-prefetch join table.  "Vec" is the
-#: number of the PC's prefetches whose outcome classification happened
-#: inside the vectorized batch tier (``REPRO_SIM_VECTOR=1``; "-" when
-#: the run never batched that PC).
+#: Columns of the rendered per-prefetch join table.
 COLUMNS = ["Prefetch", "PC", "Covered", "Offset", "Timely", "Late",
-           "Early", "Redundant", "Dropped", "Unused", "Vec"]
+           "Early", "Redundant", "Dropped", "Unused"]
 
 
 def collect_remarks(workload: Workload, variant: str = "auto",
@@ -67,14 +64,12 @@ def explain_workload(workload: Workload, machine: MachineConfig,
     pcs = static_prefetch_pcs(module, workload.entry)
     telemetry = variant_result.telemetry or {}
     per_pc = telemetry.get("prefetch", {}).get("per_pc", {})
-    vector_pcs = telemetry.get("vector", {}).get("per_pc", {})
     prefetches = []
     for remark in emitter.remarks:
         if remark.name not in INSERTION_REMARKS:
             continue
         pc = pcs.get(remark.prefetch_id)
         bins = (per_pc.get(str(pc)) if pc is not None else None)
-        vbins = (vector_pcs.get(str(pc)) if pc is not None else None)
         prefetches.append({
             "prefetch_id": remark.prefetch_id,
             "function": remark.function,
@@ -84,7 +79,6 @@ def explain_workload(workload: Workload, machine: MachineConfig,
             "outcomes": dict(bins) if bins is not None
             else {o: 0 for o in OUTCOMES},
             "observed": bins is not None,
-            "vector": dict(vbins) if vbins is not None else None,
         })
     return {
         "workload": workload.name,
@@ -154,8 +148,6 @@ def render_explain(rows: list[dict]) -> str:
                 bins.get("timely", 0), bins.get("late", 0),
                 bins.get("early", 0), bins.get("redundant", 0),
                 bins.get("dropped", 0), bins.get("unused", 0),
-                (pf["vector"]["prefetches"] if pf.get("vector")
-                 else "-"),
             ])
         out.append(format_table(COLUMNS, body, title))
     return "\n\n".join(out)

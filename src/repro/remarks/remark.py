@@ -63,27 +63,17 @@ KNOWN_REMARKS: dict[str, str] = {
     "BlockMerged": "simplifycfg absorbed a single-predecessor block",
     "ForwardingBlockRemoved": "simplifycfg bypassed an empty jmp block",
     "UnreachableBlockRemoved": "simplifycfg deleted a dead block",
-    # The trace-JIT execution tier (repro.machine.tracejit).
+    # The trace JIT (repro.machine.tracejit).
     "TraceCompiled":
         "a hot loop path was compiled to a specialized trace closure",
     "TraceDeopt":
         "a trace recording was abandoned or a compiled trace was "
         "invalidated, with the reason",
-    # The vectorized batch tier (repro.machine.vectorsim).
-    "VectorBatchCompiled":
-        "a hot trace's address stream was proven dependence-free and "
-        "compiled to a vectorized batch driver",
-    "VectorDeopt":
-        "a trace was rejected for vectorization (plan) or a batch "
-        "guard failed at run time, with the reason",
     # Runtime configuration warnings.
     "TelemetryRingClamped":
         "REPRO_SIM_TELEMETRY_RING was invalid and a fallback was used",
     "TimelineWindowClamped":
         "REPRO_SIM_TIMELINE_WINDOW was invalid and a fallback was used",
-    "TraceJitThresholdClamped":
-        "REPRO_SIM_TRACEJIT_THRESHOLD was invalid and a fallback was "
-        "used",
     "EnvVarClamped":
         "an integer REPRO_* environment variable was invalid and a "
         "fallback was used (see repro.envcfg.env_int)",

@@ -50,7 +50,7 @@ SCHEMA_REQUEST = "repro-serve-request-v1"
 SCHEMA_RESULT = "repro-serve-result-v1"
 
 KINDS = ("simulate", "compile", "sleep")
-TIERS = ("auto", "reference", "fastpath", "tracejit", "vector")
+TIERS = ("auto", "reference", "fastpath")
 INCLUDES = ("telemetry", "remarks", "timeline", "spans")
 VARIANTS = ("plain", "auto", "manual", "icc")
 WORKLOADS = ("is", "cg", "ra", "hj2", "hj8", "g500s16", "g500s21")
@@ -60,17 +60,11 @@ MACHINES = ("Haswell", "A57", "A53", "Xeon Phi")
 MAX_LOOKAHEAD = 1 << 16
 MAX_SLEEP_S = 60.0
 
-#: Execution-tier gates set in the worker for one request.  ``auto``
+#: Engine gate set in the worker for one request's tier.  ``auto``
 #: leaves the worker's environment alone (whatever the operator set).
 _TIER_ENV = {
-    "reference": {"REPRO_SIM_FASTPATH": "0", "REPRO_SIM_TRACEJIT": "0",
-                  "REPRO_SIM_VECTOR": "0"},
-    "fastpath": {"REPRO_SIM_FASTPATH": "1", "REPRO_SIM_TRACEJIT": "0",
-                 "REPRO_SIM_VECTOR": "0"},
-    "tracejit": {"REPRO_SIM_FASTPATH": "1", "REPRO_SIM_TRACEJIT": "1",
-                 "REPRO_SIM_VECTOR": "0"},
-    "vector": {"REPRO_SIM_FASTPATH": "1", "REPRO_SIM_TRACEJIT": "1",
-               "REPRO_SIM_VECTOR": "1"},
+    "reference": {"REPRO_SIM_FASTPATH": "0"},
+    "fastpath": {"REPRO_SIM_FASTPATH": "1"},
 }
 
 

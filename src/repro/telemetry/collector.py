@@ -128,11 +128,6 @@ class TelemetryCollector:
         #: that instead hit on a prefetched (timely/late) line.
         self.demand_hits_on_prefetch = 0
         self._pending: dict[int, tuple[int, float, float]] = {}
-        #: prefetch PC -> {"batches", "prefetches"}: how many of a
-        #: PC's prefetches were classified while running inside the
-        #: vectorized batch tier (repro.machine.vectorsim).  Purely an
-        #: annotation — outcome bins above are tier-independent.
-        self.vector_pcs: dict[int, dict[str, int]] = {}
         self._core: dict | None = None
         self._memory: dict | None = None
 
@@ -169,19 +164,6 @@ class TelemetryCollector:
         """Cycles the core lost waiting for an MSHR on a prefetch."""
         if wait > 0:
             self.cycles["prefetch_backpressure"] += wait
-
-    def note_vector_batch(self, pcs, iterations: int) -> None:
-        """One vectorized batch executed ``iterations`` iterations of a
-        loop containing prefetches at ``pcs`` (called by the batch
-        driver so reports can attribute outcome classification to the
-        vector tier)."""
-        for pc in pcs:
-            bins = self.vector_pcs.get(pc)
-            if bins is None:
-                bins = self.vector_pcs[pc] = {"batches": 0,
-                                              "prefetches": 0}
-            bins["batches"] += 1
-            bins["prefetches"] += iterations
 
     # -- demand-side hooks (called by the reference hierarchy walk) -----
 
@@ -299,10 +281,6 @@ class TelemetryCollector:
                 "by_source": {k: v for k, v in
                               sorted(self.cycles.items())},
                 "core": self._core,
-            },
-            "vector": {
-                "per_pc": {str(pc): dict(bins) for pc, bins in
-                           sorted(self.vector_pcs.items())},
             },
             "memory": self._memory,
             "events": list(self.events),

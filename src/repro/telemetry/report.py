@@ -81,8 +81,6 @@ def effectiveness_rows(workloads: list[Workload],
                 "stall_delta_pct": (100.0 * (pref_stall / plain_stall
                                              - 1.0)
                                     if plain_stall else 0.0),
-                "vector_per_pc": dict(tel.get("vector", {})
-                                      .get("per_pc", {})),
             })
     return rows
 
@@ -103,23 +101,7 @@ def render_effectiveness(rows: list[dict],
             row["accuracy"], row["timeliness"],
             row["stall_delta_pct"],
         ])
-    table = format_table(COLUMNS, body, title)
-    # Per-PC vector-tier attribution (only populated when the run was
-    # made under REPRO_SIM_VECTOR=1 and a prefetch loop batched).
-    notes = []
-    for row in rows:
-        per_pc = row.get("vector_per_pc") or {}
-        if not per_pc:
-            continue
-        classified = sum(b["prefetches"] for b in per_pc.values())
-        notes.append(
-            f"note: {row['workload']}/{row['machine']}: {classified} "
-            f"prefetches at {len(per_pc)} PC(s) classified in the "
-            f"vectorized batch tier (PCs "
-            + ", ".join(sorted(per_pc, key=int)) + ")")
-    if notes:
-        table += "\n" + "\n".join(notes)
-    return table
+    return format_table(COLUMNS, body, title)
 
 
 def report_dict(rows: list[dict]) -> dict:

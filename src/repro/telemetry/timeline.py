@@ -12,11 +12,11 @@ phase shows up here as two different windows.
 
 Sampling is **observational only** and happens exclusively at the
 interpreter's reference *yield boundaries* (the points where
-``run_stepped`` hands back the core time, and where the trace-JIT's
-instruction budget exits compiled traces).  All three execution tiers
-share those boundaries bit-for-bit, so a run with a recorder attached
-is cycle-identical to one without, under every tier — the equivalence
-suite proves it.
+``run_stepped`` hands back the core time, and where the trace JIT's
+instruction budget exits compiled traces).  The reference and fast
+engines share those boundaries bit-for-bit, so a run with a recorder
+attached is cycle-identical to one without, under either engine — the
+equivalence suite proves it.
 
 Gating: ``REPRO_SIM_TIMELINE`` (default off) enables recording for runs
 that do not pass an explicit recorder; ``REPRO_SIM_TIMELINE_WINDOW``
@@ -45,7 +45,7 @@ MIN_WINDOW_CYCLES = 1_000
 #: Dynamic instructions between sampling opportunities when the
 #: recorder itself drives the run (``Interpreter.run`` with a recorder
 #: attached).  Matches ``run_stepped``'s default yield interval; the
-#: boundary placement is what keeps the tiers bit-identical, not the
+#: boundary placement is what keeps the engines bit-identical, not the
 #: value.
 DEFAULT_SAMPLE_EVERY = 10_000
 

@@ -156,12 +156,25 @@ class TestBenchHotReport:
 
     def test_hot_report_restores_environment(self, monkeypatch):
         import os
-        monkeypatch.delenv("REPRO_SIM_TRACEJIT", raising=False)
-        monkeypatch.setenv("REPRO_SIM_CACHE", "0")
+        monkeypatch.setenv("REPRO_SIM_CACHE", "1")
         code, _ = run_cli("bench", "fig2", "--small", "--hot-report")
         assert code == 0
-        assert "REPRO_SIM_TRACEJIT" not in os.environ
-        assert os.environ["REPRO_SIM_CACHE"] == "0"
+        assert os.environ["REPRO_SIM_CACHE"] == "1"
+
+    def test_trace_rows_kept_only_while_collecting(self):
+        """Runs outside ``collecting_traces`` (every run but a hot
+        report's) keep no trace rows, so long-lived processes do not
+        accumulate them."""
+        from repro.bench import runner
+        from repro.machine import HASWELL
+        from repro.workloads import IntegerSort
+        with runner.collecting_traces() as rows:
+            runner.run_variant(IntegerSort(num_keys=2000,
+                                           num_buckets=1 << 14),
+                               "auto", HASWELL, cache=False)
+        assert rows
+        assert rows[0]["workload"] == "IS"
+        assert runner._TRACE_ROWS is None
 
 
 class TestRingClampViaCli:

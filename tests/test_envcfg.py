@@ -1,7 +1,7 @@
 """Tests for validated integer environment knobs (repro.envcfg):
-``REPRO_SIM_JOBS`` and ``REPRO_SIM_MC_WORKERS`` must warn and fall
-back on bad values — with an ``EnvVarClamped`` remark when remarks are
-being collected — never crash."""
+``REPRO_SIM_JOBS`` must warn and fall back on bad values — with an
+``EnvVarClamped`` remark when remarks are being collected — never
+crash."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import pytest
 
 from repro.bench.runner import MAX_JOBS, resolve_jobs
 from repro.envcfg import env_int
-from repro.machine.multicore import MAX_MC_WORKERS, mc_workers
 from repro.remarks import RemarkEmitter, collecting
 
 
@@ -85,34 +84,3 @@ class TestResolveJobs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_jobs() == 2
-
-
-class TestMcWorkers:
-    def test_garbage_env_means_sequential(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_MC_WORKERS", "fast")
-        with pytest.warns(RuntimeWarning,
-                          match="REPRO_SIM_MC_WORKERS"):
-            assert mc_workers() == 0
-
-    def test_negative_env_clamps_to_sequential(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_MC_WORKERS", "-8")
-        with pytest.warns(RuntimeWarning):
-            assert mc_workers() == 0
-
-    def test_oversized_env_clamps(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_MC_WORKERS",
-                           str(MAX_MC_WORKERS + 1))
-        with pytest.warns(RuntimeWarning):
-            assert mc_workers() == MAX_MC_WORKERS
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_MC_WORKERS", "junk")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert mc_workers(2) == 2
-
-    def test_valid_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_MC_WORKERS", "4")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert mc_workers() == 4

@@ -1,7 +1,8 @@
 """Fast-path vs slow-path engine equivalence.
 
-The fused-segment interpreter plus the memory-system hot-line memo
-(``REPRO_SIM_FASTPATH=1``, the default) must be *bit-identical* to the
+The fast engine — fused segments, the memory-system hot-line memo and
+the trace JIT (``REPRO_SIM_FASTPATH=1``, the default) — must be
+*bit-identical* to the
 reference per-instruction engine: same cycles, same instruction
 counters, same cache/TLB/DRAM statistics, same memory contents.  These
 tests drive randomized IR kernels and real workloads through both
@@ -178,20 +179,11 @@ class TestWorkloadEquivalence:
         assert snaps[0] == snaps[1]
 
 
-#: Execution tiers of the engine: reference, fused fast path, the
-#: trace JIT on top of the fast path (``REPRO_SIM_TRACEJIT=1``), and
-#: the vectorized batch tier on top of the trace JIT
-#: (``REPRO_SIM_VECTOR=1``).  Each entry is (fastpath, tracejit,
-#: vector).
-TIERS = ((False, False, False), (True, False, False),
-         (True, True, False), (True, True, True))
-
-
 class TestTelemetryEquivalence:
     """Telemetry is observational: attaching a collector must leave
-    every timing and architectural counter bit-identical, under every
-    execution tier (reference, fused fast path, trace JIT, vectorized
-    batches)."""
+    every timing and architectural counter bit-identical under both
+    engines (reference, and fused segments plus the trace JIT), and
+    both engines must produce the same telemetry snapshot."""
 
     @pytest.mark.parametrize("machine", (HASWELL, A53),
                              ids=lambda m: m.name)
@@ -199,7 +191,8 @@ class TestTelemetryEquivalence:
     def test_tier_telemetry_matrix(self, machine, variant):
         from repro.workloads import IntegerSort
         snaps = {}
-        for fastpath, tracejit, vector in TIERS:
+        tels = {}
+        for fastpath in (False, True):
             for telemetry in (False, True):
                 wl = IntegerSort(num_keys=2000, num_buckets=1 << 14)
                 module = wl.build_variant(variant)
@@ -207,27 +200,27 @@ class TestTelemetryEquivalence:
                 prepared = wl.prepare(mem)
                 interp = Interpreter(module, mem, machine=machine,
                                      fastpath=fastpath,
-                                     tracejit=tracejit,
-                                     vector=vector,
                                      telemetry=telemetry)
                 result = interp.run(wl.entry, prepared.args)
                 prepared.validate()
                 if telemetry:
                     assert result.telemetry is not None
+                    tels[fastpath] = result.telemetry
                 else:
                     assert result.telemetry is None
-                snaps[(fastpath, tracejit, vector, telemetry)] = \
-                    snapshot(interp)
-        base = snaps[(False, False, False, False)]
+                snaps[(fastpath, telemetry)] = snapshot(interp)
+        base = snaps[(False, False)]
         for combo, snap in snaps.items():
             assert snap == base, f"diverged at {combo}"
+        assert tels[True] == tels[False]
 
     @pytest.mark.parametrize("machine", (HASWELL, XEON_PHI),
                              ids=lambda m: m.name)
     def test_manual_deep_chain_matrix(self, machine):
         from repro.workloads import hj8
         snaps = {}
-        for fastpath, tracejit, vector in TIERS:
+        tels = {}
+        for fastpath in (False, True):
             for telemetry in (False, True):
                 wl = hj8(num_probes=1200, num_buckets=1 << 11)
                 module = wl.build_variant("manual")
@@ -235,16 +228,16 @@ class TestTelemetryEquivalence:
                 prepared = wl.prepare(mem)
                 interp = Interpreter(module, mem, machine=machine,
                                      fastpath=fastpath,
-                                     tracejit=tracejit,
-                                     vector=vector,
                                      telemetry=telemetry)
-                interp.run(wl.entry, prepared.args)
+                result = interp.run(wl.entry, prepared.args)
                 prepared.validate()
-                snaps[(fastpath, tracejit, vector, telemetry)] = \
-                    snapshot(interp)
-        base = snaps[(False, False, False, False)]
+                if telemetry:
+                    tels[fastpath] = result.telemetry
+                snaps[(fastpath, telemetry)] = snapshot(interp)
+        base = snaps[(False, False)]
         for combo, snap in snaps.items():
             assert snap == base, f"diverged at {combo}"
+        assert tels[True] == tels[False]
 
 
 class TestFastpathFlag:

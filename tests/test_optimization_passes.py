@@ -101,6 +101,51 @@ class TestLICM:
         assert hoisted >= 1
         assert Interpreter(m).run("f", [3, 2]).value == 9 * 14
 
+    def test_output_independent_of_heap_layout(self, tmp_path):
+        """One invariant per arm of an if/else: the order they land in
+        the preheader must not depend on where the blocks sit in
+        memory.  Each process pads its heap differently and compiles
+        the kernel several times; every printed IR must be identical."""
+        import os
+        import subprocess
+        import sys
+        source = tmp_path / "k.c"
+        source.write_text("""
+        void kernel(long* restrict out, long* restrict a,
+                    long* restrict idx, long s, long t, long n) {
+            for (long i = 0; i < n; i++) {
+                long v = a[idx[i]];
+                if (v > 0) {
+                    out[i] = v + (s * 3 + t);
+                } else {
+                    out[i] = v - (t * 5 - s);
+                }
+            }
+        }
+        """)
+        script = (
+            "import io, sys\n"
+            "from repro.cli import main\n"
+            "keep = []\n"
+            "for k in range(4):\n"
+            "    keep.append([object() for _ in range(int(sys.argv[1])"
+            " + 7 * k)])\n"
+            "    out = io.StringIO()\n"
+            "    main(['compile', '--prefetch', '-O', sys.argv[2]], out)\n"
+            "    print(out.getvalue(), end='\\0')\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, ["src", env.get("PYTHONPATH")]))
+        texts = []
+        for pad in (0, 3, 11, 29):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(pad), str(source)],
+                capture_output=True, text=True, env=env, check=True)
+            texts.extend(proc.stdout.split("\0")[:-1])
+        assert len(texts) == 16
+        assert "prefetch" in texts[0]
+        assert len(set(texts)) == 1
+
 
 class TestCSE:
     def test_removes_duplicate_expression(self):

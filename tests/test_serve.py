@@ -99,6 +99,8 @@ class TestNormalizeRequest:
         {"workload": "is", "include": ["cycles"]},
         {"workload": "is", "options": {"unroll": True}},
         {"workload": "is", "tier": "gpu"},
+        {"workload": "is", "tier": "tracejit"},    # retired tiers
+        {"workload": "is", "tier": "vector"},
         {"kind": "compile"},                       # missing source
         {"kind": "compile", "source": "   "},
         {"kind": "sleep", "seconds": 1},           # debug only

@@ -2,9 +2,9 @@
 
 The load-bearing property is **tier identity**: attaching a
 :class:`TimelineRecorder` must not move a single simulated cycle or
-telemetry aggregate under any execution tier (reference, fused fast
-path, trace JIT) on any machine — sampling happens only at the
-reference yield boundaries all tiers share.  The rest asserts the
+telemetry aggregate under either engine (reference, or fused segments
+plus the trace JIT) on any machine — sampling happens only at the
+reference yield boundaries both engines share.  The rest asserts the
 window bookkeeping, the env-var clamp contract, span recording, and
 the determinism of the Chrome trace-event export.
 """
@@ -29,12 +29,6 @@ from repro.telemetry.timeline import (DEFAULT_WINDOW_CYCLES,
                                       TimelineRecorder,
                                       resolve_timeline,
                                       timeline_enabled, timeline_window)
-
-#: Execution tiers (fastpath, tracejit, vector) — as in
-#: tests/test_fastpath_equivalence.py.
-TIERS = ((False, False, False), (True, False, False),
-         (True, True, False), (True, True, True))
-
 
 def snapshot(interp: Interpreter) -> dict:
     """Every observable counter of a finished run."""
@@ -195,8 +189,8 @@ class TestTimelineEnvGates:
 
 class TestTimelineTierIdentity:
     """Simulated cycles and telemetry aggregates must be bit-identical
-    with timeline sampling on vs off, across every execution tier on
-    at least two machines."""
+    with timeline sampling on vs off, under both engines on at least
+    two machines."""
 
     @pytest.mark.parametrize("machine", (HASWELL, A53),
                              ids=lambda m: m.name)
@@ -205,7 +199,7 @@ class TestTimelineTierIdentity:
         from repro.workloads import IntegerSort
         snaps = {}
         telemetries = {}
-        for fastpath, tracejit, vector in TIERS:
+        for fastpath in (False, True):
             for timeline in (False, True):
                 wl = IntegerSort(num_keys=2000, num_buckets=1 << 14)
                 module = wl.build_variant(variant)
@@ -217,8 +211,6 @@ class TestTimelineTierIdentity:
                             if timeline else False)
                 interp = Interpreter(module, mem, machine=machine,
                                      fastpath=fastpath,
-                                     tracejit=tracejit,
-                                     vector=vector,
                                      telemetry=True,
                                      timeline=recorder)
                 result = interp.run(wl.entry, prepared.args)
@@ -228,25 +220,15 @@ class TestTimelineTierIdentity:
                     assert result.timeline["windows"]
                 else:
                     assert result.timeline is None
-                key = (fastpath, tracejit, vector, timeline)
+                key = (fastpath, timeline)
                 snaps[key] = snapshot(interp)
                 telemetries[key] = result.telemetry
-        base = snaps[(False, False, False, False)]
-        base_tel = telemetries[(False, False, False, False)]
-        # The "vector" telemetry section attributes classification to
-        # the batch tier and is (by design) the one tier-dependent part
-        # of the snapshot; everything else must match bit-for-bit.
-        base_cmp = {k: v for k, v in base_tel.items() if k != "vector"}
+        base = snaps[(False, False)]
+        base_tel = telemetries[(False, False)]
         for combo, snap in snaps.items():
             assert snap == base, f"counters diverged at {combo}"
-            tel = telemetries[combo]
-            cmp = {k: v for k, v in tel.items() if k != "vector"}
-            assert cmp == base_cmp, (
+            assert telemetries[combo] == base_tel, (
                 f"telemetry diverged at {combo}")
-            if not combo[2]:
-                assert tel["vector"]["per_pc"] == {}, (
-                    f"vector attribution outside the vector tier "
-                    f"at {combo}")
 
     @pytest.mark.parametrize("machine", (HASWELL, A53),
                              ids=lambda m: m.name)

@@ -1,12 +1,11 @@
-"""Trace-JIT tier: equivalence, deopt guards, reporting, multicore.
+"""Trace JIT: equivalence, deopt guards, reporting.
 
-The trace-JIT (``REPRO_SIM_TRACEJIT=1``) compiles hot loop paths to
-specialized Python on top of the fused fast path.  Its contract is the
-same as the fast path's: *bit-identical* results — cycles, run stats,
-and memory-system snapshots — against the reference engine, under every
-combination of tier, telemetry, and yield schedule.  These tests also
-poke each deoptimization guard directly and pin down the determinism of
-the multicore barrier schedule.
+The fast engine (``fastpath=True``, the default) compiles hot loop
+paths to specialized Python on top of the fused segments.  Its contract
+is the fast path's: *bit-identical* results — cycles, run stats, and
+memory-system snapshots — against the reference engine, under every
+combination of engine, telemetry, and yield schedule.  These tests also
+poke each deoptimization guard directly.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from repro.ir import INT64, IRBuilder, Module, VOID, pointer, \
 from repro.ir.values import Constant
 from repro.machine import A53, HASWELL, XEON_PHI, Interpreter
 from repro.machine.memory import Memory
-from repro.machine.multicore import mc_workers, run_multicore
-from repro.machine.tracejit import trace_threshold, tracejit_enabled
+from repro.machine.tracejit import DEFAULT_THRESHOLD
 from repro.remarks import RemarkEmitter, collecting
 
 from .test_fastpath_equivalence import (build_random_kernel, run_engine,
@@ -28,7 +26,8 @@ from .test_fastpath_equivalence import (build_random_kernel, run_engine,
 
 
 def run_jit(module: Module, machine, seed: int, n: int = 512):
-    """Like ``run_engine`` but under the trace-JIT tier."""
+    """Like ``run_engine`` on the fast engine, returning the
+    interpreter too (for its trace report)."""
     mem = Memory(machine.line_size)
     data = np.random.default_rng(seed).integers(0, 1 << 40, 2 * n)
     a = mem.allocate(8, n, "a")
@@ -36,8 +35,7 @@ def run_jit(module: Module, machine, seed: int, n: int = 512):
     barr = mem.allocate(8, n, "b")
     barr.fill(data[n:])
     out = mem.allocate(8, n, "out")
-    interp = Interpreter(module, mem, machine=machine, fastpath=True,
-                         tracejit=True)
+    interp = Interpreter(module, mem, machine=machine, fastpath=True)
     interp.run("kernel", [a.base, barr.base, out.base, n])
     return interp, snapshot(interp), list(out.data)
 
@@ -97,7 +95,7 @@ def build_nested_kernel(n: int = 256) -> Module:
     return module
 
 
-def run_module(module: Module, machine, n: int, *, tracejit: bool,
+def run_module(module: Module, machine, n: int, *,
                fastpath: bool = True, yield_every: int = 0):
     """Run a (a, out, n)-shaped kernel; returns (interp, snap, out)."""
     mem = Memory(machine.line_size)
@@ -105,8 +103,7 @@ def run_module(module: Module, machine, n: int, *, tracejit: bool,
     a = mem.allocate(8, n, "a")
     a.fill(data)
     out = mem.allocate(8, n, "out")
-    interp = Interpreter(module, mem, machine=machine,
-                         fastpath=fastpath, tracejit=tracejit)
+    interp = Interpreter(module, mem, machine=machine, fastpath=fastpath)
     if yield_every:
         for _ in interp.run_stepped("kernel", [a.base, out.base, n],
                                     yield_every=yield_every):
@@ -132,24 +129,22 @@ class TestTraceEquivalence:
     @pytest.mark.parametrize("machine", (HASWELL, A53),
                              ids=lambda m: m.name)
     def test_tier_matrix_integer_sort(self, machine):
-        """tier × telemetry: every combination is bit-identical."""
+        """engine × telemetry: every combination is bit-identical."""
         from repro.workloads import IntegerSort
-        combos = [(False, False, False), (True, False, False),
-                  (True, True, False), (True, False, True),
-                  (True, True, True)]
         snaps = {}
-        for fastpath, tracejit, telemetry in combos:
-            wl = IntegerSort(num_keys=2000, num_buckets=1 << 14)
-            module = wl.build_variant("auto")
-            mem = Memory(machine.line_size)
-            prepared = wl.prepare(mem)
-            interp = Interpreter(module, mem, machine=machine,
-                                 fastpath=fastpath, tracejit=tracejit,
-                                 telemetry=telemetry)
-            interp.run(wl.entry, prepared.args)
-            prepared.validate()
-            snaps[(fastpath, tracejit, telemetry)] = snapshot(interp)
-        base = snaps[(False, False, False)]
+        for fastpath in (False, True):
+            for telemetry in (False, True):
+                wl = IntegerSort(num_keys=2000, num_buckets=1 << 14)
+                module = wl.build_variant("auto")
+                mem = Memory(machine.line_size)
+                prepared = wl.prepare(mem)
+                interp = Interpreter(module, mem, machine=machine,
+                                     fastpath=fastpath,
+                                     telemetry=telemetry)
+                interp.run(wl.entry, prepared.args)
+                prepared.validate()
+                snaps[(fastpath, telemetry)] = snapshot(interp)
+        base = snaps[(False, False)]
         for combo, snap in snaps.items():
             assert snap == base, f"diverged at {combo}"
 
@@ -158,13 +153,10 @@ class TestTraceEquivalence:
         at the same instruction boundaries and ends bit-identical."""
         module = build_nested_kernel(256)
         _, plain, out_plain = run_module(build_nested_kernel(256),
-                                         HASWELL, 256, tracejit=False,
-                                         fastpath=False)
-        _, whole, out_whole = run_module(module, HASWELL, 256,
-                                         tracejit=True)
+                                         HASWELL, 256, fastpath=False)
+        _, whole, out_whole = run_module(module, HASWELL, 256)
         _, stepped, out_stepped = run_module(
-            build_nested_kernel(256), HASWELL, 256, tracejit=True,
-            yield_every=300)
+            build_nested_kernel(256), HASWELL, 256, yield_every=300)
         assert whole == plain
         assert stepped == plain
         assert out_whole == out_plain == out_stepped
@@ -173,13 +165,11 @@ class TestTraceEquivalence:
 class TestSelfLoopTraces:
     def test_nested_while_compiles_and_matches(self):
         _, slow, out_slow = run_module(build_nested_kernel(256),
-                                       HASWELL, 256, tracejit=False,
-                                       fastpath=False)
+                                       HASWELL, 256, fastpath=False)
         emitter = RemarkEmitter()
         with collecting(emitter):
             interp, jit, out_jit = run_module(build_nested_kernel(256),
-                                              HASWELL, 256,
-                                              tracejit=True)
+                                              HASWELL, 256)
         assert jit == slow
         assert out_jit == out_slow
         compiled = emitter.by_name("TraceCompiled")
@@ -242,9 +232,9 @@ class TestDeoptGuards:
         the run must still be bit-identical and the trace re-entered."""
         n = 512
         _, slow, out_slow = run_module(build_flip_kernel(n), HASWELL, n,
-                                       tracejit=False, fastpath=False)
+                                       fastpath=False)
         interp, jit, out_jit = run_module(build_flip_kernel(n), HASWELL,
-                                          n, tracejit=True)
+                                          n)
         assert jit == slow
         assert out_jit == out_slow
         rows = {r["header"]: r for r in interp.trace_report()}
@@ -277,14 +267,14 @@ class TestDeoptGuards:
         run completes on the fused tier, still bit-identical."""
         n = 512
         _, slow, out_slow = run_module(build_flip_kernel(n), HASWELL, n,
-                                       tracejit=False, fastpath=False)
+                                       fastpath=False)
         mem = Memory(HASWELL.line_size)
         data = np.random.default_rng(7).integers(0, 1 << 40, n)
         a = mem.allocate(8, n, "a")
         a.fill(data)
         out = mem.allocate(8, n, "out")
         interp = Interpreter(build_flip_kernel(n), mem, machine=HASWELL,
-                             fastpath=True, tracejit=True)
+                             fastpath=True)
         emitter = RemarkEmitter()
         with collecting(emitter):
             stepper = interp.run_stepped(
@@ -341,7 +331,7 @@ class TestDeoptGuards:
         a_.fill(np.arange(n))
         out_ = mem.allocate(8, n, "out")
         interp = Interpreter(module, mem, machine=HASWELL,
-                             fastpath=True, tracejit=True)
+                             fastpath=True)
         emitter = RemarkEmitter()
         with collecting(emitter):
             interp.run("kernel", [a_.base, out_.base, n])
@@ -354,8 +344,7 @@ class TestDeoptGuards:
         assert interp._tj.aborts >= 1
 
     def test_low_yield_discards_and_blacklists(self):
-        interp, _, _ = run_module(build_nested_kernel(64), HASWELL, 64,
-                                  tracejit=True)
+        interp, _, _ = run_module(build_nested_kernel(64), HASWELL, 64)
         tj = interp._tj
         assert tj.traces
         trace = tj.traces[0]
@@ -368,85 +357,31 @@ class TestDeoptGuards:
 
 
 class TestGates:
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_TRACEJIT", raising=False)
-        assert tracejit_enabled(None) is False
-        interp = Interpreter(build_random_kernel(0), Memory(),
-                             machine=HASWELL)
-        assert interp.tracejit is False
-        assert interp._tj is None
+    def test_default_engine_traces_hot_loops(self, monkeypatch):
+        """A default interpreter compiles a trace once a loop header
+        reaches the fixed hotness threshold — no switch needed."""
+        monkeypatch.delenv("REPRO_SIM_FASTPATH", raising=False)
+        n = 512
+        mem = Memory(HASWELL.line_size)
+        a = mem.allocate(8, n, "a")
+        a.fill(np.arange(n))
+        barr = mem.allocate(8, n, "b")
+        barr.fill(np.arange(n))
+        out = mem.allocate(8, n, "out")
+        interp = Interpreter(build_random_kernel(0), mem, machine=HASWELL)
+        emitter = RemarkEmitter()
+        with collecting(emitter):
+            interp.run("kernel", [a.base, barr.base, out.base, n])
+        assert emitter.by_name("TraceCompiled")
+        (row,) = interp.trace_report()
+        assert row["header"] == "loop"
+        # Visits 1..16 dispatch (the 16th is recorded), visit 17 closes
+        # the recording and still dispatches, and the last pass leaves
+        # through the loop-exit side exit: every other iteration ran in
+        # the trace.
+        assert row["iterations"] == n - DEFAULT_THRESHOLD - 2
 
-    def test_env_flag_and_explicit_argument(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_TRACEJIT", "1")
-        assert tracejit_enabled(None) is True
-        assert tracejit_enabled(False) is False
-        interp = Interpreter(build_random_kernel(1), Memory(),
-                             machine=HASWELL)
-        assert interp.tracejit is True
-
-    def test_requires_fastpath(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_TRACEJIT", raising=False)
+    def test_requires_fastpath(self):
         interp = Interpreter(build_random_kernel(2), Memory(),
-                             machine=HASWELL, fastpath=False,
-                             tracejit=True)
-        assert interp.tracejit is False
-
-    def test_threshold_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_TRACEJIT_THRESHOLD", "5")
-        assert trace_threshold() == 5
-        monkeypatch.setenv("REPRO_SIM_TRACEJIT_THRESHOLD", "bogus")
-        assert trace_threshold() == 16
-        monkeypatch.setenv("REPRO_SIM_TRACEJIT_THRESHOLD", "1")
-        assert trace_threshold() == 2
-
-
-class TestMulticoreBarrier:
-    def _setup(self, cores: int, n: int = 512):
-        modules, memories, args = [], [], []
-        for c in range(cores):
-            module = build_random_kernel(c, n=n)
-            mem = Memory(HASWELL.line_size)
-            data = np.random.default_rng(c).integers(0, 1 << 40, 2 * n)
-            a = mem.allocate(8, n, "a")
-            a.fill(data[:n])
-            barr = mem.allocate(8, n, "b")
-            barr.fill(data[n:])
-            out = mem.allocate(8, n, "out")
-            modules.append(module)
-            memories.append(mem)
-            args.append([a.base, barr.base, out.base, n])
-        return modules, memories, args
-
-    def _signature(self, result):
-        return (result.schedule, result.makespan,
-                [r.cycles for r in result.per_core],
-                [r.stats.instructions for r in result.per_core],
-                [r.stats.loads for r in result.per_core])
-
-    def test_barrier_schedule_is_deterministic(self):
-        sigs = []
-        for workers in (2, 4, 2):
-            modules, memories, args = self._setup(4)
-            result = run_multicore(modules, "kernel", args, HASWELL,
-                                   memories, quantum=500,
-                                   workers=workers)
-            sigs.append(self._signature(result))
-        assert sigs[0] == sigs[1] == sigs[2]
-        assert sigs[0][0] == "barrier"
-
-    def test_sequential_default_unchanged(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_MC_WORKERS", raising=False)
-        modules, memories, args = self._setup(2)
-        result = run_multicore(modules, "kernel", args, HASWELL,
-                               memories, quantum=500)
-        assert result.schedule == "shared-queue"
-        assert result.makespan > 0
-
-    def test_worker_env_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_MC_WORKERS", raising=False)
-        assert mc_workers() == 0
-        monkeypatch.setenv("REPRO_SIM_MC_WORKERS", "3")
-        assert mc_workers() == 3
-        assert mc_workers(2) == 2
-        monkeypatch.setenv("REPRO_SIM_MC_WORKERS", "junk")
-        assert mc_workers() == 0
+                             machine=HASWELL, fastpath=False)
+        assert interp._tj is None

@@ -1,29 +1,23 @@
 #!/usr/bin/env python
-"""Benchmark-suite throughput harness: engine tiers vs slow reference.
+"""Benchmark-suite throughput harness: fast engine vs slow reference.
 
-Times the figure experiments under each execution tier and writes
+Times the figure experiments under both engines and writes
 ``BENCH_sim_throughput.json``:
 
 * **slow** — ``REPRO_SIM_FASTPATH=0`` (reference interpreter and full
   hierarchy walks), no result cache;
-* **fast cold** — fused-segment fast path on, trace JIT off, **no
-  result cache** (cold phases always bypass the disk cache, so every
-  figure's time reflects real simulation — previously Fig. 8 appeared
-  ~90x faster cold because it re-used Fig. 4(a)'s cached runs);
-* **jit cold** — fast path + ``REPRO_SIM_TRACEJIT=1``, no cache: the
-  trace-JIT tier compiling hot loops to specialized Python;
-* **vector cold** — fast path + trace JIT + ``REPRO_SIM_VECTOR=1``, no
-  cache: hot single-block loops whose address streams are dependence-
-  free run as numpy batches (``repro.machine.vectorsim``);
-* **populate / warm** — the shipped configuration (fast path + disk
+* **fast cold** — the fast engine (fused segments, hot-line memo and
+  the trace JIT compiling hot loops), **no result cache** (cold phases
+  always bypass the disk cache, so every figure's time reflects real
+  simulation — previously Fig. 8 appeared ~90x faster cold because it
+  re-used Fig. 4(a)'s cached runs);
+* **populate / warm** — the shipped configuration (fast engine + disk
   cache) run twice: once against an empty cache, then again fully warm,
   i.e. the steady-state "re-run after changing nothing" developer loop.
 
 Each phase records wall time and simulated instructions per figure, so
-the report carries instructions/s for every engine tier plus per-figure
-speedup ratios: ``engine_speedup_cold`` (slow / fast cold),
-``tracejit_speedup_cold`` (fast cold / jit cold), and
-``vector_speedup_cold`` (jit cold / vector cold).
+the report carries instructions/s for both engines plus the per-figure
+speedup ratio ``engine_speedup_cold`` (slow / fast cold).
 
 ``--check BASELINE.json`` re-validates the speedup *ratios* against a
 committed baseline (20% tolerance by default).  Ratios — not absolute
@@ -51,11 +45,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-#: Ratio metrics validated by ``--check`` (per figure and suite-wide;
-#: metrics absent on one side are skipped, so the per-figure checks
-#: ignore the suite-only ``total_engine_speedup_cold``).
-CHECK_METRICS = ("engine_speedup_cold", "tracejit_speedup_cold",
-                 "vector_speedup_cold", "total_engine_speedup_cold")
+#: Ratio metrics validated by ``--check`` (per figure and suite-wide).
+CHECK_METRICS = ("engine_speedup_cold",)
 
 
 def build_suite(small: bool, jobs: int):
@@ -82,8 +73,7 @@ def build_suite(small: bool, jobs: int):
     return suite
 
 
-def run_phase(suite, fastpath: bool, tracejit: bool,
-              cache_dir: str | None, vector: bool = False) -> dict:
+def run_phase(suite, fastpath: bool, cache_dir: str | None) -> dict:
     """Run every figure once under one engine configuration.
 
     Returns per-figure wall seconds and simulated-instruction deltas
@@ -91,8 +81,6 @@ def run_phase(suite, fastpath: bool, tracejit: bool,
     """
     from repro.bench.runner import TELEMETRY, reset_telemetry
     os.environ["REPRO_SIM_FASTPATH"] = "1" if fastpath else "0"
-    os.environ["REPRO_SIM_TRACEJIT"] = "1" if tracejit else "0"
-    os.environ["REPRO_SIM_VECTOR"] = "1" if vector else "0"
     if cache_dir is None:
         os.environ["REPRO_SIM_CACHE"] = "0"
     else:
@@ -141,13 +129,11 @@ def host_metadata() -> dict:
         "git_sha": sha,
         "timestamp_utc": datetime.datetime.now(
             datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        # Ambient tier gates at report time (the phases above pin their
-        # own values; this records what the *caller's* environment was,
-        # so a report produced under unusual gate settings says so).
-        "tier_env": {key: os.environ.get(key) for key in
-                     ("REPRO_SIM_FASTPATH", "REPRO_SIM_TRACEJIT",
-                      "REPRO_SIM_TRACEJIT_THRESHOLD",
-                      "REPRO_SIM_VECTOR")},
+        # Ambient engine gate at report time (the phases above pin
+        # their own value; this records what the *caller's* environment
+        # was, so a report produced under an unusual setting says so).
+        "tier_env": {"REPRO_SIM_FASTPATH":
+                     os.environ.get("REPRO_SIM_FASTPATH")},
     }
 
 
@@ -159,32 +145,21 @@ def _ips(insts: int, wall: float) -> int:
     return round(insts / wall) if wall else 0
 
 
-def build_report(suite, args, slow, cold, jit, vec, populate,
-                 warm) -> dict:
-    """Assemble the JSON report from the six phase results."""
+def build_report(suite, args, slow, cold, populate, warm) -> dict:
+    """Assemble the JSON report from the four phase results."""
     figures = {}
     for name, _ in suite:
         insts = slow["instructions"][name]
         figures[name] = {
             "slow_s": slow["figures"][name],
             "fast_cold_s": cold["figures"][name],
-            "jit_cold_s": jit["figures"][name],
-            "vector_cold_s": vec["figures"][name],
             "fast_warm_s": warm["figures"][name],
             "simulated_instructions": insts,
             "ips_slow": _ips(insts, slow["figures"][name]),
             "ips_fast_cold": _ips(cold["instructions"][name],
                                   cold["figures"][name]),
-            "ips_jit_cold": _ips(jit["instructions"][name],
-                                 jit["figures"][name]),
-            "ips_vector_cold": _ips(vec["instructions"][name],
-                                    vec["figures"][name]),
             "engine_speedup_cold": _ratio(slow["figures"][name],
                                           cold["figures"][name]),
-            "tracejit_speedup_cold": _ratio(cold["figures"][name],
-                                            jit["figures"][name]),
-            "vector_speedup_cold": _ratio(jit["figures"][name],
-                                          vec["figures"][name]),
         }
     sim_insts = slow["telemetry"]["simulated_instructions"]
     return {
@@ -196,35 +171,17 @@ def build_report(suite, args, slow, cold, jit, vec, populate,
         "suite": {
             "slow_s": slow["total_s"],
             "fast_cold_s": cold["total_s"],
-            "jit_cold_s": jit["total_s"],
-            "vector_cold_s": vec["total_s"],
             "populate_s": populate["total_s"],
             "fast_warm_s": warm["total_s"],
             "engine_speedup_cold": _ratio(slow["total_s"],
                                           cold["total_s"]),
-            "tracejit_speedup_cold": _ratio(cold["total_s"],
-                                            jit["total_s"]),
-            "vector_speedup_cold": _ratio(jit["total_s"],
-                                          vec["total_s"]),
-            "vector_note": (
-                "the vectorized batch tier was sized for 3x over jit "
-                "cold on fig4a-d; the measured ratio above falls "
-                "short structurally — the paper's indirect-access "
-                "workloads are dominated by pointer-chasing, "
-                "multi-block, and short-row loops that stay on (or "
-                "adaptively retire to) the scalar trace tier; see "
-                "EXPERIMENTS.md 'Simulator throughput'"),
-            "total_engine_speedup_cold": _ratio(slow["total_s"],
-                                                vec["total_s"]),
             "speedup": _ratio(slow["total_s"], warm["total_s"]),
             "speedup_definition": (
                 "slow_s / fast_warm_s: end-to-end wall time of the "
                 "figure suite under the shipped fast configuration "
-                "(fast path + populated run cache) vs the slow path; "
-                "engine_speedup_cold, tracejit_speedup_cold, and "
-                "vector_speedup_cold isolate the fused tier, the "
-                "trace-JIT tier, and the vectorized batch tier with "
-                "the disk cache bypassed"),
+                "(fast engine + populated run cache) vs the slow path; "
+                "engine_speedup_cold isolates the fast engine with the "
+                "disk cache bypassed"),
         },
         "simulated_instructions": {
             "suite": sim_insts,
@@ -232,12 +189,6 @@ def build_report(suite, args, slow, cold, jit, vec, populate,
             "per_sec_fast_cold": _ips(
                 cold["telemetry"]["simulated_instructions"],
                 cold["total_s"]),
-            "per_sec_jit_cold": _ips(
-                jit["telemetry"]["simulated_instructions"],
-                jit["total_s"]),
-            "per_sec_vector_cold": _ips(
-                vec["telemetry"]["simulated_instructions"],
-                vec["total_s"]),
             "simulated_runs_cold": cold["telemetry"]["simulated_runs"],
             "cached_runs_warm": warm["telemetry"]["cached_runs"],
             "simulated_runs_warm": warm["telemetry"]["simulated_runs"],
@@ -330,29 +281,18 @@ def main(argv=None) -> int:
             return 2
         suite = [(name, fn) for name, fn in suite if name in wanted]
     saved = {k: os.environ.get(k) for k in
-             ("REPRO_SIM_FASTPATH", "REPRO_SIM_TRACEJIT",
-              "REPRO_SIM_VECTOR", "REPRO_SIM_CACHE",
+             ("REPRO_SIM_FASTPATH", "REPRO_SIM_CACHE",
               "REPRO_SIM_CACHE_DIR")}
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
         print("slow path (REPRO_SIM_FASTPATH=0, no cache):", flush=True)
-        slow = run_phase(suite, fastpath=False, tracejit=False,
-                         cache_dir=None)
-        print("fast path, cold (no cache):", flush=True)
-        cold = run_phase(suite, fastpath=True, tracejit=False,
-                         cache_dir=None)
-        print("trace JIT, cold (no cache):", flush=True)
-        jit = run_phase(suite, fastpath=True, tracejit=True,
-                        cache_dir=None)
-        print("vector tier, cold (no cache):", flush=True)
-        vec = run_phase(suite, fastpath=True, tracejit=True,
-                        cache_dir=None, vector=True)
-        print("fast path, populating cache:", flush=True)
-        populate = run_phase(suite, fastpath=True, tracejit=False,
-                             cache_dir=cache_dir)
-        print("fast path, warm cache:", flush=True)
-        warm = run_phase(suite, fastpath=True, tracejit=False,
-                         cache_dir=cache_dir)
+        slow = run_phase(suite, fastpath=False, cache_dir=None)
+        print("fast engine, cold (no cache):", flush=True)
+        cold = run_phase(suite, fastpath=True, cache_dir=None)
+        print("fast engine, populating cache:", flush=True)
+        populate = run_phase(suite, fastpath=True, cache_dir=cache_dir)
+        print("fast engine, warm cache:", flush=True)
+        warm = run_phase(suite, fastpath=True, cache_dir=cache_dir)
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
         for key, value in saved.items():
@@ -361,16 +301,11 @@ def main(argv=None) -> int:
             else:
                 os.environ[key] = value
 
-    report = build_report(suite, args, slow, cold, jit, vec, populate,
-                          warm)
+    report = build_report(suite, args, slow, cold, populate, warm)
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     s = report["suite"]
     print(f"\nsuite: slow {s['slow_s']}s | fast cold {s['fast_cold_s']}s "
-          f"(engine {s['engine_speedup_cold']}x) | jit cold "
-          f"{s['jit_cold_s']}s (tracejit {s['tracejit_speedup_cold']}x) "
-          f"| vector cold {s['vector_cold_s']}s (vector "
-          f"{s['vector_speedup_cold']}x, total "
-          f"{s['total_engine_speedup_cold']}x) | fast warm "
+          f"(engine {s['engine_speedup_cold']}x) | fast warm "
           f"{s['fast_warm_s']}s ({s['speedup']}x end-to-end)")
     print(f"wrote {args.output}")
 
