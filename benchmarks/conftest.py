@@ -15,19 +15,29 @@ import pathlib
 
 import pytest
 
+from repro.bench.cache import RunCache
+from repro.bench.runner import run_defaults
+from repro.envcfg import SimOptions, cache_from_env
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Scaled-down mode for quick runs.
 SMALL = os.environ.get("REPRO_BENCH_SMALL", "0") == "1"
 
-# Benchmark runs default to the run-result disk cache: re-running a
-# figure with unchanged inputs (and unchanged simulator source — the
-# key hashes it) replays archived results instead of re-simulating.
-# Override with REPRO_SIM_CACHE=0 / a different REPRO_SIM_CACHE_DIR.
-os.environ.setdefault("REPRO_SIM_CACHE", "1")
-os.environ.setdefault(
-    "REPRO_SIM_CACHE_DIR",
-    str(pathlib.Path(__file__).parent.parent / ".sim-cache"))
+
+@pytest.fixture(scope="session", autouse=True)
+def sim_defaults():
+    """Engine options from the environment, and the run-result disk
+    cache on by default: re-running a figure with unchanged inputs (and
+    unchanged simulator source — the key hashes it) replays archived
+    results instead of re-simulating.  Override with REPRO_SIM_CACHE=0
+    or a different REPRO_SIM_CACHE_DIR (default: ``.sim-cache`` at the
+    repository root)."""
+    root = cache_from_env(default=True, fallback=str(
+        pathlib.Path(__file__).parent.parent / ".sim-cache"))
+    with run_defaults(SimOptions.from_env(),
+                      RunCache(root) if root else None):
+        yield
 
 
 @pytest.fixture(scope="session")

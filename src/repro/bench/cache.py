@@ -16,14 +16,8 @@ shared with ``repro serve`` — so writes are atomic (same-directory temp
 file + rename), corrupt or truncated entries read as misses, and
 concurrent runner/server processes can share a root; ``repro cache gc``
 garbage-collects it.  :class:`RunCache` adds a per-process in-memory
-layer on top.
-
-Environment:
-
-* ``REPRO_SIM_CACHE=1`` enables the cache by default for
-  :func:`~repro.bench.runner.run_variant` (default: disabled);
-* ``REPRO_SIM_CACHE_DIR`` overrides the cache root (default
-  ``.sim-cache`` in the working directory).
+layer on top.  Which cache a run uses is the caller's choice (see
+:func:`repro.bench.runner.run_defaults`).
 """
 
 from __future__ import annotations
@@ -98,25 +92,23 @@ def canonical_token(value) -> str:
 
 
 def run_key(ir_text: str, machine, workload, validate: bool,
-            telemetry: bool = False, timeline: bool = False) -> str:
+            sim) -> str:
     """Content hash identifying one simulation run.
 
     ``ir_text`` is the printed module *after* variant construction, so
     variant / lookahead / pass options / manual knobs are all folded in
     already; ``workload`` is tokenised at its pre-``prepare`` state.
-    ``telemetry`` participates because a telemetry-on run carries its
-    snapshot inside the cached result — a telemetry-off entry must not
-    satisfy a telemetry-on request (it would be silently snapshot-free),
-    nor vice versa.  ``timeline`` participates for the same reason (the
-    windowed snapshot rides the cached row).
+    ``sim`` (a :class:`~repro.envcfg.SimOptions`) is tokenised whole:
+    telemetry and timeline snapshots ride the cached row, so an entry
+    made with other engine options must never satisfy the request, and
+    hashing every field means none can be left out.
     """
     token = "\n".join((
         simulator_code_hash(),
         canonical_token(machine),
         canonical_token(workload),
         repr(validate),
-        f"telemetry={telemetry}",
-        f"timeline={timeline}",
+        canonical_token(sim),
         ir_text,
     ))
     return hashlib.sha256(token.encode()).hexdigest()
@@ -154,31 +146,3 @@ class RunCache(ContentStore):
         with span("cache", "store", key=key[:12]):
             self._mem[key] = data
             super().put(key, data)
-
-
-def default_cache_dir() -> str:
-    """Cache root honouring ``REPRO_SIM_CACHE_DIR``."""
-    return os.environ.get("REPRO_SIM_CACHE_DIR") or ".sim-cache"
-
-
-_SHARED: dict[str, RunCache] = {}
-
-
-def resolve_run_cache(cache) -> RunCache | None:
-    """Normalise a caller's ``cache`` argument.
-
-    ``RunCache`` → itself; ``False`` → disabled; ``None`` → enabled iff
-    ``REPRO_SIM_CACHE=1``, rooted at :func:`default_cache_dir` (one
-    shared instance per root, so the in-memory layer persists across
-    calls); ``True`` → enabled regardless of the environment.
-    """
-    if isinstance(cache, RunCache):
-        return cache
-    if cache is False or cache is None and \
-            os.environ.get("REPRO_SIM_CACHE") != "1":
-        return None
-    root = default_cache_dir()
-    shared = _SHARED.get(root)
-    if shared is None:
-        shared = _SHARED[root] = RunCache(root)
-    return shared

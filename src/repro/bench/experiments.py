@@ -17,8 +17,8 @@ from ..passes.prefetch import PrefetchOptions
 from ..workloads import (Graph500, IntegerSort, RandomAccess, hj2, hj8,
                          paper_benchmarks)
 from ..workloads.base import Workload
-from .runner import (RunSpec, VariantResult, geometric_mean, run_specs,
-                     run_variant)
+from .runner import (RunSpec, VariantResult, current_sim, geometric_mean,
+                     run_specs, run_variant)
 
 #: Look-ahead sweep used by Fig. 6.
 LOOKAHEAD_SWEEP = (4, 8, 16, 32, 64, 128, 256)
@@ -289,7 +289,7 @@ def fig9_bandwidth(machine: MachineConfig = HASWELL,
             memories.append(memory)
             args.append(prepared.args)
         result = run_multicore(modules, "kernel", args, machine,
-                               memories)
+                               memories, fastpath=current_sim().fastpath)
         return result.makespan
 
     base = run(1, "plain")

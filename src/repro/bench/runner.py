@@ -4,6 +4,12 @@ Every figure's harness funnels through :func:`run_variant` /
 :func:`speedup_table`, so results are produced identically everywhere:
 fresh memory, fresh module, functional validation of the architectural
 results, and cycle counts from the timed interpreter.
+
+The engine options (:class:`~repro.envcfg.SimOptions`) and the run
+cache are arguments; a caller that leaves them ``None`` gets the pair
+the innermost :func:`run_defaults` block installed, which is how the
+figure functions of :mod:`repro.bench.experiments` run under whatever
+configuration their entry point chose.
 """
 
 from __future__ import annotations
@@ -12,19 +18,19 @@ import dataclasses
 import multiprocessing
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
-from ..envcfg import env_int
+from ..envcfg import SimOptions
 from ..ir import print_module
 from ..machine.configs import MachineConfig
 from ..machine.interpreter import Interpreter
 from ..machine.memory import Memory
 from ..passes.prefetch import PrefetchOptions
-from ..telemetry import telemetry_enabled
 from ..telemetry.spans import span
-from ..telemetry.timeline import resolve_timeline
+from ..telemetry.timeline import TimelineRecorder
 from ..workloads.base import Workload
-from .cache import RunCache, resolve_run_cache, run_key
+from .cache import RunCache, run_key
 
 #: In-process telemetry: actual simulations vs. cache hits, and total
 #: simulated instructions — read by ``tools/bench_perf.py``.
@@ -57,6 +63,40 @@ METRICS, RUNS_COUNTER, STAGE_SECONDS = _make_metrics()
 #: :func:`collecting_traces` is active; ``None`` the rest of the time,
 #: so long-lived processes keep nothing.
 _TRACE_ROWS: list[dict] | None = None
+
+
+#: ``(sim, cache)`` that ``None`` arguments of :func:`run_variant` and
+#: :func:`run_specs` stand for; see :func:`run_defaults`.
+_DEFAULTS: ContextVar[tuple[SimOptions, RunCache | None]] = ContextVar(
+    "repro_run_defaults", default=(SimOptions(), None))
+
+
+@contextmanager
+def run_defaults(sim: SimOptions = SimOptions(),
+                 cache: RunCache | None = None):
+    """Install the engine options and run cache (``None`` = no cache)
+    that runs inside the block use when their own ``sim``/``cache``
+    argument is ``None``.  Outside every block they are
+    ``SimOptions()`` and no cache."""
+    token = _DEFAULTS.set((sim, cache))
+    try:
+        yield
+    finally:
+        _DEFAULTS.reset(token)
+
+
+def _resolved(sim, cache) -> tuple[SimOptions, RunCache | None]:
+    """``sim`` and ``cache`` with ``None`` taken from
+    :func:`run_defaults`; ``cache=False`` means no cache."""
+    default_sim, default_cache = _DEFAULTS.get()
+    return (default_sim if sim is None else sim,
+            default_cache if cache is None else cache or None)
+
+
+def current_sim() -> SimOptions:
+    """The engine options installed by the innermost
+    :func:`run_defaults` block."""
+    return _DEFAULTS.get()[0]
 
 
 def reset_telemetry() -> None:
@@ -114,26 +154,19 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
                 options: PrefetchOptions | None = None,
                 validate: bool = True,
                 cache: RunCache | bool | None = None,
-                telemetry: bool | None = None,
-                timeline=None,
+                sim: SimOptions | None = None,
                 **manual_knobs) -> VariantResult:
     """Build, execute, and validate one variant on one machine.
 
-    :param cache: a :class:`RunCache`, ``True``/``False`` to force the
-        disk cache on/off, or ``None`` to follow ``REPRO_SIM_CACHE``.
-        On a hit, ``prepare`` still runs (it advances the workload's
-        RNG, keeping later runs' inputs — and cache keys — identical to
-        an uncached sequence) but simulation and validation are skipped.
-    :param telemetry: force prefetch/cycle telemetry on or off for this
-        run (``None`` = follow ``REPRO_SIM_TELEMETRY``).  Telemetry
-        never changes the measured cycles; it adds the snapshot dict to
-        the result (and to the run's cache key, so telemetry-on and
-        telemetry-off entries never alias).
-    :param timeline: a :class:`~repro.telemetry.TimelineRecorder`,
-        ``True``/``False``, or ``None`` to follow
-        ``REPRO_SIM_TIMELINE``.  Like telemetry, sampling never changes
-        the measured cycles; the ``repro-timeline-v1`` snapshot rides
-        the result (and the cache key) the same way.
+    :param cache: a :class:`RunCache`, ``False`` for none, or ``None``
+        for the one :func:`run_defaults` installed.  On a hit,
+        ``prepare`` still runs (it advances the workload's RNG, keeping
+        later runs' inputs — and cache keys — identical to an uncached
+        sequence) but simulation and validation are skipped.
+    :param sim: the engine options, or ``None`` for the ones
+        :func:`run_defaults` installed.  Telemetry and the timeline
+        never change the measured cycles; their snapshots ride the
+        result, and the whole value is part of the run's cache key.
     """
     import time as _time
 
@@ -155,16 +188,13 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
                 variant, lookahead=lookahead, options=options,
                 **manual_knobs)
         _staged("build", t0)
-        run_cache = resolve_run_cache(cache)
-        with_telemetry = telemetry_enabled(telemetry)
-        recorder = resolve_timeline(timeline)
+        sim, run_cache = _resolved(sim, cache)
         hit = key = None
         if run_cache is not None:
             # Keyed before prepare(): the RNG state at this point, plus
             # the built IR, pin down the run's inputs exactly.
             key = run_key(print_module(module), machine, workload,
-                          validate, telemetry=with_telemetry,
-                          timeline=recorder is not None)
+                          validate, sim)
             hit = run_cache.get(key)
         memory = Memory(machine.line_size)
         t0 = _time.perf_counter()
@@ -185,9 +215,11 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
                 _finished(cached=True)
                 return out
         job["cached"] = False
-        interp = Interpreter(module, memory, machine=machine,
-                             telemetry=with_telemetry,
-                             timeline=recorder)
+        interp = Interpreter(
+            module, memory, machine=machine, fastpath=sim.fastpath,
+            telemetry=sim.telemetry,
+            timeline=(TimelineRecorder(window=sim.timeline_window)
+                      if sim.timeline_window is not None else None))
         t0 = _time.perf_counter()
         with span("bench", "simulate", workload=workload.name,
                   variant=variant, machine=machine.name):
@@ -236,35 +268,19 @@ class RunSpec:
     lookahead: int = 64
     options: PrefetchOptions | None = None
     validate: bool = True
-    telemetry: bool | None = None
-    timeline: bool | None = None
+    sim: SimOptions | None = None
     manual_knobs: dict = field(default_factory=dict)
 
     def run(self, cache=None) -> VariantResult:
         """Execute this spec."""
         return run_variant(self.workload, self.variant, self.machine,
                            self.lookahead, self.options, self.validate,
-                           cache=cache, telemetry=self.telemetry,
-                           timeline=self.timeline,
+                           cache=cache, sim=self.sim,
                            **self.manual_knobs)
 
 
-#: Upper bound on ``REPRO_SIM_JOBS`` — more processes than this is
-#: certainly a typo, not a machine.
-MAX_JOBS = 4096
-
-
 def resolve_jobs(jobs: int | None = None) -> int:
-    """Worker count: explicit > ``REPRO_SIM_JOBS`` > available CPUs.
-
-    ``REPRO_SIM_JOBS`` is validated like the other runtime knobs
-    (:func:`repro.envcfg.env_int`): a non-integer or negative value
-    warns and falls back to autodetection, an absurd one clamps to
-    :data:`MAX_JOBS` — never a crash.
-    """
-    if jobs is None:
-        jobs = env_int("REPRO_SIM_JOBS", 0, minimum=0,
-                       maximum=MAX_JOBS) or None
+    """Worker count: explicit, else the available CPUs."""
     if jobs is None:
         try:
             jobs = len(os.sched_getaffinity(0))
@@ -274,9 +290,11 @@ def resolve_jobs(jobs: int | None = None) -> int:
 
 
 def _run_group(payload) -> list:
-    """Pool worker: run one workload's specs serially, in order."""
-    specs, cache = payload
-    return [spec.run(cache=cache) for spec in specs]
+    """Run one workload's specs serially, in order, under the
+    defaults the submitting process resolved (pool worker, or inline)."""
+    specs, sim, cache = payload
+    with run_defaults(sim, cache):
+        return [spec.run() for spec in specs]
 
 
 def run_specs(specs: list[RunSpec], jobs: int | None = None,
@@ -288,21 +306,23 @@ def run_specs(specs: list[RunSpec], jobs: int | None = None,
     RNG, so order determines each run's inputs); distinct instances are
     independent and run in parallel.  Results come back in submission
     order and are bit-identical to a serial :func:`run_variant` loop.
+    ``cache`` and every spec's ``sim`` left ``None`` resolve against
+    :func:`run_defaults` here, in the calling process.
     """
     specs = list(specs)
     jobs = resolve_jobs(jobs)
     groups: dict[int, list[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault(id(spec.workload), []).append(i)
-    run_cache = resolve_run_cache(cache)
+    sim, run_cache = _resolved(None, cache)
     if jobs <= 1 or len(groups) <= 1 or len(specs) <= 1:
-        return [spec.run(cache=run_cache) for spec in specs]
-    payloads = [([specs[i] for i in idxs], run_cache)
+        return _run_group((specs, sim, run_cache))
+    payloads = [([specs[i] for i in idxs], sim, run_cache)
                 for idxs in groups.values()]
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - platforms without fork
-        return [spec.run(cache=run_cache) for spec in specs]
+        return _run_group((specs, sim, run_cache))
     results: list = [None] * len(specs)
     with ctx.Pool(min(jobs, len(payloads))) as pool:
         for idxs, group in zip(groups.values(),

@@ -15,10 +15,10 @@ textual IR.  ``systems`` prints the simulated Table 1 machines.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .bench.reporting import format_table
+from .envcfg import SimOptions, cache_dir_from_env, cache_from_env
 from .frontend import compile_source
 from .ir import print_module, verify_module
 from .passes import (CommonSubexpressionEliminationPass,
@@ -26,6 +26,7 @@ from .passes import (CommonSubexpressionEliminationPass,
                      LoopInvariantCodeMotionPass, PassManager,
                      PrefetchOptions, SimplifyCFGPass)
 from .serve.protocol import TIERS
+from .telemetry.timeline import DEFAULT_WINDOW_CYCLES
 
 
 def _version() -> str:
@@ -85,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_cmd.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for independent runs "
-             "(default: REPRO_SIM_JOBS or the available CPUs)")
+             "(default: the available CPUs)")
     bench_cmd.add_argument(
         "--no-cache", action="store_true",
         help="disable the run-result disk cache")
@@ -189,9 +190,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--small", action="store_true",
         help="scaled-down workloads (quick smoke sizes)")
     timeline_cmd.add_argument(
-        "--window", type=int, default=None, metavar="CYCLES",
-        help="window width in simulated cycles (default: "
-             "REPRO_SIM_TIMELINE_WINDOW or 100000)")
+        "--window", type=int, default=DEFAULT_WINDOW_CYCLES,
+        metavar="CYCLES",
+        help=f"window width in simulated cycles (default "
+             f"{DEFAULT_WINDOW_CYCLES})")
     timeline_cmd.add_argument(
         "--json", action="store_true",
         help="emit the machine-readable JSON report instead of tables")
@@ -391,8 +393,8 @@ def _fig4(letter, small, jobs):
         for row, r in zip(body, rows):
             row.append(r.icc)
         tail.append(gm["icc"])
-    # With REPRO_SIM_TELEMETRY=1, each auto run carries a snapshot:
-    # surface its prefetch-outcome summary alongside the speedups.
+    # With telemetry on, each auto run carries a snapshot: surface its
+    # prefetch-outcome summary alongside the speedups.
     summaries = [telemetry_summary(r.auto_result.telemetry
                                    if r.auto_result else None)
                  for r in rows]
@@ -488,20 +490,12 @@ def _bench_hot_report(figure, args: argparse.Namespace, out) -> int:
     plus the trace JIT's remark stream."""
     from .bench.runner import TELEMETRY, collecting_traces, reset_telemetry
     from .remarks import RemarkEmitter, collecting, render_remarks
-    saved = os.environ.get("REPRO_SIM_CACHE")
-    # Cached runs never execute (no traces) and pooled workers keep
-    # their trace rows: force real single-process simulation.
-    os.environ["REPRO_SIM_CACHE"] = "0"
     reset_telemetry()
     emitter = RemarkEmitter()
-    try:
-        with collecting(emitter), collecting_traces() as rows:
-            table = figure(args.small, 1)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SIM_CACHE", None)
-        else:
-            os.environ["REPRO_SIM_CACHE"] = saved
+    # jobs=1: pooled workers keep their trace rows.  (_run_cache
+    # installs no cache here: cached runs execute nothing.)
+    with collecting(emitter), collecting_traces() as rows:
+        table = figure(args.small, 1)
     print(table, file=out)
     total = TELEMETRY["simulated_instructions"]
     rows.sort(key=lambda r: r["instructions"], reverse=True)
@@ -533,12 +527,6 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
             "a figure (" + ", ".join(sorted(_FIGURES)) + ")")
     if args.hot_report:
         return _bench_hot_report(figure, args, out)
-    if args.no_cache:
-        os.environ["REPRO_SIM_CACHE"] = "0"
-    else:
-        os.environ.setdefault("REPRO_SIM_CACHE", "1")
-    if args.cache_dir:
-        os.environ["REPRO_SIM_CACHE_DIR"] = args.cache_dir
     print(figure(args.small, args.jobs), file=out)
     if args.obs_out:
         from .bench.runner import METRICS
@@ -667,7 +655,7 @@ def _cmd_timeline(args: argparse.Namespace, out) -> int:
     if resolved is None:
         return 2
     workloads, machine = resolved
-    if args.window is not None and args.window <= 0:
+    if args.window <= 0:
         print(f"error: --window must be positive (got {args.window})",
               file=sys.stderr)
         return 2
@@ -696,11 +684,12 @@ def _cmd_timeline(args: argparse.Namespace, out) -> int:
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     import asyncio
 
-    from .serve.server import ServeConfig, serve_forever
+    from .serve.server import DEFAULT_STORE_DIR, ServeConfig, serve_forever
     config = ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
         queue_limit=args.queue, timeout_s=args.timeout,
-        cache_dir=args.cache_dir, cas_max_bytes=args.max_bytes,
+        cache_dir=args.cache_dir or cache_dir_from_env(DEFAULT_STORE_DIR),
+        cas_max_bytes=args.max_bytes,
         debug=args.debug, log_format=args.log_format,
         trace_capacity=args.trace_buffer)
     if config.queue_limit < 1 or config.timeout_s <= 0:
@@ -790,9 +779,8 @@ def _cmd_top(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace, out) -> int:
-    from .bench.cache import default_cache_dir
     from .serve.cas import ContentStore
-    root = args.cache_dir or default_cache_dir()
+    root = args.cache_dir or cache_dir_from_env()
     store = ContentStore(root)
     if args.max_bytes < 0:
         print("error: --max-bytes must be >= 0", file=sys.stderr)
@@ -819,6 +807,30 @@ def _cmd_systems(out) -> int:
     return 0
 
 
+#: Commands that simulate, under :func:`_run_cache` and the engine
+#: options of the environment.
+_SIMULATING = {"bench": _cmd_bench, "stats": _cmd_stats,
+               "explain": _cmd_explain, "timeline": _cmd_timeline}
+
+
+def _run_cache(args: argparse.Namespace):
+    """The run cache a simulating command installs, or ``None``.
+
+    ``REPRO_SIM_CACHE`` turns it on or off — on by default for
+    ``bench``, off for the report commands; ``bench --no-cache`` and
+    ``--hot-report`` turn it off, and ``bench --cache-dir`` (else
+    ``REPRO_SIM_CACHE_DIR``) moves it.
+    """
+    from .bench.cache import RunCache
+    bench = args.command == "bench"
+    if bench and (args.no_cache or args.hot_report):
+        return None
+    root = cache_from_env(default=bench)
+    if root is None:
+        return None
+    return RunCache((args.cache_dir if bench else None) or root)
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out if out is not None else sys.stdout
@@ -827,14 +839,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return _cmd_compile(args, out)
     if args.command == "systems":
         return _cmd_systems(out)
-    if args.command == "bench":
-        return _cmd_bench(args, out)
-    if args.command == "stats":
-        return _cmd_stats(args, out)
-    if args.command == "explain":
-        return _cmd_explain(args, out)
-    if args.command == "timeline":
-        return _cmd_timeline(args, out)
+    if args.command in _SIMULATING:
+        from .bench.runner import run_defaults
+        with run_defaults(SimOptions.from_env(), _run_cache(args)):
+            return _SIMULATING[args.command](args, out)
     if args.command == "serve":
         return _cmd_serve(args, out)
     if args.command == "submit":

@@ -55,10 +55,10 @@ Calls and allocations are never fused (they recurse into the interpreter
 or mutate the address space layout); they split a block into several
 segments and stay on the dispatch path.
 
-Set ``REPRO_SIM_FASTPATH=0`` to disable fusion (and the memory-system
-hot-line memo) and force the reference slow path everywhere.
+``Interpreter(fastpath=False)`` disables fusion (and the memory-system
+hot-line memo) and forces the reference slow path everywhere.
 
-Telemetry interaction (``REPRO_SIM_TELEMETRY=1``): attaching a
+Telemetry interaction: attaching a
 :class:`~repro.telemetry.TelemetryCollector` clears the memory system's
 ``fastpath`` flag, so the emitter sees ``ms.fastpath`` false and emits
 plain ``_ms_load``/``_ms_store``/``_ms_prefetch`` calls instead of the
@@ -70,8 +70,6 @@ zero cost for the feature.
 """
 
 from __future__ import annotations
-
-import os
 
 from ..telemetry.spans import span
 from .memory import MemoryFault
@@ -122,14 +120,6 @@ _INLINE_CMP = {
 #: (slots, pcs, latencies, machine parameters) but no object identities,
 #: so one code object serves every interpreter with the same block shape.
 _CODE_CACHE: dict[str, object] = {}
-
-
-def fastpath_enabled(explicit: bool | None = None) -> bool:
-    """Resolve a fast-path flag: explicit setting, else the
-    ``REPRO_SIM_FASTPATH`` environment variable (default on)."""
-    if explicit is not None:
-        return bool(explicit)
-    return os.environ.get("REPRO_SIM_FASTPATH", "1") != "0"
 
 
 def _div_expr(operand: str, divisor: int) -> str:

@@ -31,7 +31,7 @@ from .configs import MachineConfig
 from .core import make_core
 from .dram import DRAMChannel
 from .fastexec import (_ALLOC, _BIN, _CALL, _CAST, _CMP, _GEP, _LOAD,
-                       _PREFETCH, _SEG, _SELECT, _STORE, fastpath_enabled,
+                       _PREFETCH, _SEG, _SELECT, _STORE,
                        fuse_function)
 from .memory import Allocation, Memory, MemoryFault
 from .system import MemorySystem
@@ -345,17 +345,14 @@ class Interpreter:
         the trace JIT, which compiles a loop once its header has been
         visited :data:`~repro.machine.tracejit.DEFAULT_THRESHOLD`
         times.  ``False`` selects the reference engine; the two are
-        bit-identical.  ``None`` follows ``REPRO_SIM_FASTPATH``
-        (default on).
+        bit-identical.
     :param telemetry: a :class:`~repro.telemetry.TelemetryCollector`,
-        ``True``/``False`` to force telemetry on/off, or ``None`` to
-        follow ``REPRO_SIM_TELEMETRY``.  Telemetry needs a machine model
-        (it observes the memory hierarchy); a collector forces the
-        memory system onto its instrumented reference walks, which are
-        cycle-for-cycle identical to the fast path.
-    :param timeline: a :class:`~repro.telemetry.TimelineRecorder`,
-        ``True``/``False`` to force windowed counter sampling on/off,
-        or ``None`` to follow ``REPRO_SIM_TIMELINE`` (default off).
+        or ``True``/``False`` for a fresh one or none.  Telemetry needs
+        a machine model (it observes the memory hierarchy); a collector
+        forces the memory system onto its instrumented reference walks,
+        which are cycle-for-cycle identical to the fast path.
+    :param timeline: a :class:`~repro.telemetry.TimelineRecorder`, or
+        ``True``/``False`` for a fresh one (default window) or none.
         Needs a machine model.  Sampling reads counters only at the
         reference yield boundaries, so cycles are bit-identical with
         sampling on or off under both engines.
@@ -364,13 +361,13 @@ class Interpreter:
     def __init__(self, module: Module, memory: Memory | None = None,
                  machine: MachineConfig | None = None,
                  dram: DRAMChannel | None = None,
-                 fastpath: bool | None = None,
+                 fastpath: bool = True,
                  telemetry: "TelemetryCollector | bool | None" = None,
                  timeline: "TimelineRecorder | bool | None" = None):
         self.module = module
         self.memory = memory if memory is not None else Memory()
         self.machine = machine
-        self.fastpath = fastpath_enabled(fastpath)
+        self.fastpath = fastpath
         self.telemetry = (resolve_collector(telemetry)
                           if machine is not None else None)
         self.timeline = (resolve_timeline(timeline)

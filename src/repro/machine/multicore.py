@@ -39,7 +39,8 @@ class MulticoreResult:
 def run_multicore(modules: list[Module], func_name: str,
                   args_per_core: list[list], config: MachineConfig,
                   memories: list[Memory] | None = None,
-                  quantum: int = 2000) -> MulticoreResult:
+                  quantum: int = 2000,
+                  fastpath: bool = True) -> MulticoreResult:
     """Run one task per core with a shared DRAM channel.
 
     :param modules: one module per core (typically copies of the same
@@ -48,6 +49,7 @@ def run_multicore(modules: list[Module], func_name: str,
     :param args_per_core: entry-function arguments per core.
     :param memories: per-core address spaces (fresh ones if omitted).
     :param quantum: instructions executed per scheduling turn.
+    :param fastpath: ``False`` runs every core on the reference engine.
     """
     n = len(modules)
     if len(args_per_core) != n:
@@ -60,7 +62,8 @@ def run_multicore(modules: list[Module], func_name: str,
     for i in range(n):
         memory = memories[i] if memories else Memory(config.line_size)
         interpreters.append(Interpreter(
-            modules[i], memory, machine=config, dram=shared_dram))
+            modules[i], memory, machine=config, dram=shared_dram,
+            fastpath=fastpath))
 
     # Min-heap of (core_time, index, generator).
     heap: list[tuple[float, int]] = []

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 from .cache import Cache
 from .configs import MachineConfig
 from .dram import DRAMChannel
-from .fastexec import fastpath_enabled
 from .hwprefetch import StridePrefetcher
 from .tlb import TLB
 
@@ -71,8 +70,7 @@ class MemorySystem:
     :param config: machine description.
     :param dram: optionally a shared channel (multicore); a private one is
         created otherwise.
-    :param fastpath: enable the hot-line memo (``None`` = follow
-        ``REPRO_SIM_FASTPATH``).
+    :param fastpath: enable the hot-line memo.
     :param telemetry: a :class:`~repro.telemetry.TelemetryCollector` to
         observe this hierarchy.  Attaching one disables the hot-line
         memo so every access takes the instrumented reference walk —
@@ -93,7 +91,7 @@ class MemorySystem:
 
     def __init__(self, config: MachineConfig,
                  dram: DRAMChannel | None = None,
-                 fastpath: bool | None = None,
+                 fastpath: bool = True,
                  telemetry: "TelemetryCollector | None" = None):
         self.config = config
         self.line_size = config.line_size
@@ -114,8 +112,7 @@ class MemorySystem:
         self.mshrs = _MSHRFile(config.mshrs)
         self.stats = MemoryStats()
         self.telemetry = telemetry
-        self.fastpath = (fastpath_enabled(fastpath)
-                         and telemetry is None)
+        self.fastpath = fastpath and telemetry is None
         self._hot: dict[int, list] = {}
         self._l1 = self.caches[0]
         self._page_bits = self.tlb.page_bits

@@ -19,8 +19,10 @@ depends on :mod:`repro.bench`, which imports back into telemetry.
 
 from __future__ import annotations
 
+import dataclasses
+
 from ..bench.reporting import format_table
-from ..bench.runner import RunSpec, run_specs
+from ..bench.runner import RunSpec, current_sim, run_specs
 from ..machine.configs import ALL_SYSTEMS, MachineConfig
 from ..machine.interpreter import static_prefetch_pcs
 from ..telemetry.outcomes import OUTCOMES
@@ -107,14 +109,15 @@ def explain_rows(workloads: list[Workload],
     reports see identical inputs (``prepare`` draws from each workload
     instance's RNG in submission order).
     """
+    sim = dataclasses.replace(current_sim(), telemetry=True)
     specs = []
     for workload in workloads:
         for machine in machines:
             specs.append(RunSpec(workload, "plain", machine,
-                                 lookahead=lookahead, telemetry=True))
+                                 lookahead=lookahead, sim=sim))
             specs.append(RunSpec(workload, variant, machine,
                                  lookahead=lookahead, options=options,
-                                 telemetry=True))
+                                 sim=sim))
     results = iter(run_specs(specs, jobs=jobs, cache=cache))
     rows = []
     for workload in workloads:

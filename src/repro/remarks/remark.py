@@ -70,13 +70,9 @@ KNOWN_REMARKS: dict[str, str] = {
         "a trace recording was abandoned or a compiled trace was "
         "invalidated, with the reason",
     # Runtime configuration warnings.
-    "TelemetryRingClamped":
-        "REPRO_SIM_TELEMETRY_RING was invalid and a fallback was used",
-    "TimelineWindowClamped":
-        "REPRO_SIM_TIMELINE_WINDOW was invalid and a fallback was used",
     "EnvVarClamped":
-        "an integer REPRO_* environment variable was invalid and a "
-        "fallback was used (see repro.envcfg.env_int)",
+        "a REPRO_* environment variable was invalid and a fallback "
+        "was used (see repro.envcfg)",
 }
 
 #: Arg keys whose values are wall-clock measurements and therefore vary

@@ -60,14 +60,6 @@ MACHINES = ("Haswell", "A57", "A53", "Xeon Phi")
 MAX_LOOKAHEAD = 1 << 16
 MAX_SLEEP_S = 60.0
 
-#: Engine gate set in the worker for one request's tier.  ``auto``
-#: leaves the worker's environment alone (whatever the operator set).
-_TIER_ENV = {
-    "reference": {"REPRO_SIM_FASTPATH": "0"},
-    "fastpath": {"REPRO_SIM_FASTPATH": "1"},
-}
-
-
 class RequestError(ValueError):
     """A request failed schema validation (HTTP 400)."""
 
@@ -213,34 +205,12 @@ def request_key(norm: dict) -> str:
 # Worker-side execution.
 
 
-class _TierEnv:
-    """Set the execution-tier gate variables for one request."""
-
-    def __init__(self, tier: str):
-        self.tier = tier
-        self._saved: dict = {}
-
-    def __enter__(self):
-        import os
-        for key, value in _TIER_ENV.get(self.tier, {}).items():
-            self._saved[key] = os.environ.get(key)
-            os.environ[key] = value
-        return self
-
-    def __exit__(self, *exc):
-        import os
-        for key, value in self._saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        return False
-
-
 def _execute_simulate(norm: dict, include: list[str]) -> dict:
     from ..bench.runner import run_variant
+    from ..envcfg import SimOptions
     from ..machine.configs import system_by_name
     from ..passes.prefetch import PrefetchOptions
+    from ..telemetry.timeline import DEFAULT_WINDOW_CYCLES
     from ..workloads import workload_by_name
 
     workload = workload_by_name(norm["workload"], small=norm["small"])
@@ -249,13 +219,16 @@ def _execute_simulate(norm: dict, include: list[str]) -> dict:
         lookahead=norm["lookahead"],
         emit_stride_prefetch=norm["options"]["stride"],
         enable_hoisting=norm["options"]["hoist"])
-    with _TierEnv(norm["tier"]):
-        result = run_variant(
-            workload, norm["variant"], machine,
-            lookahead=norm["lookahead"], options=options,
-            validate=norm["validate"], cache=False,
-            telemetry="telemetry" in include,
-            timeline="timeline" in include)
+    # "auto" and "fastpath" both run the fast engine.
+    sim = SimOptions(
+        fastpath=norm["tier"] != "reference",
+        telemetry="telemetry" in include,
+        timeline_window=(DEFAULT_WINDOW_CYCLES if "timeline" in include
+                         else None))
+    result = run_variant(
+        workload, norm["variant"], machine,
+        lookahead=norm["lookahead"], options=options,
+        validate=norm["validate"], cache=False, sim=sim)
     return dataclasses.asdict(result)
 
 

@@ -60,8 +60,8 @@ from .pool import JobTimeout, WorkerCrash, WorkerPool
 from .protocol import RequestError, normalize_request, request_key
 
 #: Default store root for the service (distinct from the bench cache's
-#: ``.sim-cache`` default; override with ``--cache-dir`` or the same
-#: ``REPRO_SIM_CACHE_DIR`` variable the bench honours).
+#: ``.sim-cache`` default; ``repro serve`` overrides it with
+#: ``--cache-dir`` or the same cache-root variable the bench honours).
 DEFAULT_STORE_DIR = ".serve-cas"
 
 
@@ -100,9 +100,7 @@ class ServeConfig:
     trace_capacity: int = DEFAULT_CAPACITY
 
     def resolved_store_dir(self) -> str:
-        return (self.cache_dir
-                or os.environ.get("REPRO_SIM_CACHE_DIR")
-                or DEFAULT_STORE_DIR)
+        return self.cache_dir or DEFAULT_STORE_DIR
 
 
 #: Pipeline stages with their own latency histogram series.

@@ -8,11 +8,12 @@ latency to the hierarchy level that served it, so experiments can report
 the paper's §6 analysis and Fig. 8 overhead discussion).
 
 Telemetry is **observational only**: attaching a collector never changes
-a single simulated cycle.  It is gated by ``REPRO_SIM_TELEMETRY`` (off
-by default) because classification needs the reference hierarchy walks;
-enabling it disables the memory system's hot-line memo for that run and
-routes every access through the instrumented slow path, which the
-equivalence suite proves bit-identical.
+a single simulated cycle.  It is off by default (see
+:class:`~repro.envcfg.SimOptions`) because classification needs the
+reference hierarchy walks; enabling it disables the memory system's
+hot-line memo for that run and routes every access through the
+instrumented slow path, which the equivalence suite proves
+bit-identical.
 
 Layout:
 
@@ -20,7 +21,7 @@ Layout:
 * :mod:`repro.telemetry.collector` — :class:`TelemetryCollector`, the
   bounded event ring and aggregation tables;
 * :mod:`repro.telemetry.timeline` — the flight recorder's windowed
-  time-series sampler (``REPRO_SIM_TIMELINE``);
+  time-series sampler;
 * :mod:`repro.telemetry.spans` — wall-clock pipeline spans (frontend,
   passes, JIT compiles, cache probes, bench jobs);
 * :mod:`repro.telemetry.perfetto` — Chrome trace-event export of both;
@@ -29,25 +30,20 @@ Layout:
   the bench harness).
 """
 
-from .collector import (DEFAULT_RING_CAPACITY, MAX_RING_CAPACITY,
-                        TelemetryCollector, resolve_collector,
-                        ring_capacity, telemetry_enabled)
+from .collector import (DEFAULT_RING_CAPACITY, TelemetryCollector,
+                        resolve_collector)
 from .outcomes import (DROPPED, EARLY, LATE, OUTCOMES, REDUNDANT, TIMELY,
                        UNUSED)
 from .spans import (SpanRecorder, active_recorder, instant, recording,
                     span)
 from .timeline import (DEFAULT_SAMPLE_EVERY, DEFAULT_WINDOW_CYCLES,
-                       MIN_WINDOW_CYCLES, TimelineRecorder,
-                       resolve_timeline, timeline_enabled,
-                       timeline_window)
+                       TimelineRecorder, resolve_timeline)
 
 __all__ = [
-    "TelemetryCollector", "resolve_collector", "telemetry_enabled",
-    "ring_capacity", "DEFAULT_RING_CAPACITY", "MAX_RING_CAPACITY",
+    "TelemetryCollector", "resolve_collector", "DEFAULT_RING_CAPACITY",
     "OUTCOMES", "TIMELY", "LATE", "EARLY", "REDUNDANT", "DROPPED",
     "UNUSED",
-    "TimelineRecorder", "resolve_timeline", "timeline_enabled",
-    "timeline_window", "DEFAULT_WINDOW_CYCLES", "MIN_WINDOW_CYCLES",
+    "TimelineRecorder", "resolve_timeline", "DEFAULT_WINDOW_CYCLES",
     "DEFAULT_SAMPLE_EVERY",
     "SpanRecorder", "recording", "span", "instant", "active_recorder",
 ]

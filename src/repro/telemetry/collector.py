@@ -8,96 +8,40 @@ are pure observation — they never feed a number back into the timing
 model, so a run with a collector attached is cycle-for-cycle identical
 to one without.
 
-Gating: :func:`telemetry_enabled` reads ``REPRO_SIM_TELEMETRY`` (default
-off).  ``REPRO_SIM_TELEMETRY_RING`` bounds the event ring (default 4096
-events); aggregate tables are unbounded but small (one row per
-prefetch PC / outcome / level).
+Gating: a run attaches a collector when its
+:class:`~repro.envcfg.SimOptions` asks for telemetry (default off).
+The event ring holds the last :data:`DEFAULT_RING_CAPACITY` events;
+aggregate tables are unbounded but small (one row per prefetch PC /
+outcome / level).
 """
 
 from __future__ import annotations
 
 import json
-import os
-import warnings
 from collections import deque
 
-from ..remarks import emit
 from .outcomes import (DROPPED, EARLY, LATE, OUTCOMES, REDUNDANT, TIMELY,
                        UNUSED)
 
 #: Default event ring capacity (events beyond this evict the oldest).
 DEFAULT_RING_CAPACITY = 4096
 
-#: Upper bound on the event ring; larger requests are clamped (each
-#: event is a dict — millions of them would dwarf the simulation).
-MAX_RING_CAPACITY = 1 << 20
-
-
-def telemetry_enabled(explicit: bool | None = None) -> bool:
-    """Resolve a telemetry flag: explicit setting, else the
-    ``REPRO_SIM_TELEMETRY`` environment variable (default off)."""
-    if explicit is not None:
-        return bool(explicit)
-    return os.environ.get("REPRO_SIM_TELEMETRY", "0") == "1"
-
-
-def _ring_fallback(raw: str, used: int, reason: str) -> int:
-    """Report an out-of-range ``REPRO_SIM_TELEMETRY_RING`` and carry on.
-
-    A bad value must never abort a run: it produces a Python warning
-    plus (when remarks are being collected) a ``TelemetryRingClamped``
-    warning remark, and the clamped/default capacity is used.
-    """
-    warnings.warn(
-        f"REPRO_SIM_TELEMETRY_RING={raw!r} is {reason}; "
-        f"using {used}", RuntimeWarning, stacklevel=3)
-    emit("warning", "telemetry", "TelemetryRingClamped",
-         value=raw, used=used, reason=reason)
-    return used
-
-
-def ring_capacity() -> int:
-    """Event-ring capacity honouring ``REPRO_SIM_TELEMETRY_RING``.
-
-    Invalid values fall back to :data:`DEFAULT_RING_CAPACITY` and
-    oversized ones clamp to :data:`MAX_RING_CAPACITY`, in both cases
-    with a warning (and a remark when collecting) instead of a crash.
-    """
-    raw = os.environ.get("REPRO_SIM_TELEMETRY_RING")
-    if not raw:
-        return DEFAULT_RING_CAPACITY
-    try:
-        cap = int(raw)
-    except ValueError:
-        return _ring_fallback(raw, DEFAULT_RING_CAPACITY,
-                              "not an integer")
-    if cap <= 0:
-        return _ring_fallback(raw, DEFAULT_RING_CAPACITY,
-                              "not positive")
-    if cap > MAX_RING_CAPACITY:
-        return _ring_fallback(raw, MAX_RING_CAPACITY,
-                              "above the maximum")
-    return cap
-
 
 def resolve_collector(telemetry) -> "TelemetryCollector | None":
     """Normalise a caller's ``telemetry`` argument.
 
     A :class:`TelemetryCollector` passes through; ``True`` builds a
-    fresh one; ``False`` disables; ``None`` follows
-    ``REPRO_SIM_TELEMETRY``.
+    fresh one; ``False`` or ``None`` disables.
     """
     if isinstance(telemetry, TelemetryCollector):
         return telemetry
-    if telemetry is None:
-        telemetry = telemetry_enabled(None)
     return TelemetryCollector() if telemetry else None
 
 
 class TelemetryCollector:
     """Per-run observability state.
 
-    :param capacity: event-ring size (``None`` = environment default).
+    :param capacity: event-ring size.
 
     The collector tracks three things:
 
@@ -113,9 +57,8 @@ class TelemetryCollector:
       records for post-mortem inspection and JSON export.
     """
 
-    def __init__(self, capacity: int | None = None):
-        self.events: deque = deque(
-            maxlen=capacity if capacity else ring_capacity())
+    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY):
+        self.events: deque = deque(maxlen=capacity)
         self.outcome_counts: dict[str, int] = {o: 0 for o in OUTCOMES}
         self.per_pc: dict[int, dict[str, int]] = {}
         self.per_level: dict[str, int] = {}

@@ -17,11 +17,13 @@ from :mod:`repro.telemetry` itself) because it depends on
 
 from __future__ import annotations
 
+import dataclasses
+
 from ..bench.reporting import format_table
-from ..bench.runner import RunSpec, run_specs, run_variant
+from ..bench.runner import RunSpec, current_sim, run_specs, run_variant
 from ..machine.configs import ALL_SYSTEMS, MachineConfig
 from ..workloads.base import Workload
-from .timeline import TimelineRecorder
+from .timeline import DEFAULT_WINDOW_CYCLES
 
 #: Columns of the rendered effectiveness table, in order.
 COLUMNS = ["Benchmark", "Machine", "Speedup", "Issued", "Timely",
@@ -42,13 +44,14 @@ def effectiveness_rows(workloads: list[Workload],
     issue_cost``) from plain to the prefetched variant — negative means
     the prefetches removed stall time.
     """
+    sim = dataclasses.replace(current_sim(), telemetry=True)
     specs = []
     for workload in workloads:
         for machine in machines:
             specs.append(RunSpec(workload, "plain", machine,
-                                 lookahead=lookahead, telemetry=True))
+                                 lookahead=lookahead, sim=sim))
             specs.append(RunSpec(workload, variant, machine,
-                                 lookahead=lookahead, telemetry=True))
+                                 lookahead=lookahead, sim=sim))
     results = iter(run_specs(specs, jobs=jobs, cache=cache))
     rows = []
     for workload in workloads:
@@ -113,22 +116,22 @@ def timeline_rows(workloads: list[Workload],
                   machine: MachineConfig,
                   variant: str = "auto",
                   lookahead: int = 64,
-                  window: int | None = None,
+                  window: int = DEFAULT_WINDOW_CYCLES,
                   cache=None) -> list[dict]:
     """Run each workload with telemetry + timeline sampling enabled.
 
     Runs are **serial** (no worker pool): the flight recorder's span
-    records live in-process, and forked workers would drop them.  Each
-    run gets a fresh :class:`TimelineRecorder`; the resulting
-    ``repro-timeline-v1`` snapshot rides the row (from the live run or
-    from the disk cache — the snapshot is cached with the result).
+    records live in-process, and forked workers would drop them.  The
+    resulting ``repro-timeline-v1`` snapshot rides the row (from the
+    live run or from the disk cache — the snapshot is cached with the
+    result, keyed by the window among the other engine options).
     """
+    sim = dataclasses.replace(current_sim(), telemetry=True,
+                              timeline_window=window)
     rows = []
     for workload in workloads:
-        recorder = TimelineRecorder(window=window)
         result = run_variant(workload, variant, machine,
-                             lookahead=lookahead, telemetry=True,
-                             timeline=recorder, cache=cache)
+                             lookahead=lookahead, cache=cache, sim=sim)
         rows.append({
             "workload": workload.name,
             "machine": machine.name,

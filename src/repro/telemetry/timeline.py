@@ -18,29 +18,19 @@ engines share those boundaries bit-for-bit, so a run with a recorder
 attached is cycle-identical to one without, under either engine — the
 equivalence suite proves it.
 
-Gating: ``REPRO_SIM_TIMELINE`` (default off) enables recording for runs
-that do not pass an explicit recorder; ``REPRO_SIM_TIMELINE_WINDOW``
-sets the window width in simulated cycles (default
-:data:`DEFAULT_WINDOW_CYCLES`; invalid values warn and fall back, they
-never abort a run).
+Gating: a run records a timeline when its
+:class:`~repro.envcfg.SimOptions` sets ``timeline_window`` (default
+none); ``repro timeline --window`` picks the width in simulated cycles
+(default :data:`DEFAULT_WINDOW_CYCLES`).
 """
 
 from __future__ import annotations
-
-import os
-import warnings
-
-from ..remarks import emit
 
 #: Schema tag of :meth:`TimelineRecorder.snapshot`.
 SCHEMA = "repro-timeline-v1"
 
 #: Default window width in simulated cycles.
 DEFAULT_WINDOW_CYCLES = 100_000
-
-#: Smallest accepted window; below this the per-window dicts would
-#: dwarf the simulation itself, so smaller requests clamp up.
-MIN_WINDOW_CYCLES = 1_000
 
 #: Dynamic instructions between sampling opportunities when the
 #: recorder itself drives the run (``Interpreter.run`` with a recorder
@@ -50,71 +40,21 @@ MIN_WINDOW_CYCLES = 1_000
 DEFAULT_SAMPLE_EVERY = 10_000
 
 
-def timeline_enabled(explicit: bool | None = None) -> bool:
-    """Resolve a timeline flag: explicit setting, else the
-    ``REPRO_SIM_TIMELINE`` environment variable (default off)."""
-    if explicit is not None:
-        return bool(explicit)
-    return os.environ.get("REPRO_SIM_TIMELINE", "0") == "1"
-
-
-def _window_fallback(raw: str, used: int, reason: str) -> int:
-    """Report a bad ``REPRO_SIM_TIMELINE_WINDOW`` and carry on.
-
-    Mirrors the telemetry ring's clamp contract: a Python warning plus
-    (when remarks are being collected) a ``TimelineWindowClamped``
-    warning remark, never a crash.
-    """
-    warnings.warn(
-        f"REPRO_SIM_TIMELINE_WINDOW={raw!r} is {reason}; "
-        f"using {used}", RuntimeWarning, stacklevel=3)
-    emit("warning", "telemetry", "TimelineWindowClamped",
-         value=raw, used=used, reason=reason)
-    return used
-
-
-def timeline_window() -> int:
-    """Window width honouring ``REPRO_SIM_TIMELINE_WINDOW``.
-
-    Invalid values fall back to :data:`DEFAULT_WINDOW_CYCLES` and
-    undersized ones clamp to :data:`MIN_WINDOW_CYCLES`, in both cases
-    with a warning (and a remark when collecting) instead of a crash.
-    """
-    raw = os.environ.get("REPRO_SIM_TIMELINE_WINDOW")
-    if not raw:
-        return DEFAULT_WINDOW_CYCLES
-    try:
-        window = int(raw)
-    except ValueError:
-        return _window_fallback(raw, DEFAULT_WINDOW_CYCLES,
-                                "not an integer")
-    if window <= 0:
-        return _window_fallback(raw, DEFAULT_WINDOW_CYCLES,
-                                "not positive")
-    if window < MIN_WINDOW_CYCLES:
-        return _window_fallback(raw, MIN_WINDOW_CYCLES,
-                                "below the minimum")
-    return window
-
-
 def resolve_timeline(timeline) -> "TimelineRecorder | None":
     """Normalise a caller's ``timeline`` argument.
 
     A :class:`TimelineRecorder` passes through; ``True`` builds a fresh
-    one; ``False`` disables; ``None`` follows ``REPRO_SIM_TIMELINE``.
+    one; ``False`` or ``None`` disables.
     """
     if isinstance(timeline, TimelineRecorder):
         return timeline
-    if timeline is None:
-        timeline = timeline_enabled(None)
     return TimelineRecorder() if timeline else None
 
 
 class TimelineRecorder:
     """Per-run window accumulator (one recorder per run).
 
-    :param window: window width in simulated cycles (``None`` =
-        environment default via :func:`timeline_window`).
+    :param window: window width in simulated cycles.
     :param sample_every: dynamic instructions between sampling
         opportunities when the recorder drives the run itself.
 
@@ -126,9 +66,9 @@ class TimelineRecorder:
     the core, the hierarchy, or the collector it observes.
     """
 
-    def __init__(self, window: int | None = None,
+    def __init__(self, window: int = DEFAULT_WINDOW_CYCLES,
                  sample_every: int | None = None):
-        self.window = int(window) if window else timeline_window()
+        self.window = int(window)
         if self.window <= 0:
             raise ValueError("timeline window must be positive")
         self.sample_every = (int(sample_every) if sample_every

@@ -194,6 +194,7 @@ class TestConcurrentWriters:
         re-simulate, not crash."""
         from repro.bench.cache import run_key
         from repro.bench.runner import run_variant
+        from repro.envcfg import SimOptions
         from repro.ir import print_module
         from repro.machine import HASWELL
         from repro.workloads import IntegerSort
@@ -203,7 +204,7 @@ class TestConcurrentWriters:
 
         cache = RunCache(tmp_path)
         key = run_key(print_module(wl().build_variant("plain")),
-                      HASWELL, wl(), True)
+                      HASWELL, wl(), True, SimOptions())
         cache.put(key, {"not_a_field": 1})
         cache._mem.clear()
         result = run_variant(wl(), "plain", HASWELL, cache=cache)

@@ -154,13 +154,6 @@ class TestBenchHotReport:
         assert "Trace-JIT remarks (repro-remarks-v1):" in out
         assert "TraceCompiled" in out
 
-    def test_hot_report_restores_environment(self, monkeypatch):
-        import os
-        monkeypatch.setenv("REPRO_SIM_CACHE", "1")
-        code, _ = run_cli("bench", "fig2", "--small", "--hot-report")
-        assert code == 0
-        assert os.environ["REPRO_SIM_CACHE"] == "1"
-
     def test_trace_rows_kept_only_while_collecting(self):
         """Runs outside ``collecting_traces`` (every run but a hot
         report's) keep no trace rows, so long-lived processes do not
@@ -177,25 +170,34 @@ class TestBenchHotReport:
         assert runner._TRACE_ROWS is None
 
 
-class TestRingClampViaCli:
-    """An invalid REPRO_SIM_TELEMETRY_RING must warn and fall back —
-    never abort — when reached through the CLI's telemetry runs."""
+class TestBenchOptionScope:
+    """Cache flags and environment options belong to one invocation:
+    they reach its runs and nothing else."""
 
-    def test_bogus_ring_warns_and_still_reports(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_TELEMETRY_RING", "bogus")
-        with pytest.warns(RuntimeWarning,
-                          match="REPRO_SIM_TELEMETRY_RING='bogus' is "
-                                "not an integer"):
-            code, out = run_cli("stats", "is", "--small", "--jobs",
-                                "1")
-        assert code == 0
-        assert "IS" in out
+    def test_cache_flags_do_not_outlive_their_run(self, tmp_path,
+                                                  monkeypatch):
+        import os
+        for name in ("REPRO_SIM_CACHE", "REPRO_SIM_CACHE_DIR"):
+            monkeypatch.delenv(name, raising=False)
+        before = dict(os.environ)
+        for argv in (("fig8", "--no-cache"), ("fig2", "--hot-report"),
+                     ("fig8", "--cache-dir", str(tmp_path))):
+            code, _ = run_cli("bench", argv[0], "--small", *argv[1:])
+            assert code == 0
+            assert dict(os.environ) == before
+        assert list(tmp_path.rglob("*.json"))
 
-    def test_oversized_ring_clamps_not_crashes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_TELEMETRY_RING", str(1 << 30))
-        with pytest.warns(RuntimeWarning, match="above the maximum"):
-            code, _ = run_cli("stats", "is", "--small", "--jobs", "1")
+    def test_telemetry_env_adds_fig4_columns(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_TELEMETRY", "1")
+        code, out = run_cli("bench", "fig4a", "--small", "--no-cache")
         assert code == 0
+        assert "Pf issued (auto)" in out
+
+    def test_reference_engine_env_compiles_no_traces(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
+        code, out = run_cli("bench", "fig2", "--small", "--hot-report")
+        assert code == 0
+        assert "top 0 of 0" in out
 
 
 class TestStatsCommand:

@@ -1,7 +1,6 @@
-"""Tests for validated integer environment knobs (repro.envcfg):
-``REPRO_SIM_JOBS`` must warn and fall back on bad values — with an
-``EnvVarClamped`` remark when remarks are being collected — never
-crash."""
+"""Tests for validated environment knobs (repro.envcfg): bad integer
+and boolean values must warn and fall back — with an ``EnvVarClamped``
+remark when remarks are being collected — never crash."""
 
 from __future__ import annotations
 
@@ -9,8 +8,7 @@ import warnings
 
 import pytest
 
-from repro.bench.runner import MAX_JOBS, resolve_jobs
-from repro.envcfg import env_int
+from repro.envcfg import SimOptions, cache_from_env, env_int
 from repro.remarks import RemarkEmitter, collecting
 
 
@@ -57,30 +55,57 @@ class TestEnvInt:
         assert args["used"] == 3
 
 
-class TestResolveJobs:
-    def test_explicit_wins_silently(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_JOBS", "garbage")
+#: The boolean variables, each with how its value is read back and its
+#: default.
+BOOL_VARS = {
+    "REPRO_SIM_FASTPATH": (lambda: SimOptions.from_env().fastpath, True),
+    "REPRO_SIM_TELEMETRY": (lambda: SimOptions.from_env().telemetry,
+                            False),
+    "REPRO_SIM_CACHE": (lambda: cache_from_env(default=False) is not None,
+                        False),
+}
+
+
+class TestEnvBool:
+    @pytest.mark.parametrize("name", sorted(BOOL_VARS))
+    def test_unset_empty_zero_and_one_are_silent(self, monkeypatch,
+                                                 name):
+        read, default = BOOL_VARS[name]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_jobs(3) == 3
+            monkeypatch.delenv(name, raising=False)
+            assert read() is default
+            monkeypatch.setenv(name, "")
+            assert read() is default
+            monkeypatch.setenv(name, "0")
+            assert read() is False
+            monkeypatch.setenv(name, "1")
+            assert read() is True
 
-    def test_garbage_env_falls_back_to_autodetect(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_JOBS", "many")
-        with pytest.warns(RuntimeWarning, match="REPRO_SIM_JOBS"):
-            assert resolve_jobs() >= 1
+    @pytest.mark.parametrize("raw", ("false", "yes", "2"))
+    @pytest.mark.parametrize("name", sorted(BOOL_VARS))
+    def test_other_values_warn_and_use_the_default(self, monkeypatch,
+                                                   name, raw):
+        read, default = BOOL_VARS[name]
+        monkeypatch.setenv(name, raw)
+        emitter = RemarkEmitter()
+        with collecting(emitter), pytest.warns(
+                RuntimeWarning, match=f"{name}='{raw}' is not 0 or 1"):
+            assert read() is default
+        (remark,) = emitter.by_name("EnvVarClamped")
+        assert remark.arg("var") == name
+        assert remark.arg("value") == raw
+        assert remark.arg("used") is default
 
-    def test_negative_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_JOBS", "-2")
-        with pytest.warns(RuntimeWarning):
-            assert resolve_jobs() >= 1
 
-    def test_oversized_env_clamps(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_JOBS", str(MAX_JOBS * 10))
-        with pytest.warns(RuntimeWarning, match="above the maximum"):
-            assert resolve_jobs() == MAX_JOBS
-
-    def test_valid_env_still_respected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_JOBS", "2")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_jobs() == 2
+class TestCacheFromEnv:
+    def test_root_follows_cache_dir(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_SIM_CACHE_DIR", raising=False)
+        assert cache_from_env(default=False) is None
+        assert cache_from_env(default=True) == ".sim-cache"
+        assert cache_from_env(default=True, fallback="here") == "here"
+        monkeypatch.setenv("REPRO_SIM_CACHE_DIR", "/elsewhere")
+        assert cache_from_env(default=True) == "/elsewhere"
+        monkeypatch.setenv("REPRO_SIM_CACHE", "0")
+        assert cache_from_env(default=True) is None

@@ -1,12 +1,13 @@
 """Fast-path vs slow-path engine equivalence.
 
 The fast engine — fused segments, the memory-system hot-line memo and
-the trace JIT (``REPRO_SIM_FASTPATH=1``, the default) — must be
-*bit-identical* to the
-reference per-instruction engine: same cycles, same instruction
-counters, same cache/TLB/DRAM statistics, same memory contents.  These
-tests drive randomized IR kernels and real workloads through both
-engines on all four machine configurations and compare everything.
+the trace JIT (``SimOptions(fastpath=True)``, the default) — must be
+*bit-identical* to the reference per-instruction engine: same cycles,
+same instruction counters, same cache/TLB/DRAM statistics, same memory
+contents, and with a telemetry collector attached the same telemetry.
+These tests drive randomized IR kernels and real workloads through both
+engines on all four machine configurations, with telemetry off and on,
+and compare everything.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import pytest
 from repro.ir import INT64, IRBuilder, Module, VOID, pointer,\
     verify_module
 from repro.ir.values import Constant
+from repro.bench.runner import collecting_traces, run_defaults, run_variant
+from repro.envcfg import SimOptions
 from repro.machine import A53, A57, HASWELL, XEON_PHI, Interpreter
-from repro.machine.fastexec import fastpath_enabled
 from repro.machine.memory import Memory
 
 ALL_MACHINES = (HASWELL, A57, A53, XEON_PHI)
@@ -103,7 +105,7 @@ def build_random_kernel(seed: int, n: int = 512) -> Module:
 
 
 def run_engine(module: Module, machine, fastpath: bool, seed: int,
-               n: int = 512):
+               n: int = 512, telemetry: bool = False):
     """Run a random kernel under one engine; returns (snapshot, out)."""
     mem = Memory(machine.line_size)
     data = np.random.default_rng(seed).integers(0, 1 << 40, 2 * n)
@@ -114,32 +116,76 @@ def run_engine(module: Module, machine, fastpath: bool, seed: int,
     barr.fill(barr_vals)
     out = mem.allocate(8, n, "out")
     interp = Interpreter(module, mem, machine=machine,
-                         fastpath=fastpath)
-    interp.run("kernel", [a.base, barr.base, out.base, n])
-    return snapshot(interp), list(out.data)
+                         fastpath=fastpath, telemetry=telemetry)
+    result = interp.run("kernel", [a.base, barr.base, out.base, n])
+    return snapshot(interp, result), list(out.data)
 
 
-def snapshot(interp: Interpreter) -> dict:
-    """Every observable counter of a finished run."""
+def snapshot(interp: Interpreter, result=None) -> dict:
+    """Every observable counter of a finished run (and its telemetry,
+    given the run's result)."""
     return {
         "cycles": interp.core.cycles,
         "core_instructions": interp.core.instructions,
         "run_stats": dataclasses.asdict(interp.stats),
         "memory_system": interp.memory_system.snapshot(),
+        "telemetry": result.telemetry if result else None,
     }
 
+
+def engine_snapshots(make_workload, variant: str, machine,
+                     telemetry: bool) -> list[dict]:
+    """A workload variant's snapshot under each engine, reference
+    first."""
+    snaps = []
+    for fastpath in (False, True):
+        wl = make_workload()
+        module = wl.build_variant(variant)
+        mem = Memory(machine.line_size)
+        prepared = wl.prepare(mem)
+        interp = Interpreter(module, mem, machine=machine,
+                             fastpath=fastpath, telemetry=telemetry)
+        result = interp.run(wl.entry, prepared.args)
+        prepared.validate()
+        snaps.append(snapshot(interp, result))
+    return snaps
+
+
+def random_kernel_engines_agree(machine, seed: int,
+                                telemetry: bool) -> None:
+    slow, out_slow = run_engine(build_random_kernel(seed), machine,
+                                False, seed, telemetry=telemetry)
+    fast, out_fast = run_engine(build_random_kernel(seed), machine,
+                                True, seed, telemetry=telemetry)
+    assert fast == slow
+    assert out_fast == out_slow
+
+
+def integer_sort():
+    from repro.workloads import IntegerSort
+    return IntegerSort(num_keys=2500, num_buckets=1 << 14)
+
+
+def hash_join():
+    from repro.workloads import hj2
+    return hj2(num_probes=2000, num_buckets=1 << 12)
+
+
+# Telemetry on and off are sibling tests, not one more parametrize
+# axis, so the telemetry-off test ids stay stable.
 
 class TestRandomKernelEquivalence:
     @pytest.mark.parametrize("machine", ALL_MACHINES,
                              ids=lambda m: m.name)
     @pytest.mark.parametrize("seed", range(6))
     def test_identical_on_random_kernels(self, machine, seed):
-        module_slow = build_random_kernel(seed)
-        module_fast = build_random_kernel(seed)
-        slow, out_slow = run_engine(module_slow, machine, False, seed)
-        fast, out_fast = run_engine(module_fast, machine, True, seed)
-        assert fast == slow
-        assert out_fast == out_slow
+        random_kernel_engines_agree(machine, seed, telemetry=False)
+
+    @pytest.mark.parametrize("machine", ALL_MACHINES,
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_identical_with_telemetry(self, machine, seed):
+        random_kernel_engines_agree(machine, seed, telemetry=True)
 
 
 class TestWorkloadEquivalence:
@@ -147,36 +193,31 @@ class TestWorkloadEquivalence:
                              ids=lambda m: m.name)
     @pytest.mark.parametrize("variant", ("plain", "auto"))
     def test_integer_sort(self, machine, variant):
-        from repro.workloads import IntegerSort
-        snaps = []
-        for fastpath in (False, True):
-            wl = IntegerSort(num_keys=2500, num_buckets=1 << 14)
-            module = wl.build_variant(variant)
-            mem = Memory(machine.line_size)
-            prepared = wl.prepare(mem)
-            interp = Interpreter(module, mem, machine=machine,
-                                 fastpath=fastpath)
-            interp.run(wl.entry, prepared.args)
-            prepared.validate()
-            snaps.append(snapshot(interp))
-        assert snaps[0] == snaps[1]
+        slow, fast = engine_snapshots(integer_sort, variant, machine,
+                                      telemetry=False)
+        assert fast == slow
+
+    @pytest.mark.parametrize("machine", ALL_MACHINES,
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("variant", ("plain", "auto"))
+    def test_integer_sort_with_telemetry(self, machine, variant):
+        slow, fast = engine_snapshots(integer_sort, variant, machine,
+                                      telemetry=True)
+        assert fast == slow
 
     @pytest.mark.parametrize("machine", (HASWELL, A53),
                              ids=lambda m: m.name)
     def test_hash_join_manual(self, machine):
-        from repro.workloads import hj2
-        snaps = []
-        for fastpath in (False, True):
-            wl = hj2(num_probes=2000, num_buckets=1 << 12)
-            module = wl.build_variant("manual")
-            mem = Memory(machine.line_size)
-            prepared = wl.prepare(mem)
-            interp = Interpreter(module, mem, machine=machine,
-                                 fastpath=fastpath)
-            interp.run(wl.entry, prepared.args)
-            prepared.validate()
-            snaps.append(snapshot(interp))
-        assert snaps[0] == snaps[1]
+        slow, fast = engine_snapshots(hash_join, "manual", machine,
+                                      telemetry=False)
+        assert fast == slow
+
+    @pytest.mark.parametrize("machine", (HASWELL, A53),
+                             ids=lambda m: m.name)
+    def test_hash_join_manual_with_telemetry(self, machine):
+        slow, fast = engine_snapshots(hash_join, "manual", machine,
+                                      telemetry=True)
+        assert fast == slow
 
 
 class TestTelemetryEquivalence:
@@ -240,22 +281,36 @@ class TestTelemetryEquivalence:
         assert tels[True] == tels[False]
 
 
+def traced_rows(**kwargs) -> list:
+    """Compiled-trace rows of one small run; the reference engine
+    compiles none."""
+    from repro.workloads import IntegerSort
+    with collecting_traces() as rows:
+        run_variant(IntegerSort(num_keys=2000, num_buckets=1 << 14),
+                    "auto", HASWELL, cache=False, **kwargs)
+    return rows
+
+
 class TestFastpathFlag:
     def test_env_flag_forces_slow_path(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
-        assert fastpath_enabled(None) is False
+        sim = SimOptions.from_env()
+        assert sim == SimOptions(fastpath=False)
+        with run_defaults(sim):
+            assert traced_rows() == []
         interp = Interpreter(build_random_kernel(0), Memory(),
-                             machine=HASWELL)
-        assert interp.fastpath is False
+                             machine=HASWELL, fastpath=sim.fastpath)
         assert interp.memory_system.fastpath is False
 
     def test_env_flag_default_on(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_FASTPATH", raising=False)
-        assert fastpath_enabled(None) is True
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
-        assert fastpath_enabled(True) is True
+        assert SimOptions.from_env().fastpath is True
         interp = Interpreter(build_random_kernel(1), Memory(),
-                             machine=HASWELL, fastpath=True)
+                             machine=HASWELL)
         assert interp.fastpath is True
+        assert traced_rows()
+
+    def test_explicit_argument_wins(self):
+        """A run's own ``sim`` beats the scoped default."""
+        with run_defaults(SimOptions(fastpath=False)):
+            assert traced_rows(sim=SimOptions())

@@ -1,7 +1,7 @@
 """Tests for the optimization-remarks subsystem: the Remark model,
 emitter scoping, the JSON-lines stream contracts, pass-manager
-instrumentation, per-pass remark emission, stable prefetch IDs with
-their runtime-PC mapping, and the telemetry ring-capacity warnings."""
+instrumentation, per-pass remark emission, and stable prefetch IDs with
+their runtime-PC mapping."""
 
 from __future__ import annotations
 
@@ -24,8 +24,6 @@ from repro.remarks import (KNOWN_REMARKS, Remark, RemarkEmitter,
                            dumps_stream, emit, parse_stream,
                            remark_from_dict, remark_to_dict,
                            render_remarks, validate_remark_dict)
-from repro.telemetry import (DEFAULT_RING_CAPACITY, MAX_RING_CAPACITY,
-                             ring_capacity)
 from tests.conftest import build_indirect_kernel
 
 
@@ -512,44 +510,3 @@ class TestPrefetchPCs:
         m = self._two_function_module()
         IndirectPrefetchPass().run(m)
         assert static_prefetch_pcs(m, "nonesuch") == {}
-
-
-class TestRingCapacityValidation:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_TELEMETRY_RING", raising=False)
-        assert ring_capacity() == DEFAULT_RING_CAPACITY
-
-    def test_valid_value_passes_through(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_TELEMETRY_RING", "512")
-        assert ring_capacity() == 512
-
-    def test_non_integer_falls_back_with_warning_and_remark(
-            self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_TELEMETRY_RING", "lots")
-        emitter = RemarkEmitter()
-        with collecting(emitter):
-            with pytest.warns(RuntimeWarning, match="not an integer"):
-                assert ring_capacity() == DEFAULT_RING_CAPACITY
-        (remark,) = emitter.by_name("TelemetryRingClamped")
-        assert remark.kind == "warning"
-        assert remark.arg("value") == "lots"
-        assert remark.arg("used") == DEFAULT_RING_CAPACITY
-
-    def test_non_positive_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_TELEMETRY_RING", "-5")
-        with pytest.warns(RuntimeWarning, match="not positive"):
-            assert ring_capacity() == DEFAULT_RING_CAPACITY
-
-    def test_oversized_clamps_to_max(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_TELEMETRY_RING", str(1 << 25))
-        emitter = RemarkEmitter()
-        with collecting(emitter):
-            with pytest.warns(RuntimeWarning, match="above the maximum"):
-                assert ring_capacity() == MAX_RING_CAPACITY
-        (remark,) = emitter.by_name("TelemetryRingClamped")
-        assert remark.arg("used") == MAX_RING_CAPACITY
-
-    def test_no_remark_without_collecting(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_TELEMETRY_RING", "bogus")
-        with pytest.warns(RuntimeWarning):
-            ring_capacity()  # must not crash without an emitter

@@ -1,22 +1,23 @@
 """Unit tests for the run-result disk cache (bench/cache.py).
 
 Covers key stability and invalidation, cold/warm behaviour of
-``run_variant``, corrupted-entry handling, environment resolution, and
-the acceptance property: a second invocation of a figure benchmark with
-unchanged inputs hits the disk cache and skips re-simulation.
+``run_variant``, corrupted-entry handling, scoped-default resolution,
+and the acceptance property: a second invocation of a figure benchmark
+with unchanged inputs hits the disk cache and skips re-simulation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.bench.cache import (RunCache, canonical_token,
-                               resolve_run_cache, run_key,
+from repro.bench.cache import (RunCache, canonical_token, run_key,
                                simulator_code_hash)
 from repro.bench.runner import (RunSpec, TELEMETRY, reset_telemetry,
-                                run_specs, run_variant)
+                                run_defaults, run_specs, run_variant)
+from repro.envcfg import SimOptions
 from repro.ir import print_module
 from repro.machine import A53, HASWELL
 from repro.passes import PrefetchOptions
@@ -27,19 +28,23 @@ def _ir(workload, variant="plain", **kwargs):
     return print_module(workload.build_variant(variant, **kwargs))
 
 
+#: Default engine options, for keys where they do not matter.
+SIM = SimOptions()
+
+
 def small_is():
     return IntegerSort(num_keys=1500, num_buckets=1 << 12)
 
 
 class TestRunKey:
     def test_stable_across_equal_instances(self):
-        k1 = run_key(_ir(small_is()), HASWELL, small_is(), True)
-        k2 = run_key(_ir(small_is()), HASWELL, small_is(), True)
+        k1 = run_key(_ir(small_is()), HASWELL, small_is(), True, SIM)
+        k2 = run_key(_ir(small_is()), HASWELL, small_is(), True, SIM)
         assert k1 == k2
 
     def test_ir_change_invalidates(self):
         wl = small_is()
-        base = run_key(_ir(small_is()), HASWELL, wl, True)
+        base = run_key(_ir(small_is()), HASWELL, wl, True, SIM)
         for kwargs in (dict(variant="auto"),
                        dict(variant="manual"),
                        dict(variant="auto", lookahead=16),
@@ -47,18 +52,29 @@ class TestRunKey:
                             options=PrefetchOptions(
                                 emit_stride_prefetch=False))):
             assert run_key(_ir(small_is(), **kwargs), HASWELL, wl,
-                           True) != base
+                           True, SIM) != base
 
     def test_machine_and_params_invalidate(self):
         ir = _ir(small_is())
         wl = small_is()
-        base = run_key(ir, HASWELL, wl, True)
-        assert run_key(ir, A53, wl, True) != base
+        base = run_key(ir, HASWELL, wl, True, SIM)
+        assert run_key(ir, A53, wl, True, SIM) != base
         assert run_key(ir, HASWELL.with_small_pages(), wl,
-                       True) != base
+                       True, SIM) != base
         other = IntegerSort(num_keys=1501, num_buckets=1 << 12)
-        assert run_key(ir, HASWELL, other, True) != base
-        assert run_key(ir, HASWELL, wl, False) != base
+        assert run_key(ir, HASWELL, other, True, SIM) != base
+        assert run_key(ir, HASWELL, wl, False, SIM) != base
+
+    def test_every_sim_option_invalidates(self):
+        ir, wl = _ir(small_is()), small_is()
+        base = run_key(ir, HASWELL, wl, True, SIM)
+        changed = {"fastpath": False, "telemetry": True,
+                   "timeline_window": 5000}
+        assert set(changed) == {f.name for f in
+                                dataclasses.fields(SimOptions)}
+        for name, value in changed.items():
+            sim = dataclasses.replace(SIM, **{name: value})
+            assert run_key(ir, HASWELL, wl, True, sim) != base, name
 
     def test_rng_advancement_invalidates(self):
         """After prepare() the shared RNG has moved, so a repeat run of
@@ -66,9 +82,9 @@ class TestRunKey:
         from repro.machine.memory import Memory
         wl = small_is()
         ir = _ir(wl)
-        before = run_key(ir, HASWELL, wl, True)
+        before = run_key(ir, HASWELL, wl, True, SIM)
         wl.prepare(Memory())
-        assert run_key(ir, HASWELL, wl, True) != before
+        assert run_key(ir, HASWELL, wl, True, SIM) != before
 
     def test_canonical_token_arrays_and_rng(self):
         import numpy as np
@@ -106,17 +122,16 @@ class TestRunCacheStore:
         rc._path(key).write_text(json.dumps([1, 2]))  # wrong shape
         assert rc.get(key) is None
 
-    def test_resolve(self, tmp_path, monkeypatch):
-        rc = RunCache(tmp_path)
-        assert resolve_run_cache(rc) is rc
-        assert resolve_run_cache(False) is None
-        monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
-        assert resolve_run_cache(None) is None
-        monkeypatch.setenv("REPRO_SIM_CACHE", "1")
-        monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path / "c"))
-        shared = resolve_run_cache(None)
-        assert isinstance(shared, RunCache)
-        assert resolve_run_cache(None) is shared
+    def test_resolve(self, tmp_path):
+        """``cache=None`` is the scoped default (none outside every
+        block), ``False`` is no cache, a store is itself."""
+        scoped, own = RunCache(tmp_path / "a"), RunCache(tmp_path / "b")
+        run_variant(small_is(), "plain", HASWELL)
+        with run_defaults(cache=scoped):
+            run_variant(small_is(), "plain", HASWELL)
+            run_variant(small_is(), "plain", HASWELL, cache=False)
+            run_variant(small_is(), "plain", HASWELL, cache=own)
+        assert (scoped.stores, own.stores) == (1, 1)
 
 
 class TestRunVariantCaching:
@@ -172,18 +187,17 @@ class TestRunVariantCaching:
 
 
 class TestFigureLevelCaching:
-    def test_second_figure_invocation_skips_simulation(
-            self, tmp_path, monkeypatch):
+    def test_second_figure_invocation_skips_simulation(self, tmp_path):
         """Acceptance: re-running a figure benchmark with unchanged
         inputs replays the disk cache and performs zero simulations."""
         from repro.bench.experiments import fig2_prefetch_schemes
-        monkeypatch.setenv("REPRO_SIM_CACHE", "1")
-        monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path))
         reset_telemetry()
-        first = fig2_prefetch_schemes(small=True)
+        with run_defaults(cache=RunCache(tmp_path)):
+            first = fig2_prefetch_schemes(small=True)
         assert TELEMETRY["simulated_runs"] == 5
         reset_telemetry()
-        second = fig2_prefetch_schemes(small=True)
+        with run_defaults(cache=RunCache(tmp_path)):
+            second = fig2_prefetch_schemes(small=True)
         assert TELEMETRY["simulated_runs"] == 0
         assert TELEMETRY["cached_runs"] == 5
         assert second == first

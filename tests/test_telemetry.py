@@ -6,14 +6,12 @@ from __future__ import annotations
 import dataclasses
 import json
 
-import pytest
-
 from repro.bench.cache import RunCache, run_key
-from repro.bench.runner import run_variant
+from repro.bench.runner import run_defaults, run_variant
+from repro.envcfg import SimOptions
 from repro.machine import HASWELL
 from repro.machine.system import MemorySystem
-from repro.telemetry import (TelemetryCollector, resolve_collector,
-                             telemetry_enabled)
+from repro.telemetry import TelemetryCollector, resolve_collector
 from repro.telemetry.outcomes import OUTCOMES
 
 
@@ -29,40 +27,39 @@ def make_system(machine=HASWELL, **overrides):
 class TestGating:
     def test_env_default_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_TELEMETRY", raising=False)
-        assert telemetry_enabled(None) is False
+        assert SimOptions.from_env().telemetry is False
+        assert SimOptions().telemetry is False
 
     def test_env_on(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_TELEMETRY", "1")
-        assert telemetry_enabled(None) is True
+        assert SimOptions.from_env() == SimOptions(telemetry=True)
 
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_TELEMETRY", "1")
-        assert telemetry_enabled(False) is False
-        monkeypatch.setenv("REPRO_SIM_TELEMETRY", "0")
-        assert telemetry_enabled(True) is True
+    def test_explicit_wins(self):
+        """A run's own ``sim`` beats the scoped default, both ways."""
+        from repro.workloads import hj2
 
-    def test_resolve_collector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_TELEMETRY", raising=False)
+        def run(**kwargs):
+            return run_variant(hj2(num_probes=300, num_buckets=1 << 10),
+                               "auto", HASWELL, cache=False, **kwargs)
+
+        with run_defaults(SimOptions(telemetry=True)):
+            assert run().telemetry is not None
+            assert run(sim=SimOptions()).telemetry is None
+        with run_defaults(SimOptions()):
+            assert run(sim=SimOptions(telemetry=True)).telemetry \
+                is not None
+
+    def test_resolve_collector(self):
         assert resolve_collector(None) is None
         assert resolve_collector(False) is None
         assert isinstance(resolve_collector(True), TelemetryCollector)
         collector = TelemetryCollector()
         assert resolve_collector(collector) is collector
-        monkeypatch.setenv("REPRO_SIM_TELEMETRY", "1")
-        assert isinstance(resolve_collector(None), TelemetryCollector)
 
     def test_collector_disables_hot_line_memo(self):
         ms, _ = make_system()
         assert ms.fastpath is False
         assert MemorySystem(HASWELL, fastpath=True).fastpath is True
-
-    def test_ring_capacity_env(self, monkeypatch):
-        from repro.telemetry.collector import ring_capacity
-        monkeypatch.setenv("REPRO_SIM_TELEMETRY_RING", "17")
-        assert ring_capacity() == 17
-        monkeypatch.setenv("REPRO_SIM_TELEMETRY_RING", "bogus")
-        with pytest.warns(RuntimeWarning, match="not an integer"):
-            assert ring_capacity() == 4096
 
 
 class TestClassification:
@@ -204,7 +201,7 @@ class TestRunnerIntegration:
 
     def test_run_variant_attaches_snapshot(self):
         result = run_variant(self.make_workload(), "auto", HASWELL,
-                             cache=False, telemetry=True)
+                             cache=False, sim=SimOptions(telemetry=True))
         snap = result.telemetry
         assert snap is not None
         assert snap["prefetch"]["issued"] == \
@@ -212,8 +209,7 @@ class TestRunnerIntegration:
         assert snap["cycles"]["core"]["cycles"] == result.cycles
         assert result.prefetches > 0
 
-    def test_run_variant_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_TELEMETRY", raising=False)
+    def test_run_variant_off_by_default(self):
         result = run_variant(self.make_workload(), "auto", HASWELL,
                              cache=False)
         assert result.telemetry is None
@@ -221,17 +217,18 @@ class TestRunnerIntegration:
     def test_run_key_separates_telemetry(self):
         wl = self.make_workload()
         ir = "func"
-        on = run_key(ir, HASWELL, wl, True, telemetry=True)
-        off = run_key(ir, HASWELL, wl, True, telemetry=False)
+        on = run_key(ir, HASWELL, wl, True, SimOptions(telemetry=True))
+        off = run_key(ir, HASWELL, wl, True, SimOptions(telemetry=False))
         assert on != off
-        assert off == run_key(ir, HASWELL, wl, True)
+        assert off == run_key(ir, HASWELL, wl, True, SimOptions())
 
     def test_snapshot_round_trips_through_disk_cache(self, tmp_path):
         cache = RunCache(tmp_path)
+        on = SimOptions(telemetry=True)
         first = run_variant(self.make_workload(), "auto", HASWELL,
-                            cache=cache, telemetry=True)
+                            cache=cache, sim=on)
         again = run_variant(self.make_workload(), "auto", HASWELL,
-                            cache=cache, telemetry=True)
+                            cache=cache, sim=on)
         assert cache.hits == 1
         assert again.telemetry == first.telemetry
         assert again.cycles == first.cycles

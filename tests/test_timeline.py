@@ -5,8 +5,8 @@ The load-bearing property is **tier identity**: attaching a
 telemetry aggregate under either engine (reference, or fused segments
 plus the trace JIT) on any machine — sampling happens only at the
 reference yield boundaries both engines share.  The rest asserts the
-window bookkeeping, the env-var clamp contract, span recording, and
-the determinism of the Chrome trace-event export.
+window bookkeeping, the cache key, span recording, and the determinism
+of the Chrome trace-event export.
 """
 
 from __future__ import annotations
@@ -18,17 +18,14 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.envcfg import SimOptions
 from repro.machine import A53, HASWELL, Interpreter
 from repro.machine.memory import Memory
 from repro.telemetry.perfetto import (PIPELINE_PID, SIM_PID,
                                       build_trace, canonical_json)
 from repro.telemetry.spans import (SpanRecorder, active_recorder,
                                    instant, recording, span)
-from repro.telemetry.timeline import (DEFAULT_WINDOW_CYCLES,
-                                      MIN_WINDOW_CYCLES,
-                                      TimelineRecorder,
-                                      resolve_timeline,
-                                      timeline_enabled, timeline_window)
+from repro.telemetry.timeline import TimelineRecorder, resolve_timeline
 
 def snapshot(interp: Interpreter) -> dict:
     """Every observable counter of a finished run."""
@@ -140,47 +137,29 @@ class TestTimelineRecorderUnit:
 
 
 class TestTimelineEnvGates:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_TIMELINE", raising=False)
-        assert timeline_enabled(None) is False
+    def test_disabled_by_default(self):
+        assert SimOptions().timeline_window is None
         assert resolve_timeline(None) is None
-
-    def test_env_flag_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_TIMELINE", "1")
-        assert timeline_enabled(None) is True
-        assert isinstance(resolve_timeline(None), TimelineRecorder)
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_TIMELINE", "1")
-        assert timeline_enabled(False) is False
         assert resolve_timeline(False) is None
+        assert isinstance(resolve_timeline(True), TimelineRecorder)
+
+    def test_explicit_argument_wins(self):
+        """A run's own ``sim`` beats the scoped default."""
+        from repro.bench.runner import run_defaults, run_variant
+        from repro.workloads import IntegerSort
+
+        def run(**kwargs):
+            return run_variant(IntegerSort(num_keys=500,
+                                           num_buckets=1 << 10),
+                               "auto", HASWELL, cache=False, **kwargs)
+
+        with run_defaults(SimOptions(timeline_window=2000)):
+            assert run().timeline["window_cycles"] == 2000
+            assert run(sim=SimOptions()).timeline is None
 
     def test_recorder_passes_through(self):
         rec = TimelineRecorder(window=2000)
         assert resolve_timeline(rec) is rec
-
-    def test_window_env_honoured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_TIMELINE_WINDOW", "25000")
-        assert timeline_window() == 25000
-
-    @pytest.mark.parametrize("raw,used,reason", [
-        ("bogus", DEFAULT_WINDOW_CYCLES, "not an integer"),
-        ("-3", DEFAULT_WINDOW_CYCLES, "not positive"),
-        ("10", MIN_WINDOW_CYCLES, "below the minimum"),
-    ])
-    def test_bad_window_warns_and_falls_back(self, monkeypatch, raw,
-                                             used, reason):
-        from repro.remarks import RemarkEmitter, collecting
-        monkeypatch.setenv("REPRO_SIM_TIMELINE_WINDOW", raw)
-        emitter = RemarkEmitter()
-        with collecting(emitter):
-            with pytest.warns(RuntimeWarning, match=reason):
-                assert timeline_window() == used
-        (remark,) = [r for r in emitter
-                     if r.name == "TimelineWindowClamped"]
-        args = dict(remark.args)
-        assert args["used"] == used
-        assert args["reason"] == reason
 
 
 # ---------------------------------------------------------------------
@@ -205,10 +184,8 @@ class TestTimelineTierIdentity:
                 module = wl.build_variant(variant)
                 mem = Memory(machine.line_size)
                 prepared = wl.prepare(mem)
-                # Explicit False (not None) so an ambient
-                # REPRO_SIM_TIMELINE=1 cannot turn the "off" runs on.
                 recorder = (TimelineRecorder(window=2000)
-                            if timeline else False)
+                            if timeline else None)
                 interp = Interpreter(module, mem, machine=machine,
                                      fastpath=fastpath,
                                      telemetry=True,
@@ -362,9 +339,23 @@ class TestTimelineCacheInteraction:
         from repro.bench.cache import run_key
         from repro.workloads import IntegerSort
         wl = IntegerSort(num_keys=500, num_buckets=1 << 10)
-        base = run_key("ir", HASWELL, wl, True)
-        assert run_key("ir", HASWELL, wl, True, timeline=True) != base
-        assert run_key("ir", HASWELL, wl, True, timeline=False) == base
+        base = run_key("ir", HASWELL, wl, True, SimOptions())
+        on = SimOptions(timeline_window=2000)
+        assert run_key("ir", HASWELL, wl, True, on) != base
+        assert run_key("ir", HASWELL, wl, True,
+                       SimOptions(timeline_window=None)) == base
+
+    def test_window_is_part_of_the_key(self, tmp_path):
+        """A cached run at one window must not answer another."""
+        from repro.bench.cache import RunCache
+        from repro.telemetry.report import timeline_rows
+        from repro.workloads import IntegerSort
+        cache = RunCache(tmp_path)
+        for window in (5000, 20000):
+            (row,) = timeline_rows(
+                [IntegerSort(num_keys=2000, num_buckets=1 << 14)],
+                HASWELL, window=window, cache=cache)
+            assert row["timeline"]["window_cycles"] == window
 
     def test_timeline_snapshot_rides_the_disk_cache(self, tmp_path):
         from repro.bench.cache import RunCache
@@ -374,7 +365,7 @@ class TestTimelineCacheInteraction:
         def run(cache):
             wl = IntegerSort(num_keys=500, num_buckets=1 << 10)
             return run_variant(wl, "auto", HASWELL, cache=cache,
-                               timeline=TimelineRecorder(window=2000))
+                               sim=SimOptions(timeline_window=2000))
 
         cache = RunCache(tmp_path / "cache")
         first = run(cache)

@@ -357,10 +357,9 @@ class TestDeoptGuards:
 
 
 class TestGates:
-    def test_default_engine_traces_hot_loops(self, monkeypatch):
+    def test_default_engine_traces_hot_loops(self):
         """A default interpreter compiles a trace once a loop header
         reaches the fixed hotness threshold — no switch needed."""
-        monkeypatch.delenv("REPRO_SIM_FASTPATH", raising=False)
         n = 512
         mem = Memory(HASWELL.line_size)
         a = mem.allocate(8, n, "a")

@@ -4,7 +4,7 @@
 Times the figure experiments under both engines and writes
 ``BENCH_sim_throughput.json``:
 
-* **slow** — ``REPRO_SIM_FASTPATH=0`` (reference interpreter and full
+* **slow** — the reference engine (per-instruction interpreter and full
   hierarchy walks), no result cache;
 * **fast cold** — the fast engine (fused segments, hot-line memo and
   the trace JIT compiling hot loops), **no result cache** (cold phases
@@ -79,25 +79,23 @@ def run_phase(suite, fastpath: bool, cache_dir: str | None) -> dict:
     Returns per-figure wall seconds and simulated-instruction deltas
     (the latter are zero for runs served from the disk cache).
     """
-    from repro.bench.runner import TELEMETRY, reset_telemetry
-    os.environ["REPRO_SIM_FASTPATH"] = "1" if fastpath else "0"
-    if cache_dir is None:
-        os.environ["REPRO_SIM_CACHE"] = "0"
-    else:
-        os.environ["REPRO_SIM_CACHE"] = "1"
-        os.environ["REPRO_SIM_CACHE_DIR"] = cache_dir
+    from repro.bench.cache import RunCache
+    from repro.bench.runner import TELEMETRY, reset_telemetry, run_defaults
+    from repro.envcfg import SimOptions
+    cache = RunCache(cache_dir) if cache_dir is not None else None
     reset_telemetry()
     walls = {}
     insts = {}
     total = 0.0
-    for name, fn in suite:
-        before = TELEMETRY["simulated_instructions"]
-        t0 = time.perf_counter()
-        fn()
-        walls[name] = round(time.perf_counter() - t0, 3)
-        insts[name] = TELEMETRY["simulated_instructions"] - before
-        total += walls[name]
-        print(f"  {name:6s} {walls[name]:8.2f}s", flush=True)
+    with run_defaults(SimOptions(fastpath=fastpath), cache):
+        for name, fn in suite:
+            before = TELEMETRY["simulated_instructions"]
+            t0 = time.perf_counter()
+            fn()
+            walls[name] = round(time.perf_counter() - t0, 3)
+            insts[name] = TELEMETRY["simulated_instructions"] - before
+            total += walls[name]
+            print(f"  {name:6s} {walls[name]:8.2f}s", flush=True)
     return {"figures": walls, "instructions": insts,
             "total_s": round(total, 3), "telemetry": dict(TELEMETRY)}
 
@@ -129,11 +127,6 @@ def host_metadata() -> dict:
         "git_sha": sha,
         "timestamp_utc": datetime.datetime.now(
             datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        # Ambient engine gate at report time (the phases above pin
-        # their own value; this records what the *caller's* environment
-        # was, so a report produced under an unusual setting says so).
-        "tier_env": {"REPRO_SIM_FASTPATH":
-                     os.environ.get("REPRO_SIM_FASTPATH")},
     }
 
 
@@ -280,12 +273,9 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         suite = [(name, fn) for name, fn in suite if name in wanted]
-    saved = {k: os.environ.get(k) for k in
-             ("REPRO_SIM_FASTPATH", "REPRO_SIM_CACHE",
-              "REPRO_SIM_CACHE_DIR")}
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
-        print("slow path (REPRO_SIM_FASTPATH=0, no cache):", flush=True)
+        print("slow path (reference engine, no cache):", flush=True)
         slow = run_phase(suite, fastpath=False, cache_dir=None)
         print("fast engine, cold (no cache):", flush=True)
         cold = run_phase(suite, fastpath=True, cache_dir=None)
@@ -295,11 +285,6 @@ def main(argv=None) -> int:
         warm = run_phase(suite, fastpath=True, cache_dir=cache_dir)
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
 
     report = build_report(suite, args, slow, cold, populate, warm)
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")

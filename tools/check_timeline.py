@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -149,9 +148,6 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.telemetry.perfetto import canonical_json
 
-    # The disk cache is forced off per-call, but be explicit for the
-    # subprocesses CI may add later.
-    os.environ["REPRO_SIM_CACHE"] = "0"
     first = collect_trace(small=not args.full)
     counts = check_trace(first)
     print(f"  trace: {sum(counts.values())} events "

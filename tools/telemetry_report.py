@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -32,7 +31,8 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / \
 
 def check_identity(small: bool) -> None:
     """Assert telemetry never changes measured cycles (both engines)."""
-    from repro.bench.runner import run_variant
+    from repro.bench.runner import run_defaults, run_variant
+    from repro.envcfg import SimOptions
     from repro.machine.configs import A53, HASWELL
     from repro.workloads import IntegerSort, hj2
 
@@ -42,17 +42,15 @@ def check_identity(small: bool) -> None:
                 (hj2(num_probes=2_000, num_buckets=1 << 13)
                  if small else hj2(), A53)]
 
-    saved = os.environ.get("REPRO_SIM_FASTPATH")
-    try:
-        for variant in ("plain", "auto"):
-            for fastpath in ("0", "1"):
-                os.environ["REPRO_SIM_FASTPATH"] = fastpath
-                cycles = {}
-                for telemetry in (False, True):
+    for variant in ("plain", "auto"):
+        for fastpath in (False, True):
+            cycles = {}
+            for telemetry in (False, True):
+                with run_defaults(SimOptions(fastpath=fastpath,
+                                             telemetry=telemetry)):
                     for workload, machine in make_pairs():
                         result = run_variant(workload, variant, machine,
-                                             cache=False,
-                                             telemetry=telemetry)
+                                             cache=False)
                         key = (workload.name, machine.name)
                         if telemetry:
                             assert cycles[key] == result.cycles, (
@@ -63,11 +61,6 @@ def check_identity(small: bool) -> None:
                         else:
                             cycles[key] = result.cycles
                             assert result.telemetry is None
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SIM_FASTPATH", None)
-        else:
-            os.environ["REPRO_SIM_FASTPATH"] = saved
     print("identity check passed: telemetry on/off cycles bit-identical "
           "under both engine paths")
 
