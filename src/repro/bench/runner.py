@@ -38,31 +38,11 @@ TELEMETRY = {"simulated_runs": 0, "cached_runs": 0,
              "simulated_instructions": 0}
 
 
-def _make_metrics():
-    from ..obs.metrics import SECONDS_BUCKETS, Registry
-    registry = Registry()
-    runs = registry.counter(
-        "repro_bench_runs_total",
-        "Bench variant runs by workload, variant, machine, and "
-        "whether the disk cache answered.",
-        labels=("workload", "variant", "machine", "cached"))
-    stages = registry.histogram(
-        "repro_bench_stage_seconds",
-        "Wall time per bench pipeline stage "
-        "(build, prepare, simulate, validate).",
-        labels=("stage",), unit="seconds", buckets=SECONDS_BUCKETS)
-    return registry, runs, stages
-
-
-#: In-process labeled metrics over the same registry machinery the
-#: serve path exposes (see docs/OBSERVABILITY.md).  ``repro bench
-#: --obs-out FILE`` writes the Prometheus text exposition after a run.
-METRICS, RUNS_COUNTER, STAGE_SECONDS = _make_metrics()
-
 #: Where simulated runs append their compiled-trace rows while
 #: :func:`collecting_traces` is active; ``None`` the rest of the time,
 #: so long-lived processes keep nothing.
-_TRACE_ROWS: list[dict] | None = None
+_TRACE_ROWS: ContextVar[list[dict] | None] = ContextVar(
+    "repro_trace_rows", default=None)
 
 
 #: ``(sim, cache)`` that ``None`` arguments of :func:`run_variant` and
@@ -111,12 +91,12 @@ def collecting_traces():
     inside the block, each tagged with the run's workload/variant/
     machine — the raw material of ``repro bench --hot-report``.  Pooled
     workers and cache hits contribute nothing."""
-    global _TRACE_ROWS
-    saved, _TRACE_ROWS = _TRACE_ROWS, []
+    rows: list[dict] = []
+    token = _TRACE_ROWS.set(rows)
     try:
-        yield _TRACE_ROWS
+        yield rows
     finally:
-        _TRACE_ROWS = saved
+        _TRACE_ROWS.reset(token)
 
 
 @dataclass
@@ -168,26 +148,13 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
         never change the measured cycles; their snapshots ride the
         result, and the whole value is part of the run's cache key.
     """
-    import time as _time
-
-    def _staged(stage, start):
-        STAGE_SECONDS.labels(stage=stage).observe(
-            _time.perf_counter() - start)
-
-    def _finished(cached: bool):
-        RUNS_COUNTER.labels(workload=workload.name, variant=variant,
-                            machine=machine.name,
-                            cached="true" if cached else "false").inc()
-
     with span("bench", "run_variant", workload=workload.name,
               variant=variant, machine=machine.name) as job:
-        t0 = _time.perf_counter()
         with span("bench", "build", workload=workload.name,
                   variant=variant):
             module = workload.build_variant(
                 variant, lookahead=lookahead, options=options,
                 **manual_knobs)
-        _staged("build", t0)
         sim, run_cache = _resolved(sim, cache)
         hit = key = None
         if run_cache is not None:
@@ -197,10 +164,8 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
                           validate, sim)
             hit = run_cache.get(key)
         memory = Memory(machine.line_size)
-        t0 = _time.perf_counter()
         with span("bench", "prepare", workload=workload.name):
             prepared = workload.prepare(memory)
-        _staged("prepare", t0)
         if hit is not None:
             try:
                 out = VariantResult(**hit)
@@ -212,7 +177,6 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
             else:
                 job["cached"] = True
                 TELEMETRY["cached_runs"] += 1
-                _finished(cached=True)
                 return out
         job["cached"] = False
         interp = Interpreter(
@@ -220,17 +184,12 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
             telemetry=sim.telemetry,
             timeline=(TimelineRecorder(window=sim.timeline_window)
                       if sim.timeline_window is not None else None))
-        t0 = _time.perf_counter()
         with span("bench", "simulate", workload=workload.name,
                   variant=variant, machine=machine.name):
             result = interp.run(workload.entry, prepared.args)
-        _staged("simulate", t0)
         if validate:
-            t0 = _time.perf_counter()
             with span("bench", "validate", workload=workload.name):
                 prepared.validate()
-            _staged("validate", t0)
-        _finished(cached=False)
         ms = result.memory_system
         out = VariantResult(
             workload=workload.name,
@@ -248,11 +207,12 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
             timeline=result.timeline)
         TELEMETRY["simulated_runs"] += 1
         TELEMETRY["simulated_instructions"] += out.instructions
-        if _TRACE_ROWS is not None:
+        trace_rows = _TRACE_ROWS.get()
+        if trace_rows is not None:
             for row in interp.trace_report():
                 row.update(workload=workload.name, variant=variant,
                            machine=machine.name)
-                _TRACE_ROWS.append(row)
+                trace_rows.append(row)
         if run_cache is not None:
             run_cache.put(key, dataclasses.asdict(out))
         return out

@@ -527,14 +527,45 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
             "a figure (" + ", ".join(sorted(_FIGURES)) + ")")
     if args.hot_report:
         return _bench_hot_report(figure, args, out)
-    print(figure(args.small, args.jobs), file=out)
-    if args.obs_out:
-        from .bench.runner import METRICS
-        with open(args.obs_out, "w") as handle:
-            handle.write(METRICS.render_prometheus())
-        print(f"wrote bench metrics exposition to {args.obs_out}",
-              file=sys.stderr)
+    if not args.obs_out:
+        print(figure(args.small, args.jobs), file=out)
+        return 0
+    from .telemetry.spans import SpanRecorder, recording
+    with recording(SpanRecorder()) as recorder:
+        print(figure(args.small, args.jobs), file=out)
+    with open(args.obs_out, "w") as handle:
+        handle.write(_bench_metrics(recorder).render_prometheus())
+    print(f"wrote bench metrics exposition to {args.obs_out}",
+          file=sys.stderr)
     return 0
+
+
+def _bench_metrics(recorder):
+    """The ``--obs-out`` registry, built from one run's ``bench``
+    spans: a counter of the ``run_variant`` spans and a histogram of
+    the stage spans inside them."""
+    from .obs.metrics import SECONDS_BUCKETS, Registry
+    registry = Registry()
+    runs = registry.counter(
+        "repro_bench_runs_total",
+        "Bench variant runs by workload, variant, machine, and "
+        "whether the disk cache answered.",
+        labels=("workload", "variant", "machine", "cached"))
+    stages = registry.histogram(
+        "repro_bench_stage_seconds",
+        "Wall time per bench pipeline stage "
+        "(build, prepare, simulate, validate).",
+        labels=("stage",), unit="seconds", buckets=SECONDS_BUCKETS)
+    for record in recorder.spans("bench"):
+        args = record["args"]
+        if record["name"] == "run_variant":
+            runs.labels(workload=args["workload"],
+                        variant=args["variant"], machine=args["machine"],
+                        cached="true" if args["cached"] else "false").inc()
+        else:
+            stages.labels(stage=record["name"]).observe(
+                record["dur_us"] / 1e6)
+    return registry
 
 
 #: fig4 letters pin their machine (paper Table 1 names).

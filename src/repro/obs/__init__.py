@@ -8,10 +8,10 @@ path (and, more lightly, the bench runner):
   snapshot ``repro serve`` has always answered on ``GET /metrics``,
   plus the Prometheus text format on ``/metrics?format=prometheus``.
   Also home of the shared ceil-based nearest-rank percentile.
-* :mod:`repro.obs.trace` — request IDs minted at admission, the
-  bounded per-request trace buffer, and the merge of server-side
-  stage spans with worker-side :class:`~repro.telemetry.spans.
-  SpanRecorder` spans into one cross-process span tree.
+* :mod:`repro.obs.trace` — request IDs minted at admission and the
+  bounded per-request trace buffer, whose records merge the server's
+  and the pool worker's :class:`~repro.telemetry.spans.SpanRecorder`
+  spans into one cross-process span tree.
 * :mod:`repro.obs.logs` — structured access/event logging
   (``repro-serve-log-v1``), one line per request, ``json`` or
   ``text``.

@@ -5,7 +5,9 @@ Passes do not take an emitter parameter — they call the module-level
 with :func:`collecting` (or by an instrumented
 :class:`~repro.passes.pass_manager.PassManager`).  This keeps every
 pass's hot path free of remark plumbing when remarks are off: the only
-cost is one global read per candidate event.
+cost is one context-variable read per candidate event.  Scopes nest,
+and each thread and asyncio task sees only the emitter its own context
+installed.
 
 Usage::
 
@@ -21,12 +23,14 @@ Usage::
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator
 
 from .remark import Remark
 
-#: Stack of installed emitters; the innermost scope receives remarks.
-_ACTIVE: list["RemarkEmitter"] = []
+#: The innermost installed emitter of this context; it receives remarks.
+_EMITTER: ContextVar["RemarkEmitter | None"] = ContextVar(
+    "repro_remark_emitter", default=None)
 
 
 class RemarkEmitter:
@@ -66,18 +70,18 @@ class RemarkEmitter:
 
 
 def active_emitter() -> RemarkEmitter | None:
-    """The innermost installed emitter, or ``None``."""
-    return _ACTIVE[-1] if _ACTIVE else None
+    """The innermost emitter this context installed, or ``None``."""
+    return _EMITTER.get()
 
 
 @contextmanager
 def collecting(emitter: RemarkEmitter):
     """Install ``emitter`` as the remark sink for the dynamic extent."""
-    _ACTIVE.append(emitter)
+    token = _EMITTER.set(emitter)
     try:
         yield emitter
     finally:
-        _ACTIVE.pop()
+        _EMITTER.reset(token)
 
 
 def emit(kind: str, pass_name: str, name: str, *, function: str = "",

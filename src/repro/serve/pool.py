@@ -51,7 +51,7 @@ def _worker_main(conn, index: int) -> None:
         pass
     # Import here, not at module top: under the spawn start method the
     # child imports this module before repro's heavyweight packages.
-    from ..telemetry.spans import SpanRecorder
+    from ..telemetry.spans import SpanRecorder, recording
     from .protocol import execute_request
     parent = os.getppid()
     while True:
@@ -69,28 +69,20 @@ def _worker_main(conn, index: int) -> None:
             break
         if job is None:
             break
-        # The server may wrap the job with an observability context
-        # ({"_obs": {...}, "job": <canonical request>}); a traced job
-        # executes under a SpanRecorder whose records travel back in
-        # the out-of-band ``_trace`` section (the server strips it
-        # before the payload reaches the CAS or any client).
-        obs = None
-        if isinstance(job, dict) and "_obs" in job:
-            obs = job["_obs"]
-            job = job["job"]
-        recorder = (SpanRecorder()
-                    if obs is not None and obs.get("trace") else None)
+        # Every job runs under its own SpanRecorder; the records travel
+        # back in the out-of-band ``_trace`` section, which the server
+        # strips before the payload reaches the CAS or any client.
+        recorder = SpanRecorder()
         try:
-            out = execute_request(job, recorder=recorder)
+            with recording(recorder):
+                out = execute_request(job)
         except BaseException as exc:
             out = {"schema": "repro-serve-result-v1", "status": "error",
                    "code": 500,
                    "error": f"{type(exc).__name__}: {exc}",
                    "traceback": traceback.format_exc()}
-        if recorder is not None and isinstance(out, dict):
-            out["_trace"] = {
-                "worker_spans": recorder.snapshot()["records"],
-                "worker": index, "pid": os.getpid()}
+        out["_trace"] = {"worker_spans": recorder.snapshot()["records"],
+                         "worker": index, "pid": os.getpid()}
         try:
             conn.send(out)
         except (BrokenPipeError, OSError):
@@ -188,29 +180,22 @@ class WorkerPool:
         self._event("worker_restart", worker=worker.index,
                     pid=worker.process.pid)
 
-    def _submit_sync(self, payload: dict, deadline: float | None,
-                     timeout: float | None,
-                     obs: dict | None = None) -> dict:
+    def _submit_sync(self, payload: dict, admitted: float,
+                     timeout: float | None) -> dict:
         """Blocking submit, run on a pool I/O thread.
 
-        ``deadline`` is absolute (``time.monotonic``), stamped at
-        admission in :meth:`run` — time a job spends queued behind
-        other work on these threads counts against its budget, so
-        client-visible latency really is bounded by the advertised
-        per-request deadline.
+        ``admitted`` is the ``time.monotonic()`` of the :meth:`run`
+        call, and the deadline counts from it: time a job spends queued
+        for one of these threads or for an idle worker counts against
+        its budget, so client-visible latency really is bounded by the
+        advertised per-request deadline.  The same wait, up to the
+        ``send`` to a worker, is the job's queue stage: it comes back
+        as ``_trace["queue_s"]``, or as the ``queue_s`` attribute of
+        the :class:`JobTimeout` / :class:`WorkerCrash` raised.
         """
-        queued_at = time.monotonic()
+        deadline = None if timeout is None else admitted + timeout
         worker = self._idle.get()
-        if obs is not None:
-            # Queue wait plus trace context ride to the worker in an
-            # ``_obs`` envelope; workers unwrap it (bare payloads — the
-            # non-traced path and direct pool users — pass through
-            # untouched, keeping the wire format backward-compatible).
-            obs["queue_ms"] = (time.monotonic() - queued_at) * 1e3
-            if obs.get("trace"):
-                payload = {"_obs": {"trace": True,
-                                    "request_id": obs.get("request_id")},
-                           "job": payload}
+        sent = None
         try:
             if deadline is not None and time.monotonic() >= deadline:
                 # The budget burned down in the queue; the worker was
@@ -225,40 +210,41 @@ class WorkerPool:
                 # one respawn-and-retry before giving up.
                 self._recycle(worker)
                 worker.conn.send(payload)
+            sent = time.monotonic()
             try:
                 if deadline is not None and \
-                        not worker.conn.poll(
-                            max(0.0, deadline - time.monotonic())):
+                        not worker.conn.poll(max(0.0, deadline - sent)):
                     self._recycle(worker)
                     raise JobTimeout(
                         f"job exceeded {timeout:.1f}s; worker "
                         f"{worker.index} was recycled")
-                return worker.conn.recv()
+                out = worker.conn.recv()
             except (EOFError, OSError) as exc:
                 self._recycle(worker)
                 raise WorkerCrash(
                     f"worker {worker.index} died mid-job") from exc
+        except (JobTimeout, WorkerCrash) as exc:
+            exc.queue_s = (time.monotonic() if sent is None
+                           else sent) - admitted
+            raise
         finally:
             self._idle.put(worker)
+        out["_trace"]["queue_s"] = sent - admitted
+        return out
 
     async def run(self, payload: dict,
-                  timeout: float | None = None,
-                  obs: dict | None = None) -> dict:
+                  timeout: float | None = None) -> dict:
         """Execute ``payload`` on a worker; raises :class:`JobTimeout`
         or :class:`WorkerCrash` on reclaim.  The deadline clock starts
         *now* (admission), not when an I/O thread picks the job up.
 
-        ``obs`` (optional, mutated in place) is the observability
-        context: on return ``obs["queue_ms"]`` holds the measured
-        idle-slot wait, and ``obs["trace"] = True`` asks the worker to
-        record execution spans (returned via the result's ``_trace``
-        section)."""
+        The answer carries an out-of-band ``_trace`` section — the
+        worker's span records, its index and pid, and the queue wait
+        ``queue_s`` — which callers pop before using the payload."""
         loop = asyncio.get_running_loop()
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
         return await loop.run_in_executor(
-            self._threads, self._submit_sync, payload, deadline,
-            timeout, obs)
+            self._threads, self._submit_sync, payload, time.monotonic(),
+            timeout)
 
     def close(self) -> None:
         """Stop every worker and the I/O threads.

@@ -261,7 +261,7 @@ def _execute_compile(norm: dict) -> dict:
     return out
 
 
-def execute_request(norm: dict, recorder=None) -> dict:
+def execute_request(norm: dict) -> dict:
     """Run one canonical request to completion (worker process).
 
     Returns the ``repro-serve-result-v1`` payload.  Compile errors in
@@ -269,18 +269,18 @@ def execute_request(norm: dict, recorder=None) -> dict:
     ``code: 400`` (the client's fault); anything else unexpected is the
     caller's job to catch.
 
-    ``recorder`` optionally supplies an external
-    :class:`~repro.telemetry.spans.SpanRecorder` (the pool passes one
-    for traced requests) — it is installed for the run but its records
-    are *not* added to the payload unless the request also asked for
-    ``include: ["spans"]``, so the client-visible result is identical
-    with and without tracing.
+    Spans go to the active :class:`~repro.telemetry.spans.SpanRecorder`
+    (the pool worker installs one per job) under a top-level
+    ``execute`` span.  Only ``include: ["spans"]`` puts them in the
+    payload, recording into a fresh recorder when none is active, so
+    the client-visible result is the same with and without tracing.
     """
     from contextlib import ExitStack
 
     from ..remarks import RemarkEmitter, collecting
     from ..remarks.serialize import remark_to_dict
-    from ..telemetry.spans import SpanRecorder, recording, span
+    from ..telemetry.spans import (SpanRecorder, active_recorder,
+                                   recording, span)
 
     include = norm.get("include", [])
     want_spans = "spans" in include
@@ -288,6 +288,7 @@ def execute_request(norm: dict, recorder=None) -> dict:
     payload: dict = {"schema": SCHEMA_RESULT, "status": "ok",
                      "kind": norm["kind"]}
     emitter = RemarkEmitter() if "remarks" in include else None
+    recorder = active_recorder()
     if recorder is None and want_spans:
         recorder = SpanRecorder()
 
@@ -305,11 +306,10 @@ def execute_request(norm: dict, recorder=None) -> dict:
                 stack.enter_context(collecting(emitter))
             if recorder is not None:
                 stack.enter_context(recording(recorder))
-                # A top-level span guarantees every traced job shows at
-                # least one worker-side record (sleep jobs have no
-                # instrumented interior).
-                stack.enter_context(
-                    span("serve", "execute", kind=norm["kind"]))
+            # A top-level span guarantees every traced job shows at
+            # least one worker-side record (sleep jobs have no
+            # instrumented interior).
+            stack.enter_context(span("serve", "execute", kind=norm["kind"]))
             payload["result"] = body()
     except Exception as exc:
         if norm["kind"] == "compile":

@@ -51,8 +51,9 @@ from dataclasses import dataclass, field
 from ..envcfg import env_int
 from ..obs.logs import AccessLogger
 from ..obs.metrics import LATENCY_BUCKETS_MS, Registry
-from ..obs.trace import (DEFAULT_CAPACITY, RequestSpans, TraceBuffer,
-                         make_record, new_request_id, worker_stage_ms)
+from ..obs.trace import (DEFAULT_CAPACITY, TraceBuffer, make_record,
+                         new_request_id)
+from ..telemetry.spans import SpanRecorder, recording, span
 from .cas import ContentStore, valid_key
 from .http import (ProtocolError, error_body, read_request,
                    render_response, wants_close)
@@ -103,9 +104,35 @@ class ServeConfig:
         return self.cache_dir or DEFAULT_STORE_DIR
 
 
+#: Which span feeds which stage histogram, for the waiter's, the job's
+#: and the worker's records alike.  Keyed on the category too, so a
+#: worker-side ``("cache", "probe")`` never counts as the server's
+#: ``probe``; ``job_wait`` overlaps the job's stages and feeds none.
+STAGE_OF = {
+    ("serve", "admission"): "admission",
+    ("serve", "probe"): "probe",
+    ("serve", "queue"): "queue",
+    ("serve", "worker"): "worker",
+    ("bench", "build"): "compile",
+    ("frontend", "compile_source"): "compile",
+    ("bench", "simulate"): "simulate",
+    ("serve", "store"): "store",
+}
+
 #: Pipeline stages with their own latency histogram series.
-STAGES = ("admission", "probe", "queue", "worker", "compile",
-          "simulate", "store")
+STAGES = tuple(dict.fromkeys(STAGE_OF.values()))
+
+
+def stage_ms(records: list[dict]) -> dict[str, float]:
+    """Milliseconds per stage: the summed durations of the span
+    records :data:`STAGE_OF` maps to it (stages with no span absent)."""
+    out: dict[str, float] = {}
+    for record in records:
+        stage = STAGE_OF.get((record["category"], record["name"]))
+        if stage is not None and record["type"] == "span":
+            out[stage] = out.get(stage, 0.0) + record["dur_us"] / 1e3
+    return out
+
 
 #: Path → bounded ``route`` label (raw paths would be unbounded
 #: cardinality — every bad URL a new series).
@@ -214,10 +241,10 @@ class ServeMetrics:
             workload=norm.get("workload", "-"),
             tier=norm.get("tier", "-"), status=str(status)).inc()
 
-    def observe_stages(self, stage_ms: dict) -> None:
-        for stage, ms in stage_ms.items():
-            if stage in STAGES:
-                self.stage_latency.labels(stage=stage).observe(ms)
+    def observe_stages(self, records: list[dict]) -> None:
+        """One sample per stage the span records cover."""
+        for stage, ms in stage_ms(records).items():
+            self.stage_latency.labels(stage=stage).observe(ms)
 
     def coalesce_hit(self) -> None:
         self._coalesce.inc()
@@ -348,9 +375,10 @@ class _Inflight:
     future: asyncio.Future
     #: Request id of the admitting waiter (names the shared job).
     request_id: str = ""
-    #: ``time.perf_counter()`` at job creation — coalesced waiters
-    #: place the job section on their own timelines from this.
-    started: float = 0.0
+    #: The job's spans; its epoch (job creation) places the job
+    #: section on each coalesced waiter's timeline.
+    recorder: SpanRecorder = field(default_factory=SpanRecorder,
+                                   compare=False)
     waiters: int = 1
     task: asyncio.Task | None = field(default=None, compare=False)
     #: Filled by the job task on completion: the shared trace section
@@ -465,8 +493,11 @@ class Server:
                 status, body = await self._get_store(
                     path[len("/v1/store/"):])
             elif path == "/v1/jobs" and method == "POST":
-                status, body, headers = await self._submit(
-                    request, request_id, log_ctx)
+                # Each connection is its own task, so each waiter's
+                # recorder receives its own spans only.
+                with recording(SpanRecorder()) as spans:
+                    status, body, headers = await self._submit(
+                        request, request_id, spans, log_ctx)
             elif path in ("/healthz", "/metrics", "/v1/jobs") or \
                     path.startswith(("/v1/store/", "/v1/trace/")):
                 status = 405
@@ -514,7 +545,7 @@ class Server:
 
     # -- job submission -----------------------------------------------
 
-    def _finish_submit(self, request_id: str, spans: RequestSpans,
+    def _finish_submit(self, request_id: str, spans: SpanRecorder,
                        norm: dict, key: str | None, status: int,
                        outcome: str, log_ctx: dict,
                        entry: _Inflight | None = None) -> None:
@@ -527,10 +558,11 @@ class Server:
         started)."""
         job = None
         if entry is not None and entry.job_info is not None:
-            offset = max(0, int((entry.started - spans.epoch) * 1e6))
+            offset = max(0, int((entry.recorder.epoch - spans.epoch)
+                                * 1e6))
             job = dict(entry.job_info, start_offset_us=offset)
         self.metrics.observe_job(norm, status)
-        self.metrics.observe_stages(spans.stage_ms())
+        self.metrics.observe_stages(spans.records)
         self.traces.put(make_record(
             request_id, key=key, kind=norm["kind"],
             workload=norm.get("workload", "-"),
@@ -541,30 +573,28 @@ class Server:
                        tier=norm.get("tier"))
 
     async def _submit(self, request: dict, request_id: str,
-                      log_ctx: dict):
-        spans = RequestSpans()
-        admit_start = spans.now_us()
-        try:
-            raw = json.loads(request["body"] or b"")
-        except ValueError:
-            return 400, error_body(400, "request body is not valid "
-                                        "JSON"), {}
-        if isinstance(raw, dict) and "include" in request["query"]:
-            # ?include=telemetry,remarks overrides the body field.
-            raw = dict(raw, include=request["query"]["include"])
-        try:
-            norm = normalize_request(raw, debug=self.config.debug)
-        except RequestError as exc:
-            return 400, error_body(400, str(exc)), {}
-        spans.span("admission", admit_start,
-                   {"kind": norm["kind"]})
+                      spans: SpanRecorder, log_ctx: dict):
+        with span("serve", "admission") as admission:
+            try:
+                raw = json.loads(request["body"] or b"")
+            except ValueError:
+                return 400, error_body(400, "request body is not valid "
+                                            "JSON"), {}
+            if isinstance(raw, dict) and "include" in request["query"]:
+                # ?include=telemetry,remarks overrides the body field.
+                raw = dict(raw, include=request["query"]["include"])
+            try:
+                norm = normalize_request(raw, debug=self.config.debug)
+            except RequestError as exc:
+                return 400, error_body(400, str(exc)), {}
+            admission["kind"] = norm["kind"]
+            key = request_key(norm)
 
-        key = request_key(norm)
         storable = norm["kind"] != "sleep"
         if storable:
-            probe_start = spans.now_us()
-            hit = await self._store_io(self.store.get, key)
-            spans.span("probe", probe_start, {"hit": hit is not None})
+            with span("serve", "probe") as probe:
+                hit = await self._store_io(self.store.get, key)
+                probe["hit"] = hit is not None
             if hit is not None:
                 self.metrics.cas_hit()
                 self._finish_submit(request_id, spans, norm, key,
@@ -588,8 +618,7 @@ class Server:
                     {"Retry-After": "1"}
             loop = asyncio.get_running_loop()
             entry = _Inflight(future=loop.create_future(),
-                              request_id=request_id,
-                              started=time.perf_counter())
+                              request_id=request_id)
             self._inflight[key] = entry
             # The job task is detached from every client connection:
             # a disconnecting waiter can never cancel the simulation
@@ -598,17 +627,14 @@ class Server:
                 self._run_job(key, norm, storable, entry))
             coalesced = False
 
-        wait_start = spans.now_us()
-
         def finish(status: int, outcome: str) -> None:
-            spans.span("job_wait", wait_start,
-                       {"coalesced": coalesced,
-                        "job_request_id": entry.request_id})
             self._finish_submit(request_id, spans, norm, key, status,
                                 outcome, log_ctx, entry=entry)
 
         try:
-            payload = await asyncio.shield(entry.future)
+            with span("serve", "job_wait", coalesced=coalesced,
+                      job_request_id=entry.request_id):
+                payload = await asyncio.shield(entry.future)
         except JobTimeout as exc:
             finish(504, "timeout")
             return 504, error_body(504, str(exc)), {}
@@ -639,75 +665,75 @@ class Server:
         future = entry.future
         payload: dict | None = None
         error: BaseException | None = None
-        jspans = RequestSpans()  # job timeline: zero = job creation
-        obs: dict = {"trace": True, "request_id": entry.request_id}
-        worker_trace: dict | None = None
+        worker_trace: dict = {}
         queue_end = 0
-        try:
-            queue_start = jspans.now_us()
+        # The task inherited the admitting waiter's context; the job
+        # records into its own recorder (zero = job creation).
+        with recording(entry.recorder) as spans:
             try:
-                payload = await self.pool.run(
-                    norm, timeout=self.config.timeout_s, obs=obs)
-            except JobTimeout as exc:
-                self.metrics.timeout()
-                error = exc
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                self.metrics.job_error()
-                error = exc
-            queue_end = queue_start + int(
-                obs.get("queue_ms", 0.0) * 1e3)
-            jspans.span("queue", queue_start, end_us=queue_end)
-            jspans.span("worker", queue_end,
-                        {"ok": error is None,
-                         "request_id": entry.request_id})
-            if payload is not None:
-                # The worker's span records ride out-of-band and are
-                # stripped here: neither the CAS nor any client may
-                # see them (results stay byte-identical with tracing
-                # on or off).
-                worker_trace = payload.pop("_trace", None)
-            if error is None and payload is not None:
-                self.metrics.job_executed()
-                if payload.get("status") != "ok":
+                queue_start = spans.now_us()
+                try:
+                    payload = await self.pool.run(
+                        norm, timeout=self.config.timeout_s)
+                except JobTimeout as exc:
+                    self.metrics.timeout()
+                    error = exc
+                except asyncio.CancelledError:
+                    raise
+                except Exception as exc:
                     self.metrics.job_error()
-                elif storable:
-                    store_start = jspans.now_us()
-                    try:
-                        await self._store_io(self.store.put, key,
-                                             payload)
-                        jspans.span("store", store_start, {"key": key})
-                        await self._maybe_gc()
-                    except asyncio.CancelledError:
-                        raise
-                    except Exception:
-                        # A full disk (or an unserialisable payload
-                        # field) degrades to cache-miss behaviour; it
-                        # must never fail the finished simulation.
-                        pass
-        finally:
-            job_info = {"request_id": entry.request_id,
-                        "spans": jspans.records,
-                        "worker_anchor_us": queue_end}
-            if worker_trace:
-                job_info["worker_spans"] = \
-                    worker_trace.get("worker_spans", [])
-                job_info["worker"] = worker_trace.get("worker")
-                job_info["pid"] = worker_trace.get("pid")
-            entry.job_info = job_info
-            self.metrics.observe_stages(
-                {**jspans.stage_ms(),
-                 **worker_stage_ms(
-                     (worker_trace or {}).get("worker_spans", []))})
-            self._inflight.pop(key, None)
-            if not future.done():
-                if error is not None:
-                    future.set_exception(error)
-                elif payload is not None:
-                    future.set_result(payload)
-                else:  # the job task itself was cancelled (shutdown)
-                    future.cancel()
+                    error = exc
+                if payload is not None:
+                    # The worker's span records ride out-of-band and are
+                    # stripped here: neither the CAS nor any client may
+                    # see them (results stay byte-identical with tracing
+                    # on or off).
+                    worker_trace = payload.pop("_trace")
+                    queue_s = worker_trace["queue_s"]
+                else:
+                    queue_s = getattr(error, "queue_s", 0.0)
+                queue_end = queue_start + int(queue_s * 1e6)
+                spans.add_span("serve", "queue", queue_start,
+                               queue_end - queue_start)
+                spans.add_span("serve", "worker", queue_end,
+                               spans.now_us() - queue_end,
+                               {"ok": error is None,
+                                "request_id": entry.request_id})
+                if error is None:
+                    self.metrics.job_executed()
+                    if payload.get("status") != "ok":
+                        self.metrics.job_error()
+                    elif storable:
+                        try:
+                            with span("serve", "store", key=key):
+                                await self._store_io(self.store.put, key,
+                                                     payload)
+                            await self._maybe_gc()
+                        except asyncio.CancelledError:
+                            raise
+                        except Exception:
+                            # A full disk (or an unserialisable payload
+                            # field) degrades to cache-miss behaviour; it
+                            # must never fail the finished simulation.
+                            pass
+            finally:
+                worker_spans = worker_trace.get("worker_spans", [])
+                entry.job_info = {"request_id": entry.request_id,
+                                  "spans": spans.records,
+                                  "worker_anchor_us": queue_end}
+                if worker_trace:
+                    entry.job_info.update(worker_spans=worker_spans,
+                                          worker=worker_trace["worker"],
+                                          pid=worker_trace["pid"])
+                self.metrics.observe_stages(spans.records + worker_spans)
+                self._inflight.pop(key, None)
+                if not future.done():
+                    if error is not None:
+                        future.set_exception(error)
+                    elif payload is not None:
+                        future.set_result(payload)
+                    else:  # the job task itself was cancelled (shutdown)
+                        future.cancel()
 
     async def _maybe_gc(self) -> None:
         """Opportunistic CAS GC: every 32 stores, trim to budget."""

@@ -111,30 +111,36 @@ def timeline_events(label: str, timeline: dict, tid: int) -> list[dict]:
     return events
 
 
-def span_events(recorder) -> list[dict]:
-    """Wall-clock span/instant events from a
-    :class:`~repro.telemetry.spans.SpanRecorder`."""
+def record_events(records: list[dict], pid: int, tid: int | None = None,
+                  offset_us: int = 0) -> list[dict]:
+    """Trace events for :class:`~repro.telemetry.spans.SpanRecorder`
+    records (spans as ``X``, instants as ``i``) on process ``pid``,
+    shifted by ``offset_us``: all on thread ``tid``, or, when ``tid`` is
+    ``None``, on one named thread per span category."""
     events: list[dict] = []
-    seen_tids: set[int] = set()
-    for record in recorder.records:
-        tid = _CATEGORY_TIDS.get(record["category"], _OTHER_TID)
-        if tid not in seen_tids:
-            seen_tids.add(tid)
-            events.append({
-                "ph": "M", "pid": PIPELINE_PID, "tid": tid,
-                "name": "thread_name",
-                "args": {"name": record["category"]}})
+    named: set[int] = set()
+    for record in records:
+        category = record["category"]
+        thread = tid
+        if thread is None:
+            thread = _CATEGORY_TIDS.get(category, _OTHER_TID)
+            if thread not in named:
+                named.add(thread)
+                events.append({
+                    "ph": "M", "pid": pid, "tid": thread,
+                    "name": "thread_name", "args": {"name": category}})
         if record["type"] == "span":
             events.append({
-                "ph": "X", "pid": PIPELINE_PID, "tid": tid,
-                "cat": record["category"], "name": record["name"],
-                "ts": record["start_us"], "dur": record["dur_us"],
-                "args": dict(record["args"])})
+                "ph": "X", "pid": pid, "tid": thread, "cat": category,
+                "name": record["name"],
+                "ts": record["start_us"] + offset_us,
+                "dur": record["dur_us"], "args": dict(record["args"])})
         else:
             events.append({
-                "ph": "i", "s": "t", "pid": PIPELINE_PID, "tid": tid,
-                "cat": record["category"], "name": record["name"],
-                "ts": record["ts_us"], "args": dict(record["args"])})
+                "ph": "i", "s": "t", "pid": pid, "tid": thread,
+                "cat": category, "name": record["name"],
+                "ts": record["ts_us"] + offset_us,
+                "args": dict(record["args"])})
     return events
 
 
@@ -154,36 +160,11 @@ def build_trace(rows: list[dict], recorder=None,
                                           row["timeline"], tid=i + 1))
     if recorder is not None and recorder.records:
         events.extend(_meta(PIPELINE_PID, "pipeline (ts = wall µs)"))
-        events.extend(span_events(recorder))
+        events.extend(record_events(recorder.records, PIPELINE_PID))
     other = {"schema": TRACE_SCHEMA, "generator": "repro timeline"}
     other.update(meta or {})
     return {"traceEvents": events, "displayTimeUnit": "ms",
             "otherData": other}
-
-
-def _record_events(records: list[dict], pid: int, tid: int,
-                   offset_us: int = 0) -> list[dict]:
-    """Render span/instant records (the shared
-    :class:`~repro.telemetry.spans.SpanRecorder` record shape) as
-    trace events on one thread, shifted by ``offset_us``."""
-    events: list[dict] = []
-    for record in records:
-        if record.get("type") == "span":
-            events.append({
-                "ph": "X", "pid": pid, "tid": tid,
-                "cat": record.get("category", "span"),
-                "name": record["name"],
-                "ts": record["start_us"] + offset_us,
-                "dur": record["dur_us"],
-                "args": dict(record.get("args", {}))})
-        elif record.get("type") == "instant":
-            events.append({
-                "ph": "i", "s": "t", "pid": pid, "tid": tid,
-                "cat": record.get("category", "span"),
-                "name": record["name"],
-                "ts": record["ts_us"] + offset_us,
-                "args": dict(record.get("args", {}))})
-    return events
 
 
 def build_request_trace(record: dict) -> dict:
@@ -194,7 +175,7 @@ def build_request_trace(record: dict) -> dict:
     the process boundary under one request id:
 
     * **pid 1 — "server"**: tid 1 carries the waiter's stage spans
-      (admission, CAS probe, job wait, respond); tid 2 carries the
+      (admission, CAS probe, job wait); tid 2 carries the
       shared job's spans (queue, worker round-trip, CAS store),
       anchored at the job's start offset within the waiter's timeline
       (coalesced waiters that joined after the job started anchor at
@@ -208,16 +189,16 @@ def build_request_trace(record: dict) -> dict:
     """
     events = _meta(REQUEST_SERVER_PID, "server (repro serve)",
                    tid=1, thread_name="request")
-    events.extend(_record_events(record.get("server_spans", []),
-                                 REQUEST_SERVER_PID, tid=1))
+    events.extend(record_events(record.get("server_spans", []),
+                                REQUEST_SERVER_PID, tid=1))
     job = record.get("job")
     if job:
         job_offset = int(job.get("start_offset_us", 0))
         events.extend(_meta(REQUEST_SERVER_PID, "server (repro serve)",
                             tid=2, thread_name="job")[1:])
-        events.extend(_record_events(job.get("spans", []),
-                                     REQUEST_SERVER_PID, tid=2,
-                                     offset_us=job_offset))
+        events.extend(record_events(job.get("spans", []),
+                                    REQUEST_SERVER_PID, tid=2,
+                                    offset_us=job_offset))
         worker_spans = job.get("worker_spans") or []
         if worker_spans:
             worker_name = (f"worker {job.get('worker', '?')} "
@@ -225,9 +206,9 @@ def build_request_trace(record: dict) -> dict:
             events.extend(_meta(REQUEST_WORKER_PID, worker_name,
                                 tid=1, thread_name="execute"))
             anchor = job_offset + int(job.get("worker_anchor_us", 0))
-            events.extend(_record_events(worker_spans,
-                                         REQUEST_WORKER_PID, tid=1,
-                                         offset_us=anchor))
+            events.extend(record_events(worker_spans,
+                                        REQUEST_WORKER_PID, tid=1,
+                                        offset_us=anchor))
     other = {"schema": REQUEST_TRACE_SCHEMA,
              "generator": "repro serve",
              "request_id": record.get("request_id"),

@@ -1,32 +1,40 @@
-"""Span-based tracing of the compile→simulate pipeline.
+"""Span-based tracing of the pipeline and the service.
 
 Where :mod:`repro.telemetry.timeline` watches *simulated* time, the
-span recorder watches *wall-clock* time across the pipeline itself:
-frontend compiles, each optimization pass (the same measurement the
-``PassExecuted`` remark reports), fused-segment and trace-JIT compiles,
-run-cache probes, and bench-runner jobs.  The records feed the Chrome
-trace-event export (:mod:`repro.telemetry.perfetto`) as one span track
-per pipeline stage, with trace-JIT compile/deopt events as instants.
+span recorder watches *wall-clock* time: frontend compiles, each
+optimization pass (the same measurement the ``PassExecuted`` remark
+reports), fused-segment and trace-JIT compiles, run-cache probes,
+bench-runner jobs, and every stage of a ``repro serve`` request.  The
+records feed the Chrome trace-event export
+(:mod:`repro.telemetry.perfetto`), the serve stage histograms and the
+``repro bench --obs-out`` metrics.
 
-The design mirrors :mod:`repro.remarks.emitter`: a context-scoped
-recorder stack, so instrumentation sites call :func:`span` /
-:func:`instant` unconditionally and pay nothing unless a recorder is
-installed via :func:`recording`.  Spans are recorded in completion
-order (a parent closes after its children), which is deterministic for
-a deterministic pipeline; only the wall-clock timestamps vary run to
-run, and the export's canonical form zeroes them.
+The active recorder lives in a :class:`~contextvars.ContextVar`, like
+the remark emitter's (:mod:`repro.remarks.emitter`): instrumentation
+sites call :func:`span` / :func:`instant` unconditionally and pay
+nothing unless :func:`recording` installed a recorder.  Scopes nest,
+and each thread and asyncio task sees only the recorder its own
+context installed, so concurrent requests never record into each
+other's trees.  Spans are recorded in completion order (a parent
+closes after its children), which is deterministic for a deterministic
+pipeline; only the wall-clock timestamps vary run to run, and the
+export's canonical form zeroes them.
 
 Process scope: the recorder is in-process only.  Forked bench workers
 (``run_specs`` with ``jobs > 1``) do not propagate their spans back,
-like the trace report — drive runs serially when tracing.
+like the trace report — drive runs serially when tracing.  (Serve
+workers ship theirs back over the pool pipe; see
+:mod:`repro.obs.trace`.)
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 
-_ACTIVE: list["SpanRecorder"] = []
+_RECORDER: ContextVar["SpanRecorder | None"] = ContextVar(
+    "repro_span_recorder", default=None)
 
 
 class SpanRecorder:
@@ -37,12 +45,15 @@ class SpanRecorder:
     """
 
     def __init__(self):
-        self._epoch = time.perf_counter()
+        #: ``time.perf_counter()`` at creation — the zero of this
+        #: recorder's timeline (serve places a shared job's records on
+        #: each waiter's timeline by the difference of two epochs).
+        self.epoch = time.perf_counter()
         self.records: list[dict] = []
 
     def now_us(self) -> int:
         """Microseconds since this recorder's epoch."""
-        return int((time.perf_counter() - self._epoch) * 1e6)
+        return int((time.perf_counter() - self.epoch) * 1e6)
 
     def add_span(self, category: str, name: str, start_us: int,
                  dur_us: int, args: dict | None = None) -> None:
@@ -83,18 +94,18 @@ class SpanRecorder:
 
 
 def active_recorder() -> SpanRecorder | None:
-    """The innermost active recorder, or ``None``."""
-    return _ACTIVE[-1] if _ACTIVE else None
+    """The innermost recorder this context installed, or ``None``."""
+    return _RECORDER.get()
 
 
 @contextmanager
 def recording(recorder: SpanRecorder):
     """Install ``recorder`` as the active span sink for the block."""
-    _ACTIVE.append(recorder)
+    token = _RECORDER.set(recorder)
     try:
         yield recorder
     finally:
-        _ACTIVE.pop()
+        _RECORDER.reset(token)
 
 
 @contextmanager
@@ -106,7 +117,7 @@ def span(category: str, name: str, **args):
     cache probe setting ``hit``); they merge into ``args`` at close.
     """
     extra: dict = {}
-    recorder = _ACTIVE[-1] if _ACTIVE else None
+    recorder = _RECORDER.get()
     if recorder is None:
         yield extra
         return
@@ -121,6 +132,6 @@ def span(category: str, name: str, **args):
 
 def instant(category: str, name: str, **args) -> None:
     """Record an instant event (no-op when no recorder is active)."""
-    recorder = _ACTIVE[-1] if _ACTIVE else None
+    recorder = _RECORDER.get()
     if recorder is not None:
         recorder.add_instant(category, name, args)

@@ -167,7 +167,64 @@ class TestBenchHotReport:
                                "auto", HASWELL, cache=False)
         assert rows
         assert rows[0]["workload"] == "IS"
-        assert runner._TRACE_ROWS is None
+        assert runner._TRACE_ROWS.get() is None
+
+
+class TestBenchObsOut:
+    """``repro bench --obs-out`` writes one invocation's run counter
+    and stage histograms in the Prometheus text format."""
+
+    RUNS_HEADER = (
+        "# HELP repro_bench_runs_total Bench variant runs by workload, "
+        "variant, machine, and whether the disk cache answered.\n"
+        "# TYPE repro_bench_runs_total counter\n")
+    STAGES_HEADER = (
+        "# HELP repro_bench_stage_seconds Wall time per bench pipeline "
+        "stage (build, prepare, simulate, validate).\n"
+        "# TYPE repro_bench_stage_seconds histogram\n")
+
+    def test_fig2_runs_and_stage_counts(self, tmp_path):
+        import os
+        import re
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        # A fresh process, so the file holds this invocation's runs
+        # and nothing an earlier test ran.
+        path = tmp_path / "bench.prom"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parent.parent / "src"),
+            env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from repro.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "bench", "fig2", "--small", "--no-cache", "--jobs", "1",
+             "--obs-out", str(path)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        text = path.read_text()
+        assert self.RUNS_HEADER in text
+        assert self.STAGES_HEADER in text
+        sample = re.compile(r"^(\w+)\{([^}]*)\} (\S+)$")
+        runs, counts = [], {}
+        for line in text.splitlines():
+            match = sample.match(line)
+            if match is None:
+                continue
+            name, labels, value = match.groups()
+            labels = dict(re.findall(r'(\w+)="([^"]*)"', labels))
+            if name == "repro_bench_runs_total":
+                runs.append((labels, float(value)))
+            elif name == "repro_bench_stage_seconds_count":
+                counts[labels["stage"]] = float(value)
+        assert sum(value for _, value in runs) == 5
+        assert all(set(labels) == {"cached", "machine", "variant",
+                                   "workload"} for labels, _ in runs)
+        assert counts == {"build": 5, "prepare": 5, "simulate": 5,
+                          "validate": 5}
 
 
 class TestBenchOptionScope:

@@ -22,13 +22,13 @@ from repro.obs.logs import (LogFormatError, AccessLogger, format_json,
                             format_text, make_record, parse_json_line)
 from repro.obs.metrics import (Counter, Gauge, Histogram, Registry,
                                escape_label_value, nearest_rank)
-from repro.obs.trace import (RequestSpans, TraceBuffer,
-                             new_request_id, worker_stage_ms)
+from repro.obs.trace import TraceBuffer, new_request_id
 from repro.obs.top import render as render_top
 from repro.serve.client import AsyncClient
 from repro.serve.protocol import execute_request, normalize_request
-from repro.serve.server import Server, ServeConfig
+from repro.serve.server import Server, ServeConfig, stage_ms
 from repro.telemetry.perfetto import build_request_trace
+from repro.telemetry.spans import SpanRecorder, recording
 
 
 def canonical(value) -> str:
@@ -230,23 +230,32 @@ class TestTracePieces:
                    set(i) <= set("0123456789abcdef") for i in ids)
 
     def test_request_spans_stage_ms_sums_same_name(self):
-        spans = RequestSpans()
-        spans.span("probe", 0, end_us=1000)
-        spans.span("probe", 2000, end_us=2500)
-        spans.span("queue", 0, end_us=100)
-        stage_ms = spans.stage_ms()
-        assert stage_ms["probe"] == pytest.approx(1.5)
-        assert stage_ms["queue"] == pytest.approx(0.1)
+        spans = SpanRecorder()
+        spans.add_span("serve", "probe", 0, 1000)
+        spans.add_span("serve", "probe", 2000, 500)
+        spans.add_span("serve", "queue", 0, 100)
+        stages = stage_ms(spans.records)
+        assert stages["probe"] == pytest.approx(1.5)
+        assert stages["queue"] == pytest.approx(0.1)
 
     def test_worker_stage_ms_maps_compile_and_simulate(self):
         records = [
-            {"type": "span", "name": "build", "dur_us": 1000},
-            {"type": "span", "name": "compile_source", "dur_us": 500},
-            {"type": "span", "name": "simulate", "dur_us": 2000},
-            {"type": "span", "name": "prepare", "dur_us": 9000},
-            {"type": "instant", "name": "simulate", "ts_us": 1},
+            {"type": "span", "category": "bench", "name": "build",
+             "dur_us": 1000},
+            {"type": "span", "category": "frontend",
+             "name": "compile_source", "dur_us": 500},
+            {"type": "span", "category": "bench", "name": "simulate",
+             "dur_us": 2000},
+            {"type": "span", "category": "bench", "name": "prepare",
+             "dur_us": 9000},
+            {"type": "instant", "category": "bench", "name": "simulate",
+             "ts_us": 1},
+            # The stage table keys on the category: a worker-side cache
+            # probe is not the server's probe stage.
+            {"type": "span", "category": "cache", "name": "probe",
+             "dur_us": 700},
         ]
-        stages = worker_stage_ms(records)
+        stages = stage_ms(records)
         assert stages == {"compile": pytest.approx(1.5),
                           "simulate": pytest.approx(2.0)}
 
@@ -341,12 +350,12 @@ class TestTopRender:
 
 class TestObservabilityEquivalence:
     def test_execute_request_payload_identical_with_recorder(self):
-        from repro.telemetry.spans import SpanRecorder
-
         norm = normalize_request({"workload": "is", "small": True,
                                   "variant": "plain"})
         plain = execute_request(dict(norm))
-        traced = execute_request(dict(norm), recorder=SpanRecorder())
+        with recording(SpanRecorder()) as recorder:
+            traced = execute_request(dict(norm))
+        assert recorder.spans("bench")       # the run was traced…
         # wall_ms is a measurement; everything else must be identical,
         # and the recorder must not leak spans into the payload.
         plain.pop("wall_ms"), traced.pop("wall_ms")
@@ -354,13 +363,11 @@ class TestObservabilityEquivalence:
         assert canonical(traced) == canonical(plain)
 
     def test_include_spans_still_works_with_external_recorder(self):
-        from repro.telemetry.spans import SpanRecorder
-
         norm = normalize_request({"workload": "is", "small": True,
                                   "variant": "plain",
                                   "include": ["spans"]})
-        recorder = SpanRecorder()
-        payload = execute_request(dict(norm), recorder=recorder)
+        with recording(SpanRecorder()) as recorder:
+            payload = execute_request(dict(norm))
         assert payload["spans"]["schema"] == "repro-spans-v1"
         names = {r["name"] for r in payload["spans"]["records"]}
         assert "execute" in names            # the top-level span
@@ -393,6 +400,15 @@ def serve_scenario(scenario, **config_kwargs):
     def run(tmp_path):
         return asyncio.run(body(str(tmp_path)))
     return run
+
+
+def covered_us(intervals) -> int:
+    """Length of the union of non-negative ``(start, end)`` intervals."""
+    total = reach = 0
+    for start, end in sorted(intervals):
+        total += max(0, end - max(start, reach))
+        reach = max(reach, end)
+    return total
 
 
 async def roundtrip(server, request, method="POST", path="/v1/jobs"):
@@ -442,6 +458,73 @@ class TestServerObservability:
             assert job_rids <= set(rids)        # owned by a waiter
             assert owner_events[0] == owner_events[1] == \
                 owner_events[2]
+            # The job task starts in its admitting waiter's context but
+            # records into its own recorder: no span crosses over.
+            for rid in rids:
+                record = server.traces.get(rid)
+                waiter = {r["name"] for r in record["server_spans"]}
+                job = {r["name"] for r in record["job"]["spans"]}
+                assert not waiter & {"queue", "worker", "store"}
+                assert not job & {"admission", "probe", "job_wait"}
+        serve_scenario(scenario)(tmp_path)
+
+    def test_queue_stage_covers_the_wait_for_an_io_thread(self,
+                                                          tmp_path):
+        """One worker, three distinct jobs at once: the job that ends
+        last waits behind the other two for the pool's one I/O thread,
+        and that wait is queue time, not worker time."""
+        async def scenario(server):
+            clients = [AsyncClient("127.0.0.1", server.port)
+                       for _ in range(3)]
+            try:
+                answers = await asyncio.gather(
+                    *(c.submit({"kind": "sleep", "seconds": seconds})
+                      for c, seconds in zip(clients,
+                                            (0.30, 0.31, 0.32))))
+            finally:
+                for c in clients:
+                    await c.close()
+            assert all(status == 200 for status, _ in answers)
+            last = max((body for _, body in answers),
+                       key=lambda body: body["latency_ms"])
+            status, trace = await roundtrip(
+                server, None, "GET", f"/v1/trace/{last['request_id']}")
+            assert status == 200
+            job = {e["name"]: e["dur"] for e in trace["traceEvents"]
+                   if e["pid"] == 1 and e["tid"] == 2
+                   and e["ph"] == "X"}
+            assert job["queue"] >= 500_000
+            assert job["worker"] < 500_000
+        serve_scenario(scenario)(tmp_path)
+
+    def test_admission_span_covers_the_content_key(self, tmp_path,
+                                                   monkeypatch):
+        """Hashing the request into its content key is admission work:
+        with a slow key, the waiter's spans still cover its latency."""
+        import time
+
+        from repro.serve import server as server_module
+
+        real_key = server_module.request_key
+
+        def slow_key(norm):
+            time.sleep(0.05)
+            return real_key(norm)
+
+        monkeypatch.setattr(server_module, "request_key", slow_key)
+
+        async def scenario(server):
+            status, body = await roundtrip(
+                server, {"kind": "sleep", "seconds": 0.01})
+            assert status == 200
+            status, trace = await roundtrip(
+                server, None, "GET", f"/v1/trace/{body['request_id']}")
+            assert status == 200
+            waiter = [(e["ts"], e["ts"] + e["dur"])
+                      for e in trace["traceEvents"]
+                      if e["pid"] == 1 and e["tid"] == 1
+                      and e["ph"] == "X"]
+            assert covered_us(waiter) >= 0.9 * body["latency_ms"] * 1e3
         serve_scenario(scenario)(tmp_path)
 
     def test_trace_endpoint_full_document(self, tmp_path):

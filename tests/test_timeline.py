@@ -290,6 +290,36 @@ class TestSpans:
         names = [r["name"] for r in rec.spans()]
         assert names == ["inner", "outer"]
 
+    def test_gathered_coroutines_keep_their_own_sinks(self):
+        """Each asyncio task sees only the recorder and the remark
+        emitter its own context installed, across its awaits."""
+        import asyncio
+
+        from repro.remarks import RemarkEmitter, collecting, emit
+
+        async def request(name):
+            recorder, emitter = SpanRecorder(), RemarkEmitter()
+            with recording(recorder), collecting(emitter):
+                await asyncio.sleep(0)
+                with span("serve", f"{name}.probe"):
+                    emit("analysis", name, "PassExecuted")
+                await asyncio.sleep(0)
+                with span("serve", f"{name}.wait"):
+                    await asyncio.sleep(0)
+                    emit("analysis", name, "PassExecuted")
+            return ([r["name"] for r in recorder.records],
+                    [r.pass_name for r in emitter])
+
+        async def both():
+            return await asyncio.gather(request("a"), request("b"))
+
+        (a_spans, a_remarks), (b_spans, b_remarks) = asyncio.run(both())
+        assert a_spans == ["a.probe", "a.wait"]
+        assert b_spans == ["b.probe", "b.wait"]
+        assert a_remarks == ["a", "a"]
+        assert b_remarks == ["b", "b"]
+        assert active_recorder() is None
+
     def test_pass_manager_records_pass_spans(self):
         from repro.frontend import compile_source
         from repro.passes import DeadCodeEliminationPass, PassManager

@@ -17,8 +17,15 @@ docs/OBSERVABILITY.md:
 * **JSON snapshot** (``/metrics``): schema tag, required keys, stage
   names drawn from the catalogue's stage label series, non-negative
   counts, and p50 <= p99 <= max per histogram row.
+* **One request trace** (``--spawn`` only): the first warm-up job's
+  ``/v1/trace/<request_id>`` document has the request-trace schema,
+  the server and worker processes, the ``admission``, ``job_wait``,
+  ``queue`` and ``worker`` spans and the worker's ``execute`` span,
+  and its waiter spans cover at least 90% of the answer's
+  ``latency_ms``.
 
-Exit 0 when both pass; prints each failure and exits 1 otherwise.
+Exit 0 when every check passes; prints each failure and exits 1
+otherwise.
 
 Usage::
 
@@ -38,7 +45,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.serve.client import (get_metrics,  # noqa: E402
-                                get_metrics_text)
+                                get_metrics_text, get_trace)
 from repro.serve.server import STAGES, ServeMetrics  # noqa: E402
 
 _SAMPLE = re.compile(
@@ -221,6 +228,38 @@ def check_snapshot(snapshot: dict) -> list[str]:
     return failures
 
 
+def check_trace(trace: dict, latency_ms: float) -> list[str]:
+    """One job's request-trace document against its answer's
+    ``latency_ms``; empty = pass."""
+    failures: list[str] = []
+    schema = trace.get("otherData", {}).get("schema")
+    if schema != "repro-request-trace-v1":
+        failures.append(f"trace schema {schema!r}")
+    events = trace.get("traceEvents", [])
+    pids = {event.get("pid") for event in events}
+    if pids != {1, 2}:
+        failures.append(f"trace pids {sorted(pids)} != [1, 2]")
+    spans = [event for event in events if event.get("ph") == "X"]
+    names = {event["name"] for event in spans}
+    for name in ("admission", "job_wait", "queue", "worker"):
+        if name not in names:
+            failures.append(f"trace has no {name!r} span")
+    if not any(event["pid"] == 2 and event["name"] == "execute"
+               for event in spans):
+        failures.append("trace has no worker-side 'execute' span")
+    covered_us, reach = 0, 0
+    for start, end in sorted((event["ts"], event["ts"] + event["dur"])
+                             for event in spans
+                             if event["pid"] == 1 and event["tid"] == 1):
+        covered_us += max(0, end - max(start, reach))
+        reach = max(reach, end)
+    if covered_us < 0.9 * latency_ms * 1e3:
+        failures.append(
+            f"waiter spans cover {covered_us / 1e3:.3f} of "
+            f"{latency_ms:.3f} ms latency (< 90%)")
+    return failures
+
+
 def spawn_server(store_dir: str) -> tuple:
     cmd = [sys.executable, "-m", "repro", "serve", "--port", "0",
            "--workers", "2", "--cache-dir", store_dir, "--debug"]
@@ -253,6 +292,7 @@ def main() -> int:
 
     proc = None
     host, port = args.host, args.port
+    failures: list[str] = []
     if args.spawn:
         import tempfile
         store_dir = tempfile.mkdtemp(prefix="repro-serve-cas-")
@@ -261,11 +301,13 @@ def main() -> int:
         # populated, not just registered.
         from repro.serve.client import ServeHTTPError, submit
         try:
+            first = submit(host, port, {"kind": "sleep", "seconds": 0.01})
             submit(host, port, {"kind": "sleep", "seconds": 0.01})
-            submit(host, port, {"kind": "sleep", "seconds": 0.01})
+            trace = get_trace(host, port, first["request_id"])
+            failures += check_trace(trace, first["latency_ms"])
         except (OSError, ServeHTTPError) as exc:
-            print(f"check_metrics: warm-up submit failed: {exc}",
-                  file=sys.stderr)
+            failures.append(f"warm-up submit or trace fetch failed: "
+                            f"{exc}")
     try:
         text = get_metrics_text(host, port)
         snapshot = get_metrics(host, port)
@@ -279,7 +321,7 @@ def main() -> int:
             proc.wait(timeout=10)
 
     catalogue = ServeMetrics().registry.describe()
-    failures = check_prometheus(text, catalogue)
+    failures += check_prometheus(text, catalogue)
     failures += check_snapshot(snapshot)
     if failures:
         for failure in failures:
@@ -289,7 +331,8 @@ def main() -> int:
     names = sorted({sample["name"] for sample in samples})
     print(f"check_metrics: PASS — {len(catalogue)} families, "
           f"{len(names)} sample names, snapshot OK "
-          f"({snapshot['requests']['total']} requests observed)")
+          f"({snapshot['requests']['total']} requests observed)"
+          + (", request trace OK" if args.spawn else ""))
     return 0
 
 
