@@ -33,7 +33,7 @@ from ..workloads.base import Workload
 from .cache import RunCache, run_key
 
 #: In-process telemetry: actual simulations vs. cache hits, and total
-#: simulated instructions — read by ``tools/bench_perf.py``.
+#: simulated instructions — read by ``perf/`` and ``bench --hot-report``.
 TELEMETRY = {"simulated_runs": 0, "cached_runs": 0,
              "simulated_instructions": 0}
 

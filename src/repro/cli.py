@@ -27,6 +27,7 @@ from .passes import (CommonSubexpressionEliminationPass,
                      PrefetchOptions, SimplifyCFGPass)
 from .serve.protocol import TIERS
 from .telemetry.timeline import DEFAULT_WINDOW_CYCLES
+from .workloads import VARIANTS
 
 
 def _version() -> str:
@@ -39,6 +40,18 @@ def _version() -> str:
         return __version__
 
 
+def _lookahead(text: str) -> int:
+    """``--lookahead`` type: an integer >= 1, the precondition
+    :func:`repro.passes.prefetch.scheduling.schedule_chain` enforces."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be an integer >= 1, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -48,15 +61,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"repro {_version()}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags several commands share: one definition, checked at parse time.
+    lookahead = argparse.ArgumentParser(add_help=False)
+    lookahead.add_argument(
+        "--lookahead", type=_lookahead, default=64, metavar="C",
+        help="look-ahead constant c of eq. (1) (default 64)")
+    variant = argparse.ArgumentParser(add_help=False)
+    variant.add_argument(
+        "--variant", default="auto", choices=VARIANTS,
+        help="variant to run (default auto)")
+
     compile_cmd = sub.add_parser(
-        "compile", help="compile a C-like source file to IR")
+        "compile", parents=[lookahead],
+        help="compile a C-like source file to IR")
     compile_cmd.add_argument("source", help="input source file")
     compile_cmd.add_argument(
         "--prefetch", action="store_true",
         help="run the automatic indirect-prefetch pass")
-    compile_cmd.add_argument(
-        "--lookahead", type=int, default=64, metavar="C",
-        help="look-ahead constant c of eq. (1) (default 64)")
     compile_cmd.add_argument(
         "--no-stride", action="store_true",
         help="omit the staggered stride prefetch (Fig. 5's "
@@ -108,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "Prometheus text exposition to FILE")
 
     stats_cmd = sub.add_parser(
-        "stats",
+        "stats", parents=[variant, lookahead],
         help="prefetch-telemetry report for a workload or figure")
     stats_cmd.add_argument(
         "target",
@@ -120,13 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="machine to simulate (default Haswell; ignored for "
              "fig4a-d targets, which pin their machine)")
     stats_cmd.add_argument(
-        "--variant", default="auto", metavar="V",
-        help="prefetched variant to profile against plain "
-             "(default auto)")
-    stats_cmd.add_argument(
-        "--lookahead", type=int, default=64, metavar="C",
-        help="look-ahead constant c of eq. (1) (default 64)")
-    stats_cmd.add_argument(
         "--small", action="store_true",
         help="scaled-down workloads (quick smoke sizes)")
     stats_cmd.add_argument(
@@ -137,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for independent runs")
 
     explain_cmd = sub.add_parser(
-        "explain",
+        "explain", parents=[variant, lookahead],
         help="join compile-time prefetch remarks with runtime outcomes")
     explain_cmd.add_argument(
         "target",
@@ -148,12 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--machine", default=None, metavar="NAME",
         help="machine to simulate (default Haswell; ignored for "
              "fig4a-d targets, which pin their machine)")
-    explain_cmd.add_argument(
-        "--variant", default="auto", metavar="V",
-        help="prefetched variant to explain (default auto)")
-    explain_cmd.add_argument(
-        "--lookahead", type=int, default=64, metavar="C",
-        help="look-ahead constant c of eq. (1) (default 64)")
     explain_cmd.add_argument(
         "--small", action="store_true",
         help="scaled-down workloads (quick smoke sizes)")
@@ -168,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for independent runs")
 
     timeline_cmd = sub.add_parser(
-        "timeline",
+        "timeline", parents=[variant, lookahead],
         help="flight-recorder phase report (windowed time series) for "
              "a workload or figure")
     timeline_cmd.add_argument(
@@ -180,12 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--machine", default=None, metavar="NAME",
         help="machine to simulate (default Haswell; ignored for "
              "fig4a-d targets, which pin their machine)")
-    timeline_cmd.add_argument(
-        "--variant", default="auto", metavar="V",
-        help="variant to record (default auto)")
-    timeline_cmd.add_argument(
-        "--lookahead", type=int, default=64, metavar="C",
-        help="look-ahead constant c of eq. (1) (default 64)")
     timeline_cmd.add_argument(
         "--small", action="store_true",
         help="scaled-down workloads (quick smoke sizes)")
@@ -245,7 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--debug", action="store_true", help=argparse.SUPPRESS)
 
     submit_cmd = sub.add_parser(
-        "submit", help="submit one job to a running repro serve")
+        "submit", parents=[variant, lookahead],
+        help="submit one job to a running repro serve")
     submit_cmd.add_argument(
         "target", nargs="?",
         help="workload name (is, cg, ra, hj2, hj8, g500-s16, "
@@ -261,12 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     submit_cmd.add_argument(
         "--machine", default="Haswell", metavar="NAME",
         help="machine to simulate (default Haswell)")
-    submit_cmd.add_argument(
-        "--variant", default="auto", metavar="V",
-        help="variant to run (default auto)")
-    submit_cmd.add_argument(
-        "--lookahead", type=int, default=64, metavar="C",
-        help="look-ahead constant c of eq. (1) (default 64)")
     submit_cmd.add_argument(
         "--small", action="store_true",
         help="scaled-down workload (quick smoke sizes)")

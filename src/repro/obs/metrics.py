@@ -22,7 +22,7 @@ Exposition is dual:
 Percentiles come in two flavours, both here so every consumer agrees:
 
 * :func:`nearest_rank` — the standard ceil-based nearest-rank
-  percentile of an exact sorted sample (``tools/load_test.py``).  This
+  percentile of an exact sorted sample (``perf/run.py``).  This
   replaces the old ``round()``-based form whose banker's rounding
   under-reported (e.g. p50 of 5 samples picked the 2nd, not the 3rd).
 * :meth:`Histogram.quantile` on a child — an estimate from the bucket

@@ -44,6 +44,7 @@ from __future__ import annotations
 import dataclasses
 import time
 
+from ..workloads import VARIANTS
 from .cas import store_key
 
 SCHEMA_REQUEST = "repro-serve-request-v1"
@@ -52,7 +53,6 @@ SCHEMA_RESULT = "repro-serve-result-v1"
 KINDS = ("simulate", "compile", "sleep")
 TIERS = ("auto", "reference", "fastpath")
 INCLUDES = ("telemetry", "remarks", "timeline", "spans")
-VARIANTS = ("plain", "auto", "manual", "icc")
 WORKLOADS = ("is", "cg", "ra", "hj2", "hj8", "g500s16", "g500s21")
 MACHINES = ("Haswell", "A57", "A53", "Xeon Phi")
 

@@ -264,7 +264,7 @@ class ServeMetrics:
     def shed_one(self) -> None:
         self._shed.inc()
 
-    # -- legacy integer views (tests, tools/load_test.py) -------------
+    # -- integer views (read in-process by the tests) ----------------
 
     @property
     def requests_total(self) -> int:

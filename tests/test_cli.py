@@ -139,6 +139,36 @@ class TestUniformUnknownTargets:
         assert "unknown machine" in capsys.readouterr().err
 
 
+class TestBadRunFlags:
+    """A bad ``--lookahead`` or ``--variant`` is a usage error: argparse
+    exits 2 with one error line, before anything compiles or runs."""
+
+    @staticmethod
+    def assert_usage_error(argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert f"error: argument {flag}: " in line
+
+    @pytest.mark.parametrize("value", ("0", "-5"))
+    def test_compile_lookahead(self, value, source_file, capsys):
+        self.assert_usage_error(
+            ["compile", source_file, "--prefetch", "--lookahead", value],
+            "--lookahead", capsys)
+
+    @pytest.mark.parametrize("flag,value", (("--lookahead", "0"),
+                                            ("--lookahead", "-5"),
+                                            ("--variant", "nope")))
+    @pytest.mark.parametrize("command",
+                             ("stats", "explain", "timeline", "submit"))
+    def test_run_commands(self, command, flag, value, capsys):
+        self.assert_usage_error([command, "is", "--small", flag, value],
+                                flag, capsys)
+
+
 class TestBenchHotReport:
     def test_hot_report_prints_traces_and_remarks(self):
         code, out = run_cli("bench", "fig2", "--small", "--hot-report",

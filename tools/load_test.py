@@ -1,24 +1,26 @@
 #!/usr/bin/env python
-"""Load-test harness for ``repro serve``: the serving benchmark.
+"""Serve-correctness gate: a concurrent burst against ``repro serve``.
 
 Drives hundreds of concurrent requests (default 1000 requests at
 concurrency 500) with a *duplicate-heavy* mix — a small set of unique
 jobs repeated many times, the AMC-style evolving-workload setting where
-most traffic re-asks slightly-stale questions — and checks three
+most traffic re-asks slightly-stale questions — and checks two
 properties:
 
-1. **Correctness**: every 200 answer's ``result`` section is
-   byte-identical (canonical JSON) to the same run performed directly
-   through :func:`repro.bench.runner.run_variant`, i.e. exactly what
-   ``repro bench`` computes;
+1. **Correctness**: every request is answered 200, and every answer's
+   ``result`` section is byte-identical (canonical JSON) to the same
+   run performed directly through
+   :func:`repro.bench.runner.run_variant`, i.e. exactly what ``repro
+   bench`` computes;
 2. **Sharing**: the duplicate mix must produce coalesce hits and CAS
-   hits (> 0 each) — many clients, one simulation substrate;
-3. **Latency**: p50/p95/p99 request latency is measured and archived.
+   (content-addressed result store) hits, > 0 each — many clients, one
+   simulation substrate.
 
-Writes ``BENCH_serve_throughput.json`` (schema
-``repro-serve-bench-v1``) and exits non-zero on any mismatch, transport
-error, or missing sharing.  With ``--spawn`` the harness starts its own
-``repro serve`` subprocess on a free port and tears it down after.
+Prints one PASS or FAIL line, writes no file, and exits non-zero on
+any transport or HTTP error, mismatch, or missing sharing.  With
+``--spawn`` the harness starts its own ``repro serve`` subprocess on a
+free port and tears it down after.  Serve latency and throughput are
+measured by the ``serve`` workload of ``perf/``, not here.
 
 Usage::
 
@@ -33,16 +35,14 @@ import argparse
 import asyncio
 import json
 import os
-import platform
 import random
+import shutil
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.obs.metrics import nearest_rank  # noqa: E402
 from repro.serve.client import AsyncClient, get_metrics  # noqa: E402
 
 
@@ -105,18 +105,18 @@ def direct_results(uniques: list[dict]) -> list[str]:
 
 async def run_load(host: str, port: int, uniques: list[dict],
                    schedule: list[int], expected: list[str],
-                   concurrency: int) -> dict:
-    """Fire the schedule at the server; returns the raw measurements."""
+                   concurrency: int) -> tuple[int, list[str], list[str]]:
+    """Fire the schedule at the server; returns ``(ok, errors,
+    mismatches)``: the 200 answers, and one line per failed request."""
     semaphore = asyncio.Semaphore(concurrency)
-    latencies: list[float] = []
     mismatches: list[str] = []
     errors: list[str] = []
-    statuses: dict[str, int] = {}
+    ok = 0
 
     async def one(index: int, which: int) -> None:
+        nonlocal ok
         async with semaphore:
             client = AsyncClient(host, port)
-            start = time.perf_counter()
             try:
                 status, body = await client.submit(uniques[which])
             except Exception as exc:
@@ -125,42 +125,20 @@ async def run_load(host: str, port: int, uniques: list[dict],
                 return
             finally:
                 await client.close()
-            latencies.append((time.perf_counter() - start) * 1e3)
-            statuses[str(status)] = statuses.get(str(status), 0) + 1
             if status != 200:
                 errors.append(f"request {index}: HTTP {status}: "
                               f"{body.get('error', body)}")
                 return
+            ok += 1
             got = canonical(body.get("result"))
             if got != expected[which]:
                 mismatches.append(
                     f"request {index} (unique {which}): served result "
                     f"differs from direct run_variant")
 
-    start = time.perf_counter()
     await asyncio.gather(*(one(i, which)
                            for i, which in enumerate(schedule)))
-    wall_s = time.perf_counter() - start
-    return {"latencies": latencies, "mismatches": mismatches,
-            "errors": errors, "statuses": statuses, "wall_s": wall_s}
-
-
-def percentile(ordered: list[float], pct: float) -> float:
-    """Nearest-rank percentile (ceil-based; see repro.obs.metrics —
-    the old round()-based form under-reported, e.g. p50 of 5 samples
-    answered the 2nd, not the 3rd)."""
-    return nearest_rank(ordered, pct)
-
-
-def git_sha() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=Path(__file__).resolve().parent,
-        ).stdout.strip() or "unknown"
-    except OSError:
-        return "unknown"
+    return ok, errors, mismatches
 
 
 def spawn_server(workers: int | None, store_dir: str) -> tuple:
@@ -202,7 +180,6 @@ def main() -> int:
                              "heavy: requests >> unique)")
     parser.add_argument("--small", action="store_true",
                         help="scaled-down workloads (CI sizes)")
-    parser.add_argument("--output", default="BENCH_serve_throughput.json")
     args = parser.parse_args()
 
     uniques, schedule = build_mix(args.unique, args.requests,
@@ -224,76 +201,24 @@ def main() -> int:
         print(f"load_test: spawned repro serve on {host}:{port} "
               f"(store {store_dir})")
     try:
-        measured = asyncio.run(run_load(host, port, uniques, schedule,
-                                        expected, args.concurrency))
+        ok, errors, mismatches = asyncio.run(run_load(
+            host, port, uniques, schedule, expected, args.concurrency))
         metrics = get_metrics(host, port)
     finally:
         if proc is not None:
             proc.terminate()
             proc.wait(timeout=10)
+            shutil.rmtree(store_dir, ignore_errors=True)
 
-    ordered = sorted(measured["latencies"])
-    ok = measured["statuses"].get("200", 0)
     coalesce_hits = metrics["coalesce_hits"]
     cas_hits = metrics["cas"]["hits"]
-    report = {
-        "schema": "repro-serve-bench-v1",
-        "host": {"python": platform.python_version(),
-                 "platform": platform.platform(),
-                 "cpu_count": os.cpu_count(),
-                 "git_sha": git_sha(),
-                 "timestamp_utc": time.strftime(
-                     "%Y-%m-%dT%H:%M:%SZ", time.gmtime())},
-        "config": {"requests": args.requests,
-                   "concurrency": args.concurrency,
-                   "unique": len(uniques), "small": args.small,
-                   "spawned": bool(args.spawn),
-                   "server_workers": metrics["workers"]["count"]},
-        "results": {
-            "ok": ok,
-            "statuses": measured["statuses"],
-            "errors": len(measured["errors"]),
-            "mismatches": len(measured["mismatches"]),
-            "wall_s": round(measured["wall_s"], 3),
-            "requests_per_s": round(
-                args.requests / measured["wall_s"], 2)
-                if measured["wall_s"] else 0.0,
-            "coalesce_hits": coalesce_hits,
-            "cas_hits": cas_hits,
-            "coalesce_hit_rate": round(
-                coalesce_hits / args.requests, 4),
-            "cas_hit_rate": round(cas_hits / args.requests, 4),
-            "latency_ms": {
-                "p50": round(percentile(ordered, 50), 3),
-                "p95": round(percentile(ordered, 95), 3),
-                "p99": round(percentile(ordered, 99), 3),
-                "max": round(ordered[-1], 3) if ordered else 0.0},
-            "jobs_executed": metrics["jobs"]["executed"],
-            "worker_restarts": metrics["workers"]["restarts"],
-            # Server-side per-stage p50/p99 from the labeled metrics
-            # registry (admission/probe/queue/worker/compile/simulate/
-            # store) — where a request's time actually went.
-            "stage_latency_ms": {
-                stage: {"count": row["count"], "p50": row["p50"],
-                        "p99": row["p99"], "max": row["max"]}
-                for stage, row in sorted(
-                    metrics.get("stages", {}).items())},
-        },
-    }
-    with open(args.output, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(report["results"], indent=2))
-    print(f"load_test: report written to {args.output}")
-
     failures = []
-    if measured["errors"]:
-        failures.append(f"{len(measured['errors'])} transport/HTTP "
-                        f"errors (first: {measured['errors'][0]})")
-    if measured["mismatches"]:
-        failures.append(f"{len(measured['mismatches'])} result "
-                        f"mismatches vs direct run_variant "
-                        f"(first: {measured['mismatches'][0]})")
+    if errors:
+        failures.append(f"{len(errors)} transport/HTTP errors "
+                        f"(first: {errors[0]})")
+    if mismatches:
+        failures.append(f"{len(mismatches)} result mismatches vs direct "
+                        f"run_variant (first: {mismatches[0]})")
     if ok != args.requests:
         failures.append(f"only {ok}/{args.requests} requests got 200")
     if coalesce_hits <= 0:
@@ -301,14 +226,12 @@ def main() -> int:
     if cas_hits <= 0:
         failures.append("CAS hits == 0 on a duplicate-heavy mix")
     if failures:
-        for failure in failures:
-            print(f"load_test: FAIL — {failure}", file=sys.stderr)
+        print(f"load_test: FAIL — {'; '.join(failures)}",
+              file=sys.stderr)
         return 1
     print(f"load_test: PASS — {ok} requests, 0 mismatches, "
-          f"coalesce {coalesce_hits}, CAS {cas_hits}, "
-          f"p99 {report['results']['latency_ms']['p99']}ms")
+          f"coalesce {coalesce_hits}, CAS {cas_hits}")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
