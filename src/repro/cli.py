@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .bench.reporting import format_table
 from .envcfg import SimOptions, cache_dir_from_env, cache_from_env
-from .frontend import compile_source
+from .frontend import SOURCE_ERRORS, compile_source
 from .ir import print_module, verify_module
 from .passes import (CommonSubexpressionEliminationPass,
                      DeadCodeEliminationPass, IndirectPrefetchPass,
@@ -336,28 +337,30 @@ def _cmd_compile(args: argparse.Namespace, out) -> int:
         return 1
     try:
         module = compile_source(source, name=args.source)
-    except Exception as exc:  # lexer/parser/lowering errors
+        if args.prefetch:
+            options = PrefetchOptions(
+                lookahead=args.lookahead,
+                emit_stride_prefetch=not args.no_stride,
+                enable_hoisting=args.hoist)
+            report = IndirectPrefetchPass(options).run(module)
+            print(report.summary(), file=out)
+        if args.optimize:
+            pipeline = PassManager()
+            pipeline.add(SimplifyCFGPass())
+            pipeline.add(LoopInvariantCodeMotionPass())
+            pipeline.add(CommonSubexpressionEliminationPass())
+            pipeline.add(DeadCodeEliminationPass())
+            pipeline.run(module)
+        verify_module(module)
+        text = print_module(module)
+    except SOURCE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if args.prefetch:
-        options = PrefetchOptions(
-            lookahead=args.lookahead,
-            emit_stride_prefetch=not args.no_stride,
-            enable_hoisting=args.hoist)
-        report = IndirectPrefetchPass(options).run(module)
-        print(report.summary(), file=out)
-
-    if args.optimize:
-        pipeline = PassManager()
-        pipeline.add(SimplifyCFGPass())
-        pipeline.add(LoopInvariantCodeMotionPass())
-        pipeline.add(CommonSubexpressionEliminationPass())
-        pipeline.add(DeadCodeEliminationPass())
-        pipeline.run(module)
-
-    verify_module(module)
-    text = print_module(module)
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1
     if args.emit_ir:
         with open(args.emit_ir, "w") as handle:
             handle.write(text)

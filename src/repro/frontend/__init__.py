@@ -20,8 +20,12 @@ from .lexer import LexError, Token, tokenize
 from .lowering import LoweringError, compile_source, lower_program
 from .parser import Parser, SyntaxErrorC, parse_source
 
+#: The errors that mean the source itself is wrong.  Any other exception
+#: from the compile path is a compiler bug.
+SOURCE_ERRORS = (LexError, SyntaxErrorC, LoweringError)
+
 __all__ = [
     "ast", "LexError", "Token", "tokenize",
     "LoweringError", "compile_source", "lower_program",
-    "Parser", "SyntaxErrorC", "parse_source",
+    "Parser", "SyntaxErrorC", "parse_source", "SOURCE_ERRORS",
 ]

@@ -87,6 +87,9 @@ def tokenize(source: str) -> list[Token]:
                 j = i + 2
                 while j < n and source[j] in "0123456789abcdefABCDEF":
                     j += 1
+                if j == i + 2:
+                    raise LexError(f"line {line}: hex constant "
+                                   f"{source[i:j]!r} has no digits")
                 tokens.append(Token("number", source[i:j], line))
                 i = j
                 continue
@@ -99,7 +102,12 @@ def tokenize(source: str) -> list[Token]:
                     j += 1
                 tokens.append(Token("float", source[i:j], line))
             else:
-                tokens.append(Token("number", source[i:j], line))
+                text = source[i:j]
+                # A leading 0 makes an integer octal, as in C.
+                if text[0] == "0" and ("8" in text or "9" in text):
+                    raise LexError(f"line {line}: invalid digit in "
+                                   f"octal constant {text!r}")
+                tokens.append(Token("number", text, line))
             i = j
             continue
         for op in _OPERATORS:

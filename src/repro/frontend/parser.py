@@ -244,7 +244,10 @@ class Parser:
         token = self.current
         if token.kind == "number":
             self.advance()
-            return ast.IntLiteral(int(token.text, 0), line=token.line)
+            text = token.text
+            octal = text[0] == "0" and text[1:2].isdigit()
+            return ast.IntLiteral(int(text, 8 if octal else 0),
+                                  line=token.line)
         if token.kind == "float":
             self.advance()
             return ast.FloatLiteral(float(token.text), line=token.line)

@@ -61,24 +61,20 @@ class Cache:
         self.line_size = line_size
         self.latency = latency
         self.num_sets = lines // ways
-        # Per set: {tag: [fill_time, dirty]}; dict preserves insertion
-        # order and we re-insert on touch, giving LRU.
+        # Per set: {line address: [fill_time, dirty]}; dict preserves
+        # insertion order and we re-insert on touch, giving LRU.
         self._sets: list[dict[int, list]] = [
             {} for _ in range(self.num_sets)]
         self.stats = CacheStats()
 
-    def _set_and_tag(self, line_addr: int) -> tuple[dict, int]:
-        return self._sets[line_addr % self.num_sets], line_addr
-
-    def lookup(self, line_addr: int, *, touch: bool = True) -> float | None:
+    def lookup(self, line_addr: int) -> float | None:
         """Return the line's fill time if resident (marking it MRU)."""
-        lines, tag = self._set_and_tag(line_addr)
-        entry = lines.get(tag)
+        lines = self._sets[line_addr % self.num_sets]
+        entry = lines.get(line_addr)
         if entry is None:
             return None
-        if touch:
-            del lines[tag]
-            lines[tag] = entry
+        del lines[line_addr]
+        lines[line_addr] = entry
         return entry[0]
 
     def insert(self, line_addr: int, fill_time: float,
@@ -88,11 +84,11 @@ class Cache:
         :returns: True when a *dirty* line was evicted (the caller
             charges the writeback at the memory-side level).
         """
-        lines, tag = self._set_and_tag(line_addr)
+        lines = self._sets[line_addr % self.num_sets]
         dirty_evicted = False
-        if tag in lines:
-            dirty = dirty or lines[tag][1]
-            del lines[tag]
+        if line_addr in lines:
+            dirty = dirty or lines[line_addr][1]
+            del lines[line_addr]
         elif len(lines) >= self.ways:
             oldest = next(iter(lines))
             dirty_evicted = lines[oldest][1]
@@ -100,20 +96,18 @@ class Cache:
             self.stats.evictions += 1
             if dirty_evicted:
                 self.stats.dirty_evictions += 1
-        lines[tag] = [fill_time, dirty]
+        lines[line_addr] = [fill_time, dirty]
         return dirty_evicted
 
     def mark_dirty(self, line_addr: int) -> None:
         """Flag a resident line as modified (no-op when absent)."""
-        lines, tag = self._set_and_tag(line_addr)
-        entry = lines.get(tag)
+        entry = self._sets[line_addr % self.num_sets].get(line_addr)
         if entry is not None:
             entry[1] = True
 
     def contains(self, line_addr: int) -> bool:
         """Residence test without LRU side effects."""
-        lines, tag = self._set_and_tag(line_addr)
-        return tag in lines
+        return line_addr in self._sets[line_addr % self.num_sets]
 
     def invalidate_all(self) -> None:
         """Drop every line (used between benchmark repetitions)."""

@@ -12,9 +12,9 @@ the core's architectural state is read at segment entry and written back
 at segment exit — one core interaction per segment instead of one method
 call per instruction.  Common 64-bit integer wrap-around arithmetic,
 comparisons and casts are emitted as inline expressions (no closure
-call), and the memory system's hot-line hit path (see
+call), and the memory system's hot-line probe (see
 :class:`~repro.machine.system.MemorySystem`) is inlined into the segment
-with the full-walk call as the fallback.
+with a call to the memory walk as the fallback.
 
 The per-op code generation lives in :class:`_Emitter`, which is
 parametrized over operand naming so the same emission logic serves both
@@ -37,9 +37,12 @@ the same order, on the same floats:
   ``OutOfOrderCore._fetch/_retire`` are transcribed operation-for-
   operation (``max(a, b)`` becomes the equivalent compare-and-assign),
   so cycle counts are bit-identical;
-* the inlined hit path performs the same LRU touches, hit counters,
-  dirty marking and prefetcher training the full hierarchy walk would,
-  and falls back to the real walk whenever its guards fail;
+* the inlined hot-line probe is the engine's only copy of any memory
+  system behaviour: on an L1 hit whose page is in the L1 TLB it
+  performs the same LRU touches, hit counters, dirty marking and
+  prefetcher training the walk would, and whenever a guard fails it
+  calls the one walk itself (``MemorySystem._demand`` or
+  ``MemorySystem.prefetch``), so every miss runs the reference code;
 * division/modulo by compile-time power-of-two machine parameters
   (line size, set count) is emitted as shifts/masks — identical results
   for every int under Python's floor-division semantics;
@@ -60,16 +63,18 @@ hot-line memo) and forces the reference slow path everywhere.
 
 Telemetry interaction: attaching a
 :class:`~repro.telemetry.TelemetryCollector` clears the memory system's
-``fastpath`` flag, so the emitter sees ``ms.fastpath`` false and emits
-plain ``_ms_load``/``_ms_store``/``_ms_prefetch`` calls instead of the
-inlined hot-line hit path — every memory operation then takes the
-instrumented reference walk while ALU fusion stays on.  With telemetry
-off (the default) nothing here changes: the generated code replays the
-same arithmetic it did before telemetry existed, so the fast path pays
-zero cost for the feature.
+``fastpath`` flag, fixed for the memory system's lifetime, so the
+emitter sees ``ms.fastpath`` false and emits plain
+``_ms_demand``/``_ms_prefetch`` calls instead of the inlined hot-line
+probe — every memory operation then takes the instrumented walk while
+ALU fusion stays on.  With telemetry off (the default) nothing here
+changes: the generated code replays the same arithmetic it did before
+telemetry existed, so the fast path pays zero cost for the feature.
 """
 
 from __future__ import annotations
+
+import functools
 
 from ..telemetry.spans import span
 from .memory import MemoryFault
@@ -116,10 +121,20 @@ _INLINE_CMP = {
     "uge": f"({{a}} & {_M64}) >= ({{b}} & {_M64})",
 }
 
-#: Source text -> compiled code object.  Source embeds every constant
-#: (slots, pcs, latencies, machine parameters) but no object identities,
-#: so one code object serves every interpreter with the same block shape.
-_CODE_CACHE: dict[str, object] = {}
+#: Compiled generated sources kept per process.  Source embeds every
+#: constant (slots, pcs, latencies, machine parameters) but no object
+#: identities, so one code object serves every interpreter with the
+#: same block shape.  Measured distinct sources: 148-160 per pass of
+#: the benchmark's figs-cold workload (seeds 1-10), 514 for
+#: ``repro bench fig6 --small`` and 968 for fig2-fig10 in one process,
+#: so none of them evicts; a long-lived serve worker stops growing here.
+_CODE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _compile_cached(src: str, filename: str):
+    """``compile`` behind the bounded code cache."""
+    return compile(src, filename, "exec")
 
 
 def _div_expr(operand: str, divisor: int) -> str:
@@ -217,8 +232,7 @@ class _Emitter:
         core = bind["core"]
         ms = bind["ms"]
         env["_core"] = core
-        env["_ms_load"] = ms.load
-        env["_ms_store"] = ms.store
+        env["_ms_demand"] = ms._demand
         env["_ms_prefetch"] = ms.prefetch
         self.ic = repr(core.issue_cost)
         if mode == "inorder":
@@ -227,7 +241,7 @@ class _Emitter:
             env["_rob"] = core._rob
             self.nrob = len(core._rob)
         if ms.fastpath:
-            # Bindings for the inlined hot-line hit path.  All of these
+            # Bindings for the inlined hot-line probe.  All of these
             # objects are stable for the MemorySystem's lifetime (flush
             # clears them in place).
             l1 = ms.caches[0]
@@ -236,9 +250,7 @@ class _Emitter:
                        _mst=ms.stats, _tst=ms.tlb.stats,
                        _l1st=l1.stats, _pf=ms.prefetcher,
                        _observe=ms.prefetcher.observe,
-                       _hwfill=ms._issue_hw_fills,
-                       _ms_demand=ms._demand_fast,
-                       _ms_pfmiss=ms._prefetch_miss_fast)
+                       _hwfill=ms._issue_hw_fills)
             # Per-level L1-below set arrays for inlined dirty marking.
             self.dirty = []
             for i, c in enumerate(ms.caches[1:]):
@@ -428,7 +440,8 @@ class _Emitter:
         emit("    lines[line] = entry")
 
     def train(self, pc: int, indent: str) -> None:
-        """Inlined ``_train_hw_prefetcher``: observe + rare fill issue."""
+        """The walk's prefetcher training, inlined: observe + rare fill
+        issue."""
         emit = self.out
         emit(f"{indent}if line != _pf._last_line:")
         emit(f"{indent}    _fl = _observe({pc}, line)")
@@ -439,9 +452,9 @@ class _Emitter:
         """``rdy = <memory system demand access at issue>``."""
         emit = self.out
         hot = self.hot
-        ms_call = "_ms_store" if is_write else "_ms_load"
+        walk = f"rdy = _ms_demand({pc}, addr, issue, {is_write})"
         if hot is None:
-            emit(f"rdy = {ms_call}({pc}, addr, issue)")
+            emit(walk)
             return
         emit(f"line = {hot['line']}")
         emit("entry = _hotget(line)")
@@ -458,9 +471,7 @@ class _Emitter:
         self.train(pc, "    ")
         emit(f"    rdy = issue + {hot['lat']}")
         emit("else:")
-        # The guard above replicates load()/store()'s own memo probe, so
-        # on failure go straight to the inlined miss walk.
-        emit(f"    rdy = _ms_demand({pc}, addr, issue, {is_write})")
+        emit(f"    {walk}")
 
     # -- one fusable instruction ---------------------------------------
 
@@ -559,11 +570,12 @@ class _Emitter:
             if self.timed:
                 self.issue_and([(pc_const, p)])
                 hot = self.hot
+                walk = f"acc = _ms_prefetch({pc}, addr, issue)"
                 if hot is None:
-                    emit(f"acc = _ms_prefetch({pc}, addr, issue)")
+                    emit(walk)
                 else:
-                    # Replay of MemorySystem.prefetch's fast path: an
-                    # L1-resident line never waits, so no fill check.
+                    # A prefetch that hits the L1 never waits, so the
+                    # probe needs no fill check.
                     emit(f"line = {hot['line']}")
                     emit("entry = _hotget(line)")
                     emit("if entry is not None and "
@@ -574,7 +586,7 @@ class _Emitter:
                     self.hot_touch()
                     emit("    acc = issue")
                     emit("else:")
-                    emit(f"    acc = _ms_pfmiss({pc}, addr, line, issue)")
+                    emit(f"    {walk}")
                 if self.mode == "inorder":
                     emit("t = acc")
                 else:
@@ -587,11 +599,7 @@ class _Emitter:
 def compile_source(src: str, env: dict, entry: str, filename: str):
     """Compile generated source through the shared code cache and
     instantiate it against ``env``; returns the closure ``entry``."""
-    code = _CODE_CACHE.get(src)
-    if code is None:
-        code = compile(src, filename, "exec")
-        _CODE_CACHE[src] = code
-    exec(code, env)
+    exec(_compile_cached(src, filename), env)
     return env[entry]
 
 

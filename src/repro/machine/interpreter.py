@@ -512,7 +512,6 @@ class Interpreter:
             tj_state = tj.state_for(compiled)
             traces = tj_state.traces
             counts = tj_state.counts
-            ms = self.memory_system
         rec_path = None
         rec_header = -1
         rec_self = None
@@ -521,29 +520,24 @@ class Interpreter:
                 if rec_path is None:
                     tr = traces.get(block)
                     if tr is not None:
-                        if tr.fp == ms.fastpath:
-                            budget = (yield_every - steps) \
-                                if yield_every else NO_BUDGET
-                            block, used = tr.fn(regs, ready, budget)
-                            steps += used
-                            if tr.entries >= 256 and \
-                                    tr.iters < (tr.entries >> 1):
-                                tj.deopt(tj_state, tr, "low-yield")
-                            if yield_every and steps >= yield_every:
-                                steps = 0
-                                yield core.time
-                            continue
-                        # e.g. a telemetry collector attached mid-run:
-                        # fall back to the fused tier for this block.
-                        tj.deopt(tj_state, tr, "memory-mode-changed")
-                    else:
-                        c = counts.get(block, 0) + 1
-                        counts[block] = c
-                        if c == tj.threshold and \
-                                block not in tj_state.blacklist:
-                            rec_header = block
-                            rec_path = [block]
-                            rec_self = set()
+                        budget = (yield_every - steps) \
+                            if yield_every else NO_BUDGET
+                        block, used = tr.fn(regs, ready, budget)
+                        steps += used
+                        if tr.entries >= 256 and \
+                                tr.iters < (tr.entries >> 1):
+                            tj.deopt(tj_state, tr)
+                        if yield_every and steps >= yield_every:
+                            steps = 0
+                            yield core.time
+                        continue
+                    c = counts.get(block, 0) + 1
+                    counts[block] = c
+                    if c == tj.threshold and \
+                            block not in tj_state.blacklist:
+                        rec_header = block
+                        rec_path = [block]
+                        rec_self = set()
                 elif block == rec_header:
                     tj.finish(compiled, tj_state, rec_path, rec_self)
                     rec_path = None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import asdict, dataclass
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from .cache import Cache
@@ -73,20 +72,23 @@ class MemorySystem:
     :param fastpath: enable the hot-line memo.
     :param telemetry: a :class:`~repro.telemetry.TelemetryCollector` to
         observe this hierarchy.  Attaching one disables the hot-line
-        memo so every access takes the instrumented reference walk —
-        cycle counts are unchanged (the walks are bit-identical; the
-        hooks are pure observation), only wall-clock speed drops.
+        memo so every access takes the instrumented walk — cycle counts
+        are unchanged (the hooks are pure observation), only wall-clock
+        speed drops.
 
-    The **hot-line memo** is the demand-path fast path: ``_hot`` maps a
-    line address to the ``[fill_time, dirty]`` entry list the L1 held
-    for it when it was last resolved.  A later access to the same line
-    takes the fast path only when (a) the L1 set still holds *that very
-    list object* — :meth:`Cache.insert` always installs a fresh list, so
+    The **hot-line memo** backs the fast engine's one memory shortcut:
+    ``_hot`` maps a line address to the ``[fill_time, dirty]`` entry
+    list the L1 held for it when a walk last resolved it.  Its only
+    reader is the probe :class:`~repro.machine.fastexec._Emitter`
+    inlines into fused segments and compiled traces.  The probe takes
+    the shortcut only when (a) the L1 set still holds *that very list
+    object* — :meth:`Cache.insert` always installs a fresh list, so
     identity proves the line was neither evicted nor refilled since —
-    (b) the fill has completed, and (c) the page is still in the L1 TLB.
-    The fast path then replays exactly the side effects the full walk
-    would have had (LRU touches, hit counters, dirty marking, prefetcher
-    training), keeping cycle counts bit-identical to the slow path.
+    (b) the fill has completed, and (c) the page is still in the L1
+    TLB.  It then replays exactly the side effects the walk would have
+    had (LRU touches, hit counters, dirty marking, prefetcher
+    training); when any guard fails, the generated code calls
+    :meth:`_demand` or :meth:`prefetch`, the one memory walk.
     """
 
     def __init__(self, config: MachineConfig,
@@ -115,65 +117,18 @@ class MemorySystem:
         self.fastpath = fastpath and telemetry is None
         self._hot: dict[int, list] = {}
         self._l1 = self.caches[0]
-        self._page_bits = self.tlb.page_bits
-        self._tlb_pages = self.tlb._pages  # cleared in place by flush()
 
     # -- public access points ---------------------------------------------
 
     def load(self, pc: int, addr: int, time: float) -> float:
         """Demand load; returns data-ready time."""
-        if self.fastpath:
-            line = addr // self.line_size
-            entry = self._hot.get(line)
-            if entry is not None and entry[0] <= time:
-                l1 = self._l1
-                lines = l1._sets[line % l1.num_sets]
-                if lines.get(line) is entry and \
-                        (addr >> self._page_bits) in self._tlb_pages:
-                    return self._fast_hit(pc, addr, line, time, lines,
-                                          entry, False)
-            return self._demand_fast(pc, addr, time, False)
-        return self._demand(pc, addr, time, is_write=False)
+        return self._demand(pc, addr, time, False)
 
     def store(self, pc: int, addr: int, time: float) -> float:
         """Store (write-allocate); returns line-owned time.  Cores treat
         stores as fire-and-forget through a store buffer; dirty lines
         cost a DRAM writeback when they eventually leave the hierarchy."""
-        if self.fastpath:
-            line = addr // self.line_size
-            entry = self._hot.get(line)
-            if entry is not None and entry[0] <= time:
-                l1 = self._l1
-                lines = l1._sets[line % l1.num_sets]
-                if lines.get(line) is entry and \
-                        (addr >> self._page_bits) in self._tlb_pages:
-                    return self._fast_hit(pc, addr, line, time, lines,
-                                          entry, True)
-            return self._demand_fast(pc, addr, time, True)
-        return self._demand(pc, addr, time, is_write=True)
-
-    def _fast_hit(self, pc: int, addr: int, line: int, time: float,
-                  lines: dict, entry: list, is_write: bool) -> float:
-        """Replay a guaranteed L1-line + L1-TLB hit without the walk."""
-        self.stats.demand_accesses += 1
-        tlb = self.tlb
-        pages = self._tlb_pages
-        page = addr >> self._page_bits
-        del pages[page]
-        pages[page] = None
-        tlb.stats.hits += 1
-        del lines[line]
-        lines[line] = entry
-        l1 = self._l1
-        l1.stats.hits += 1
-        if is_write:
-            entry[1] = True
-            for c in self.caches[1:]:
-                ce = c._sets[line % c.num_sets].get(line)
-                if ce is not None:
-                    ce[1] = True
-        self._train_hw_prefetcher(pc, line, time)
-        return time + l1.latency
+        return self._demand(pc, addr, time, True)
 
     def prefetch(self, pc: int, addr: int, time: float) -> float:
         """Software prefetch; returns the *issue-accept* time (the core
@@ -185,26 +140,6 @@ class MemorySystem:
         this is what throttles software-prefetch memory parallelism.
         """
         line = addr // self.line_size
-        if self.fastpath:
-            # Fast path: the line is provably still in the L1 and the
-            # page in the L1 TLB, so the slow path would hit at level 0
-            # and return ``time`` untouched (no fill-time check needed:
-            # a prefetch hit never waits).  Replay the touches/counters.
-            entry = self._hot.get(line)
-            if entry is not None:
-                l1 = self._l1
-                lines = l1._sets[line % l1.num_sets]
-                page = addr >> self._page_bits
-                if lines.get(line) is entry and page in self._tlb_pages:
-                    self.stats.sw_prefetches += 1
-                    pages = self._tlb_pages
-                    del pages[page]
-                    pages[page] = None
-                    self.tlb.stats.hits += 1
-                    del lines[line]
-                    lines[line] = entry
-                    return time
-            return self._prefetch_miss_fast(pc, addr, line, time)
         tel = self.telemetry
         self.stats.sw_prefetches += 1
         t = self.tlb.translate(addr, time)  # prefetches do fill the TLB
@@ -252,233 +187,19 @@ class MemorySystem:
         if entry is not None:
             hot[line] = entry
 
-    # -- inlined fast-path walks --------------------------------------------
-    #
-    # ``_demand_fast`` / ``_prefetch_miss_fast`` are hand-inlined copies of
-    # ``_demand`` / the ``prefetch`` slow path: they perform *exactly* the
-    # same state mutations in the same order (TLB probe, per-level lookup
-    # touches and counters, MSHR heap, DRAM channel, per-level fills with
-    # eviction/writeback charging, prefetcher training, hot-line memo) but
-    # collapse ~a dozen method calls and attribute chases into one frame.
-    # Any behavioural change here is a bug; the property tests compare the
-    # two engines stat-for-stat.
-
-    def _demand_fast(self, pc: int, addr: int, time: float,
-                     is_write: bool) -> float:
-        self.stats.demand_accesses += 1
-        line = addr // self.line_size
-        # TLB.translate, L1 probe inlined.
-        page = addr >> self._page_bits
-        pages = self._tlb_pages
-        if page in pages:
-            del pages[page]
-            pages[page] = None
-            self.tlb.stats.hits += 1
-            t = time
-        else:
-            t = self.tlb._miss(page, time)
-        caches = self.caches
-        l1_entry = None
-        for level, cache in enumerate(caches):
-            lines = cache._sets[line % cache.num_sets]
-            entry = lines.get(line)
-            if entry is not None:
-                fill = entry[0]
-                del lines[line]
-                lines[line] = entry
-                cst = cache.stats
-                if fill <= t:
-                    cst.hits += 1
-                    ready = t + cache.latency
-                else:
-                    cst.prefetch_hits += 1
-                    ready = fill + cache.latency
-                if level:
-                    # Promote into the levels above; the walk just proved
-                    # the line absent there, so Cache.insert reduces to
-                    # evict-if-full + install (an upper level is never the
-                    # LLC, so no writeback charge — same as insert()'s
-                    # ignored return on this path).
-                    for upper in caches[:level]:
-                        cl = upper._sets[line % upper.num_sets]
-                        if len(cl) >= upper.ways:
-                            oldest = next(iter(cl))
-                            de = cl[oldest][1]
-                            del cl[oldest]
-                            cst = upper.stats
-                            cst.evictions += 1
-                            if de:
-                                cst.dirty_evictions += 1
-                        cl[line] = [ready, False]
-                else:
-                    l1_entry = entry
-                if is_write:
-                    for c in caches:
-                        ce = c._sets[line % c.num_sets].get(line)
-                        if ce is not None:
-                            ce[1] = True
-                break
-            cache.stats.misses += 1
-        else:
-            # Miss everywhere: MSHR acquire + DRAM access + fills, inlined.
-            mshrs = self.mshrs
-            heap = mshrs._completions
-            while heap and heap[0] <= t:
-                heappop(heap)
-            start = heappop(heap) if len(heap) >= mshrs.entries else t
-            d = self.dram
-            cpl = d.cycles_per_line
-            nf = d._next_free
-            s = start if start > nf else nf
-            d._next_free = s + cpl
-            done = s + d.latency + d.contention_penalty * (d._sharers - 1)
-            dst = d.stats
-            dst.accesses += 1
-            dst.busy_cycles += cpl
-            dst.queue_cycles += s - start
-            heappush(heap, done)
-            self.stats.demand_misses_to_dram += 1
-            # _fill_all(line, done, dirty=is_write, request_time=start):
-            # the line just missed at every level, so it is absent from
-            # each set and insert() reduces to evict-if-full + install.
-            llc = caches[-1]
-            for cache in caches:
-                cl = cache._sets[line % cache.num_sets]
-                if len(cl) >= cache.ways:
-                    oldest = next(iter(cl))
-                    dirty_evicted = cl[oldest][1]
-                    del cl[oldest]
-                    cst = cache.stats
-                    cst.evictions += 1
-                    if dirty_evicted:
-                        cst.dirty_evictions += 1
-                        if cache is llc:
-                            nf = d._next_free
-                            ws = start if start > nf else nf
-                            d._next_free = ws + cpl
-                            dst.writebacks += 1
-                            dst.busy_cycles += cpl
-                new = [done, is_write]
-                cl[line] = new
-                if l1_entry is None:
-                    l1_entry = new
-            ready = done
-        pf = self.prefetcher
-        if line != pf._last_line:
-            fills = pf.observe(pc, line)
-            if fills:
-                self._issue_hw_fills(fills, t)
-        hot = self._hot
-        if len(hot) > _HOT_LIMIT:
-            hot.clear()
-        if l1_entry is None:
-            l1 = caches[0]
-            l1_entry = l1._sets[line % l1.num_sets].get(line)
-        hot[line] = l1_entry
-        return ready
-
-    def _prefetch_miss_fast(self, pc: int, addr: int, line: int,
-                            time: float) -> float:
-        self.stats.sw_prefetches += 1
-        page = addr >> self._page_bits
-        pages = self._tlb_pages
-        if page in pages:
-            del pages[page]
-            pages[page] = None
-            self.tlb.stats.hits += 1
-            t = time
-        else:
-            t = self.tlb._miss(page, time)
-        caches = self.caches
-        hot = self._hot
-        for level, cache in enumerate(caches):
-            lines = cache._sets[line % cache.num_sets]
-            entry = lines.get(line)
-            if entry is not None:
-                fill = entry[0]
-                del lines[line]
-                lines[line] = entry
-                if level:
-                    ready = (t if fill <= t else fill) + cache.latency
-                    # Inlined Cache.insert: the walk proved the line
-                    # absent above ``level`` (evict-if-full + install).
-                    l1 = caches[0]
-                    for upper in caches[:level]:
-                        cl = upper._sets[line % upper.num_sets]
-                        if len(cl) >= upper.ways:
-                            oldest = next(iter(cl))
-                            de = cl[oldest][1]
-                            del cl[oldest]
-                            cst = upper.stats
-                            cst.evictions += 1
-                            if de:
-                                cst.dirty_evictions += 1
-                        new = [ready, False]
-                        cl[line] = new
-                        upper.stats.prefetch_fills += 1
-                        if upper is l1:
-                            entry = new
-                if len(hot) > _HOT_LIMIT:
-                    hot.clear()
-                hot[line] = entry
-                return time
-        # Miss everywhere (no per-level miss counters on prefetch walks).
-        mshrs = self.mshrs
-        heap = mshrs._completions
-        while heap and heap[0] <= t:
-            heappop(heap)
-        start = heappop(heap) if len(heap) >= mshrs.entries else t
-        d = self.dram
-        cpl = d.cycles_per_line
-        nf = d._next_free
-        s = start if start > nf else nf
-        d._next_free = s + cpl
-        done = s + d.latency + d.contention_penalty * (d._sharers - 1)
-        dst = d.stats
-        dst.accesses += 1
-        dst.busy_cycles += cpl
-        dst.queue_cycles += s - start
-        heappush(heap, done)
-        self.stats.sw_prefetch_dram_fills += 1
-        llc = caches[-1]
-        l1_entry = None
-        for cache in caches:
-            cl = cache._sets[line % cache.num_sets]
-            if len(cl) >= cache.ways:
-                oldest = next(iter(cl))
-                dirty_evicted = cl[oldest][1]
-                del cl[oldest]
-                cst = cache.stats
-                cst.evictions += 1
-                if dirty_evicted:
-                    cst.dirty_evictions += 1
-                    if cache is llc:
-                        nf = d._next_free
-                        ws = start if start > nf else nf
-                        d._next_free = ws + cpl
-                        dst.writebacks += 1
-                        dst.busy_cycles += cpl
-            new = [done, False]
-            cl[line] = new
-            if l1_entry is None:
-                l1_entry = new
-        caches[0].stats.prefetch_fills += 1
-        if len(hot) > _HOT_LIMIT:
-            hot.clear()
-        hot[line] = l1_entry
-        return max(time, start - (t - time))
-
     # -- internals ----------------------------------------------------------
 
     def _demand(self, pc: int, addr: int, time: float,
-                is_write: bool = False) -> float:
+                is_write: bool) -> float:
         self.stats.demand_accesses += 1
         line = addr // self.line_size
         t = self.tlb.translate(addr, time)
         if self.telemetry is not None:
             self.telemetry.account_translation(t - time)
         ready = self._hierarchy_access(line, t, is_write)
-        self._train_hw_prefetcher(pc, line, t)
+        fills = self.prefetcher.observe(pc, line)
+        if fills:
+            self._issue_hw_fills(fills, t)
         self._memoize(line)
         return ready
 
@@ -530,40 +251,20 @@ class MemorySystem:
             if cache.insert(line, fill_time, dirty) and cache is llc:
                 self.dram.writeback(wb_time)
 
-    def _train_hw_prefetcher(self, pc: int, line: int, t: float) -> None:
-        fills = self.prefetcher.observe(pc, line)
-        if fills:
-            self._issue_hw_fills(fills, t)
-
     def _issue_hw_fills(self, fills: list[int], t: float) -> None:
-        # Hardware prefetches fill into the L2 (not L1) and consume DRAM
-        # bandwidth, but bypass the core's MSHRs (dedicated queue).
+        # Hardware prefetches fill into the L2 (the L1 of a one-level
+        # hierarchy) and consume DRAM bandwidth, but bypass the core's
+        # MSHRs (dedicated queue).
         caches = self.caches
         llc = caches[-1]
-        dram = self.dram
-        targets = caches[1:] or caches
         for fill_line in fills:
-            for c in caches:
-                if fill_line in c._sets[fill_line % c.num_sets]:
-                    break
-            else:
-                done = dram.access(t)
-                # Inlined Cache.insert: the residence scan above proved
-                # the line absent everywhere (evict-if-full + install).
-                for cache in targets:
-                    cl = cache._sets[fill_line % cache.num_sets]
-                    if len(cl) >= cache.ways:
-                        oldest = next(iter(cl))
-                        de = cl[oldest][1]
-                        del cl[oldest]
-                        cst = cache.stats
-                        cst.evictions += 1
-                        if de:
-                            cst.dirty_evictions += 1
-                            if cache is llc:
-                                dram.writeback(t)
-                    cl[fill_line] = [done, False]
-                self.stats.hw_prefetch_fills += 1
+            if any(c.contains(fill_line) for c in caches):
+                continue
+            done = self.dram.access(t)
+            for cache in caches[1:] or caches:
+                if cache.insert(fill_line, done) and cache is llc:
+                    self.dram.writeback(t)
+            self.stats.hw_prefetch_fills += 1
 
     # -- bookkeeping ---------------------------------------------------------
 

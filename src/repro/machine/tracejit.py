@@ -29,19 +29,13 @@ Guards and deoptimization
   recorded direction; a mismatch applies the other edge's phi moves and
   returns control (with the correct successor block) to the fused tier.
 * **Cold line / TLB miss / MSHR pressure** (in-trace): the inlined
-  memory fast path falls back to the full reference walk
-  (``_demand_fast`` / ``_prefetch_miss_fast``) exactly as fused
-  segments do — a *local* deoptimization that stays in the trace.
+  hot-line probe falls back to the memory system's one walk
+  (``MemorySystem._demand`` / ``MemorySystem.prefetch``) exactly as
+  fused segments do — a *local* deoptimization that stays in the trace.
 * **Yield budget** (in-trace): traces take the remaining instruction
   budget to the next ``yield_every`` boundary and exit at exactly the
   block boundary the reference engine would yield at, so multicore
   interleaving is schedule-identical.
-* **Memory-system mode change** (at entry): a trace records the
-  ``ms.fastpath`` flag it was compiled under; attaching a telemetry
-  collector mid-run flips the flag, the entry guard fails, the trace is
-  discarded (``TraceDeopt``) and the loop falls back to the fused tier
-  (and may re-trace under the new mode, now emitting instrumented
-  reference walks).
 * **Low yield** (at exit): a trace that keeps side-exiting without
   completing iterations is discarded and its header blacklisted.
 
@@ -80,7 +74,7 @@ DEFAULT_THRESHOLD = 16
 class Trace:
     """One compiled trace plus its execution statistics."""
 
-    __slots__ = ("fn", "func", "header", "header_name", "fp", "blocks",
+    __slots__ = ("fn", "func", "header", "header_name", "blocks",
                  "ops", "entries", "iters", "insts")
 
     def __init__(self, func: str, header: int, header_name: str,
@@ -89,7 +83,6 @@ class Trace:
         self.func = func
         self.header = header
         self.header_name = header_name
-        self.fp = False
         self.blocks = blocks
         self.ops = ops
         self.entries = 0
@@ -193,7 +186,7 @@ class TraceJIT:
         remark_emit("analysis", "trace-jit", "TraceCompiled",
                     function=trace.func, header=trace.header_name,
                     blocks=len(path), ops=nops, nested=len(selfloops),
-                    mode=self.mode, fastpath=trace.fp)
+                    mode=self.mode, fastpath=self.bind["ms"].fastpath)
         instant("tracejit", "TraceCompiled", function=trace.func,
                 header=trace.header_name, blocks=len(path), ops=nops)
         return trace
@@ -209,22 +202,18 @@ class TraceJIT:
                 reason=reason, stage="record")
         return None
 
-    def deopt(self, state: FunctionState, trace: Trace, reason: str
-              ) -> None:
-        """Discard a compiled trace after an entry/exit guard failure."""
+    def deopt(self, state: FunctionState, trace: Trace) -> None:
+        """Discard a compiled trace that keeps side-exiting without
+        completing iterations (``low-yield``) and blacklist its header."""
         state.traces.pop(trace.header, None)
-        if reason == "low-yield":
-            state.blacklist.add(trace.header)
-        else:
-            # Allow re-recording under the new configuration.
-            state.counts[trace.header] = 0
+        state.blacklist.add(trace.header)
         self.deopts += 1
         remark_emit("analysis", "trace-jit", "TraceDeopt",
                     function=trace.func, header=trace.header_name,
-                    reason=reason, stage="run",
+                    reason="low-yield", stage="run",
                     iterations=trace.iters, entries=trace.entries)
         instant("tracejit", "TraceDeopt", function=trace.func,
-                header=trace.header_name, reason=reason, stage="run")
+                header=trace.header_name, reason="low-yield", stage="run")
 
     # -- reporting ------------------------------------------------------
 
@@ -321,7 +310,6 @@ class TraceJIT:
 
         trace = Trace(compiled.function.name, header,
                       compiled.block_names[header], n, nops)
-        trace.fp = self.bind["ms"].fastpath
         env["_tr"] = trace
         trace.fn = compile_source(src, env, "_trace", "<compiled-trace>")
         return trace

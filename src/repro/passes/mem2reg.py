@@ -118,6 +118,19 @@ class Mem2RegPass:
                 rename(child, current)
 
         rename(func.entry, undef)
+        # Blocks unreachable from the entry lie outside the dominator
+        # tree and never run: their loads read undef, and so do the
+        # phis they feed.
+        for block in func.blocks:
+            if block in idom:
+                continue
+            for inst in block.instructions:
+                if isinstance(inst, Load) and inst.ptr is slot:
+                    replacements[id(inst)] = undef
+            for succ in block.successors:
+                phi = phis.get(succ)
+                if phi is not None:
+                    phi.add_incoming(undef, block)
 
         # Apply replacements (resolving chains through replaced loads).
         def resolve(value: Value) -> Value:

@@ -264,10 +264,11 @@ def _execute_compile(norm: dict) -> dict:
 def execute_request(norm: dict) -> dict:
     """Run one canonical request to completion (worker process).
 
-    Returns the ``repro-serve-result-v1`` payload.  Compile errors in
-    client-supplied source are reported as ``status: "error"`` with
-    ``code: 400`` (the client's fault); anything else unexpected is the
-    caller's job to catch.
+    Returns the ``repro-serve-result-v1`` payload.  Lexer, parser and
+    lowering errors in client-supplied source are reported as
+    ``status: "error"`` with ``code: 400`` (the client's fault); any
+    other exception, a compiler bug included, is the caller's job to
+    catch (the pool answers it with a 500).
 
     Spans go to the active :class:`~repro.telemetry.spans.SpanRecorder`
     (the pool worker installs one per job) under a top-level
@@ -277,6 +278,7 @@ def execute_request(norm: dict) -> dict:
     """
     from contextlib import ExitStack
 
+    from ..frontend import SOURCE_ERRORS
     from ..remarks import RemarkEmitter, collecting
     from ..remarks.serialize import remark_to_dict
     from ..telemetry.spans import (SpanRecorder, active_recorder,
@@ -311,13 +313,12 @@ def execute_request(norm: dict) -> dict:
             # instrumented interior).
             stack.enter_context(span("serve", "execute", kind=norm["kind"]))
             payload["result"] = body()
-    except Exception as exc:
-        if norm["kind"] == "compile":
-            # Lexer/parser/lowering errors are the client's source.
-            return {"schema": SCHEMA_RESULT, "status": "error",
-                    "code": 400, "kind": norm["kind"],
-                    "error": f"{type(exc).__name__}: {exc}"}
-        raise
+    except SOURCE_ERRORS as exc:
+        # Lexer/parser/lowering errors are the client's source; any
+        # other exception is ours and reaches the caller (a 500).
+        return {"schema": SCHEMA_RESULT, "status": "error",
+                "code": 400, "kind": norm["kind"],
+                "error": f"{type(exc).__name__}: {exc}"}
     if emitter is not None:
         payload["remarks"] = [remark_to_dict(r) for r in emitter]
     if want_spans:

@@ -7,6 +7,26 @@ import pytest
 from repro.ir import (INT64, IRBuilder, Module, VOID, pointer,
                       verify_module)
 from repro.ir.values import Constant
+from repro.machine.configs import CacheConfig, MachineConfig
+
+#: Toy machines whose one 1 KiB cache is both L1 and LLC (no L2 TLB):
+#: L1 dirty evictions charge DRAM writebacks and hardware-prefetch
+#: fills land in the L1.
+SIMPLE = MachineConfig(
+    name="simple", freq_ghz=1.0, in_order=True, issue_width=1,
+    rob_size=0, mshrs=4,
+    caches=(CacheConfig(1024, 2, 4),),
+    dram_latency=100, dram_cycles_per_line=4.0,
+    tlb_entries=16, tlb_walk_latency=20, tlb_max_walks=2,
+    tlb_l2_entries=0, page_bits=12)
+
+SIMPLE_OOO = MachineConfig(
+    name="simple-ooo", freq_ghz=1.0, in_order=False, issue_width=2,
+    rob_size=16, mshrs=4,
+    caches=(CacheConfig(1024, 2, 4),),
+    dram_latency=100, dram_cycles_per_line=4.0,
+    tlb_entries=16, tlb_walk_latency=20, tlb_max_walks=2,
+    tlb_l2_entries=0, page_bits=12)
 
 
 def build_indirect_kernel(num_buckets: int | None = 1024,
@@ -93,3 +113,14 @@ def indirect_module() -> Module:
 def diamond_module() -> Module:
     """Fresh diamond-CFG function."""
     return build_diamond_function()
+
+
+@pytest.fixture
+def broken_prefetch_pass(monkeypatch):
+    """Make ``IndirectPrefetchPass.run`` raise: a stand-in for any
+    compiler bug (an exception that is not a frontend error)."""
+    from repro.passes import IndirectPrefetchPass
+
+    def boom(self, module):
+        raise RuntimeError("injected pass failure")
+    monkeypatch.setattr(IndirectPrefetchPass, "run", boom)

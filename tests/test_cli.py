@@ -79,6 +79,13 @@ class TestCompileCommand:
         code, _ = run_cli("compile", str(bad))
         assert code == 1
 
+    @pytest.mark.usefixtures("broken_prefetch_pass")
+    def test_compiler_bug_labelled_internal(self, source_file, capsys):
+        code, _ = run_cli("compile", source_file, "--prefetch")
+        assert code == 1
+        assert "internal error: RuntimeError: injected pass failure" in \
+            capsys.readouterr().err
+
 
 class TestSystemsCommand:
     def test_lists_all_machines(self):

@@ -25,8 +25,11 @@ from repro.bench.runner import collecting_traces, run_defaults, run_variant
 from repro.envcfg import SimOptions
 from repro.machine import A53, A57, HASWELL, XEON_PHI, Interpreter
 from repro.machine.memory import Memory
+from tests.conftest import SIMPLE, SIMPLE_OOO
 
 ALL_MACHINES = (HASWELL, A57, A53, XEON_PHI)
+#: The four paper machines plus two one-level hierarchies.
+EQUIVALENCE_MACHINES = ALL_MACHINES + (SIMPLE, SIMPLE_OOO)
 
 #: Binary ops drawn by the random kernel generator (all inline-fused).
 _BINOPS = ("add", "sub", "mul", "and_", "or_", "xor", "shl", "ashr",
@@ -175,13 +178,13 @@ def hash_join():
 # axis, so the telemetry-off test ids stay stable.
 
 class TestRandomKernelEquivalence:
-    @pytest.mark.parametrize("machine", ALL_MACHINES,
+    @pytest.mark.parametrize("machine", EQUIVALENCE_MACHINES,
                              ids=lambda m: m.name)
     @pytest.mark.parametrize("seed", range(6))
     def test_identical_on_random_kernels(self, machine, seed):
         random_kernel_engines_agree(machine, seed, telemetry=False)
 
-    @pytest.mark.parametrize("machine", ALL_MACHINES,
+    @pytest.mark.parametrize("machine", EQUIVALENCE_MACHINES,
                              ids=lambda m: m.name)
     @pytest.mark.parametrize("seed", range(6))
     def test_identical_with_telemetry(self, machine, seed):
@@ -189,7 +192,7 @@ class TestRandomKernelEquivalence:
 
 
 class TestWorkloadEquivalence:
-    @pytest.mark.parametrize("machine", ALL_MACHINES,
+    @pytest.mark.parametrize("machine", EQUIVALENCE_MACHINES,
                              ids=lambda m: m.name)
     @pytest.mark.parametrize("variant", ("plain", "auto"))
     def test_integer_sort(self, machine, variant):
@@ -314,3 +317,24 @@ class TestFastpathFlag:
         """A run's own ``sim`` beats the scoped default."""
         with run_defaults(SimOptions(fastpath=False)):
             assert traced_rows(sim=SimOptions())
+
+
+class TestCodeCache:
+    def test_bounded_and_recompiles_after_eviction(self):
+        """Generated code is cached by source text, up to a fixed
+        bound: past it the oldest entries go, and an evicted source
+        compiles again on its next use."""
+        from repro.machine import fastexec
+
+        def build(i: int):
+            return fastexec.compile_source(
+                f"def _f():\n    return {i}\n", {}, "_f", "<test>")
+
+        bound = fastexec._CODE_CACHE_SIZE
+        try:
+            for i in range(bound + 16):
+                assert build(i)() == i
+            assert fastexec._compile_cached.cache_info().currsize <= bound
+            assert build(0)() == 0
+        finally:
+            fastexec._compile_cached.cache_clear()

@@ -37,6 +37,11 @@ class TestLexer:
         with pytest.raises(LexError):
             tokenize("/* never ends")
 
+    @pytest.mark.parametrize("text", ("08", "09", "0x"))
+    def test_malformed_integer_constants(self, text):
+        with pytest.raises(LexError):
+            tokenize(f"long x = {text};")
+
     def test_unknown_character(self):
         with pytest.raises(LexError):
             tokenize("a @ b")
@@ -232,6 +237,40 @@ class TestLoweringAndExecution:
     def test_redeclaration_same_scope(self):
         with pytest.raises(LoweringError):
             compile_source("long f() { long x = 1; long x = 2; return x; }")
+
+
+class TestValidSourceThatCrashedTheCompiler:
+    """Valid C that raised an internal ``ValueError`` instead of
+    compiling; each must compile, verify and round-trip."""
+
+    OCTAL = "long kernel(long *a, long n) { long x = 010; return x; }"
+    #: The code after the condition-less loop is unreachable, so
+    #: mem2reg's dominator-tree walk never renamed its loads.
+    UNREACHABLE = """
+    long kernel(long *a, long n) {
+      long s = 0;
+      for (long i = 0; ; i++) { s += a[i]; }
+      s = s + 1;
+      return s;
+    }
+    """
+
+    @pytest.mark.parametrize("source", (OCTAL, UNREACHABLE),
+                             ids=("octal", "unreachable"))
+    def test_compiles_verifies_and_round_trips(self, source):
+        from repro.ir import parse_module, print_module
+        from repro.passes import IndirectPrefetchPass
+        module = compile_source(source)
+        IndirectPrefetchPass().run(module)
+        verify_module(module)
+        text = print_module(module)
+        reparsed = parse_module(text)
+        verify_module(reparsed)
+        assert print_module(reparsed) == text
+
+    def test_leading_zero_is_octal(self):
+        module = compile_source(self.OCTAL)
+        assert Interpreter(module).run("kernel", [0, 0]).value == 8
 
 
 class TestFrontendToPrefetchPipeline:

@@ -8,24 +8,7 @@ from repro.machine import (A53, A57, HASWELL, XEON_PHI, Interpreter,
                            InOrderCore, Memory, MemoryFault, MemorySystem,
                            OutOfOrderCore, make_core, run_multicore,
                            system_by_name)
-from repro.machine.configs import CacheConfig, MachineConfig
-from tests.conftest import build_indirect_kernel
-
-SIMPLE = MachineConfig(
-    name="simple", freq_ghz=1.0, in_order=True, issue_width=1,
-    rob_size=0, mshrs=4,
-    caches=(CacheConfig(1024, 2, 4),),
-    dram_latency=100, dram_cycles_per_line=4.0,
-    tlb_entries=16, tlb_walk_latency=20, tlb_max_walks=2,
-    tlb_l2_entries=0, page_bits=12)
-
-SIMPLE_OOO = MachineConfig(
-    name="simple-ooo", freq_ghz=1.0, in_order=False, issue_width=2,
-    rob_size=16, mshrs=4,
-    caches=(CacheConfig(1024, 2, 4),),
-    dram_latency=100, dram_cycles_per_line=4.0,
-    tlb_entries=16, tlb_walk_latency=20, tlb_max_walks=2,
-    tlb_l2_entries=0, page_bits=12)
+from tests.conftest import SIMPLE, SIMPLE_OOO, build_indirect_kernel
 
 
 class TestMemorySystem:

@@ -46,6 +46,14 @@ def _alive(pid: int) -> bool:
         return False
 
 
+VALID_KERNEL = """
+void kernel(long* restrict dst, long* restrict idx, long n) {
+    for (long i = 0; i < n; i++)
+        dst[idx[i]] += 1;
+}
+"""
+
+
 # ---------------------------------------------------------------------------
 # Protocol layer.
 
@@ -168,6 +176,15 @@ void kernel(long* restrict dst, long* restrict idx,
         payload = execute_request(norm)
         assert payload["status"] == "error"
         assert payload["code"] == 400
+
+    @pytest.mark.usefixtures("broken_prefetch_pass")
+    def test_compiler_bug_is_not_client_fault(self):
+        """Only lexer, parser and lowering errors are the client's: any
+        other exception from a compile job reaches the caller."""
+        norm = normalize_request({"kind": "compile",
+                                  "source": VALID_KERNEL})
+        with pytest.raises(RuntimeError, match="injected"):
+            execute_request(norm)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +393,18 @@ class TestServerFaults:
             assert status == 400
             assert body["status"] == "error"
         serve_scenario(scenario)(tmp_path)
+
+    @pytest.mark.usefixtures("broken_prefetch_pass")
+    def test_compiler_bug_served_as_500(self, tmp_path):
+        """A compile job that fails inside the compiler is the server's
+        fault: the pool's 500, not a 400.  The forked worker inherits
+        the broken pass."""
+        async def scenario(server):
+            status, body = await roundtrip(
+                server, {"kind": "compile", "source": VALID_KERNEL})
+            assert status == 500
+            assert "RuntimeError: injected pass failure" in body["error"]
+        serve_scenario(scenario, mp_context="fork")(tmp_path)
 
     def test_store_failure_never_wedges_the_key(self, tmp_path):
         """A store.put that raises (full disk, unserialisable payload

@@ -21,6 +21,7 @@ from repro.machine.memory import Memory
 from repro.machine.tracejit import DEFAULT_THRESHOLD
 from repro.remarks import RemarkEmitter, collecting
 
+from .conftest import SIMPLE, SIMPLE_OOO
 from .test_fastpath_equivalence import (build_random_kernel, run_engine,
                                         snapshot)
 
@@ -114,7 +115,8 @@ def run_module(module: Module, machine, n: int, *,
 
 
 class TestTraceEquivalence:
-    @pytest.mark.parametrize("machine", (HASWELL, A53, XEON_PHI),
+    @pytest.mark.parametrize("machine", (HASWELL, A53, XEON_PHI, SIMPLE,
+                                         SIMPLE_OOO),
                              ids=lambda m: m.name)
     @pytest.mark.parametrize("seed", range(4))
     def test_identical_on_random_kernels(self, machine, seed):
@@ -260,35 +262,6 @@ class TestDeoptGuards:
         assert out_jit == out_slow
         assert jit["memory_system"]["dram"]["stats"]["accesses"] > 0
 
-    def test_memory_mode_change_deopts_at_entry(self):
-        """Flipping the memory system off the fast path (what attaching
-        a telemetry collector does) fails the trace's entry guard: the
-        trace is discarded with a ``memory-mode-changed`` remark and the
-        run completes on the fused tier, still bit-identical."""
-        n = 512
-        _, slow, out_slow = run_module(build_flip_kernel(n), HASWELL, n,
-                                       fastpath=False)
-        mem = Memory(HASWELL.line_size)
-        data = np.random.default_rng(7).integers(0, 1 << 40, n)
-        a = mem.allocate(8, n, "a")
-        a.fill(data)
-        out = mem.allocate(8, n, "out")
-        interp = Interpreter(build_flip_kernel(n), mem, machine=HASWELL,
-                             fastpath=True)
-        emitter = RemarkEmitter()
-        with collecting(emitter):
-            stepper = interp.run_stepped(
-                "kernel", [a.base, out.base, n], yield_every=1000)
-            next(stepper)  # past the threshold: a trace is live
-            interp.memory_system.fastpath = False
-            for _ in stepper:
-                pass
-        deopts = [r for r in emitter.by_name("TraceDeopt")
-                  if r.arg("reason") == "memory-mode-changed"]
-        assert deopts, "entry guard did not fire on the mode change"
-        assert snapshot(interp) == slow
-        assert list(out.data) == out_slow
-
     def test_unfusable_loop_aborts_and_blacklists(self):
         """A call inside the hot loop aborts recording (blacklist +
         ``TraceDeopt`` record-stage remark); execution is unaffected."""
@@ -350,7 +323,7 @@ class TestDeoptGuards:
         trace = tj.traces[0]
         state = tj._states[trace.func]
         assert trace.header in state.traces
-        tj.deopt(state, trace, "low-yield")
+        tj.deopt(state, trace)
         assert trace.header not in state.traces
         assert trace.header in state.blacklist
         assert tj.deopts >= 1
