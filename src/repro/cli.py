@@ -487,7 +487,11 @@ _FIGURES = {
 def _bench_hot_report(figure, args: argparse.Namespace, out) -> int:
     """Run one figure and print the hottest compiled traces: loop
     header, iteration count and share of the simulated instructions,
-    plus the trace JIT's remark stream."""
+    under a title giving the share that ran on traces; then
+    ``TraceDeopt`` counts by stage and reason, and the trace JIT's
+    remark stream."""
+    from collections import Counter
+
     from .bench.runner import TELEMETRY, collecting_traces, reset_telemetry
     from .remarks import RemarkEmitter, collecting, render_remarks
     reset_telemetry()
@@ -507,12 +511,19 @@ def _bench_hot_report(figure, args: argparse.Namespace, out) -> int:
              (f"{100.0 * r['instructions'] / total:.1f}%"
               if total else "-")]
             for r in top]
+    traced = sum(r["instructions"] for r in rows)
+    share = f", {100.0 * traced / total:.1f}% on traces" if total else ""
     print(format_table(
         headers, body,
         f"Hottest traces — top {len(top)} of {len(rows)} "
-        f"({total} simulated instructions)"), file=out)
+        f"({total} simulated instructions{share})"), file=out)
     trace_remarks = [r for r in emitter
                      if r.name in ("TraceCompiled", "TraceDeopt")]
+    deopts = Counter(f"{r.arg('stage')}/{r.arg('reason')}"
+                     for r in trace_remarks if r.name == "TraceDeopt")
+    print("TraceDeopt by stage/reason: " + (", ".join(
+        f"{key} {n}" for key, n in sorted(deopts.items())) or "none"),
+        file=out)
     print(render_remarks(trace_remarks,
                          title="Trace-JIT remarks (repro-remarks-v1):"),
           file=out)

@@ -512,46 +512,36 @@ class Interpreter:
             tj_state = tj.state_for(compiled)
             traces = tj_state.traces
             counts = tj_state.counts
-        rec_path = None
-        rec_header = -1
-        rec_self = None
+        rec = None
         while True:
             if tj is not None:
-                if rec_path is None:
+                tr = None
+                if rec is None:
                     tr = traces.get(block)
-                    if tr is not None:
-                        budget = (yield_every - steps) \
-                            if yield_every else NO_BUDGET
-                        block, used = tr.fn(regs, ready, budget)
-                        steps += used
-                        if tr.entries >= 256 and \
-                                tr.iters < (tr.entries >> 1):
-                            tj.deopt(tj_state, tr)
-                        if yield_every and steps >= yield_every:
-                            steps = 0
-                            yield core.time
-                        continue
-                    c = counts.get(block, 0) + 1
-                    counts[block] = c
-                    if c == tj.threshold and \
-                            block not in tj_state.blacklist:
-                        rec_header = block
-                        rec_path = [block]
-                        rec_self = set()
-                elif block == rec_header:
-                    tj.finish(compiled, tj_state, rec_path, rec_self)
-                    rec_path = None
-                elif block == rec_path[-1]:
-                    # Immediate self-revisit: a single-block inner loop,
-                    # compiled as a nested while inside the trace.
-                    rec_self.add(block)
-                elif block in rec_path or len(rec_path) >= tj.max_blocks:
-                    tj.abort(tj_state, rec_header,
-                             "inner-loop" if block in rec_path
-                             else "too-long")
-                    rec_path = None
-                else:
-                    rec_path.append(block)
+                    if tr is None:
+                        c = counts.get(block, 0) + 1
+                        counts[block] = c
+                        if c == tj.threshold and \
+                                block not in tj_state.blacklist:
+                            rec = tj.record(compiled, tj_state, block)
+                elif rec.visit(block):
+                    rec = None
+                elif rec.skip is not None:
+                    # A nested loop's unrecorded iterations may run on
+                    # that loop's own trace.
+                    tr = traces.get(block)
+                if tr is not None:
+                    budget = (yield_every - steps) \
+                        if yield_every else NO_BUDGET
+                    block, used = tr.fn(regs, ready, budget)
+                    steps += used
+                    if tr.entries >= 256 and \
+                            tr.iters < (tr.entries >> 1):
+                        tj.deopt(tj_state, tr)
+                    if yield_every and steps >= yield_every:
+                        steps = 0
+                        yield core.time
+                    continue
             insts, term, charge = blocks[block]
             for inst in insts:
                 kind = inst[0]

@@ -187,9 +187,24 @@ class TestBenchHotReport:
         for column in ("workload", "function", "iterations",
                        "% sim"):
             assert column in out
-        # …and the remark stream section follows.
+        # …under a title with the traced share, then the deopt counts
+        # and the remark stream.
+        assert "% on traces)" in out
+        assert "TraceDeopt by stage/reason: " in out
         assert "Trace-JIT remarks (repro-remarks-v1):" in out
         assert "TraceCompiled" in out
+
+    def test_hot_report_counts_coverage_and_deopts(self):
+        """fig4c (every quick workload on A53, BFS included) runs
+        nearly all of its instructions on traces, and no trace is
+        discarded."""
+        import re
+        code, out = run_cli("bench", "fig4c", "--small", "--hot-report")
+        assert code == 0
+        share = re.search(r"instructions, ([0-9.]+)% on traces\)", out)
+        assert share and float(share.group(1)) >= 97.0
+        (deopts,) = re.findall(r"TraceDeopt by stage/reason: (.*)", out)
+        assert "low-yield" not in deopts
 
     def test_trace_rows_kept_only_while_collecting(self):
         """Runs outside ``collecting_traces`` (every run but a hot

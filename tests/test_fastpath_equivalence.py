@@ -68,34 +68,11 @@ def build_random_kernel(seed: int, n: int = 512) -> Module:
 
     mask = b.const(n - 1)
     pool = [i, b.const(rng.randrange(1, 100))]
-
-    def pick():
-        return rng.choice(pool)
-
-    acc = b.load(b.gep(a, b.and_(pick(), mask, "ix"), "ap"), "av")
+    acc = b.load(b.gep(a, b.and_(rng.choice(pool), mask, "ix"), "ap"),
+                 "av")
     pool.append(acc)
-    for step in range(rng.randrange(6, 14)):
-        kind = rng.random()
-        if kind < 0.5:
-            op = rng.choice(_BINOPS)
-            rhs = b.const(rng.randrange(1, 8)) if op in ("shl", "ashr",
-                                                         "lshr") \
-                else pick()
-            acc = getattr(b, op)(pick(), rhs, f"v{step}")
-        elif kind < 0.65:
-            cond = b.cmp(rng.choice(_PREDICATES), pick(), pick(),
-                         f"c{step}")
-            acc = b.select(cond, pick(), pick(), f"s{step}")
-        elif kind < 0.85:
-            src = rng.choice((a, bptr))
-            idx = b.and_(pick(), mask, f"m{step}")
-            acc = b.load(b.gep(src, idx, f"p{step}"), f"l{step}")
-        else:
-            idx = b.and_(b.add(pick(), b.const(rng.randrange(1, 64)),
-                               f"f{step}"), mask, f"fm{step}")
-            b.prefetch(b.gep(bptr, idx, f"fp{step}"))
-            continue
-        pool.append(acc)
+    acc = random_ops(b, rng, pool, (a, bptr), mask,
+                     rng.randrange(6, 14), acc)
     b.store(acc, b.gep(out, i, "op"))
     i_next = b.add(i, b.const(1), "i.next")
     b.br(b.cmp("slt", i_next, nval, "cond"), loop, exit_)
@@ -107,9 +84,195 @@ def build_random_kernel(seed: int, n: int = 512) -> Module:
     return module
 
 
+def random_ops(b: IRBuilder, rng: random.Random, pool: list,
+               arrays: tuple, mask, steps: int, acc, tag: str = ""):
+    """Append ``steps`` random fusable ops at the builder's insert
+    point — ALU chains, selects, loads of ``arrays`` (indices masked
+    into range), prefetches of a future address — drawing operands from
+    ``pool`` and adding each result to it; returns the last result
+    (``acc`` if every step was a prefetch)."""
+    a, bptr = arrays
+
+    def pick():
+        return rng.choice(pool)
+
+    for step in range(steps):
+        kind = rng.random()
+        if kind < 0.5:
+            op = rng.choice(_BINOPS)
+            rhs = b.const(rng.randrange(1, 8)) if op in ("shl", "ashr",
+                                                         "lshr") \
+                else pick()
+            acc = getattr(b, op)(pick(), rhs, f"{tag}v{step}")
+        elif kind < 0.65:
+            cond = b.cmp(rng.choice(_PREDICATES), pick(), pick(),
+                         f"{tag}c{step}")
+            acc = b.select(cond, pick(), pick(), f"{tag}s{step}")
+        elif kind < 0.85:
+            src = rng.choice((a, bptr))
+            idx = b.and_(pick(), mask, f"{tag}m{step}")
+            acc = b.load(b.gep(src, idx, f"{tag}p{step}"), f"{tag}l{step}")
+        else:
+            idx = b.and_(b.add(pick(), b.const(rng.randrange(1, 64)),
+                               f"{tag}f{step}"), mask, f"{tag}fm{step}")
+            b.prefetch(b.gep(bptr, idx, f"{tag}fp{step}"))
+            continue
+        pool.append(acc)
+    return acc
+
+
+def build_branchy_kernel(seed: int, n: int = 512) -> Module:
+    """A random loop kernel whose body branches on loaded data.
+
+    Each iteration of ``i in [0, n)`` runs random op chains (see
+    :func:`random_ops`) in every block of: an if-then arm, an
+    if-then-else, a multi-block inner loop of ``0..3`` or ``0..7``
+    trips (taken from the data) with an if-then arm of its own, a rare
+    data-dependent early exit from the loop, and a data-dependent
+    ``continue`` (a second back edge) that skips the store of one value
+    to ``out[i]``.  The seed also picks which edge of each branch is
+    the "then" edge.
+    """
+    rng = random.Random(seed)
+    module = Module(f"branchy{seed}")
+    func = module.create_function(
+        "kernel", VOID,
+        [("a", pointer(INT64)), ("b", pointer(INT64)),
+         ("out", pointer(INT64)), ("n", INT64)])
+    a, bptr, out, nval = func.args
+    for arg in (a, bptr, out):
+        arg.array_size = Constant(INT64, n)
+        arg.noalias = True
+    arrays = (a, bptr)
+
+    b = IRBuilder()
+    blocks = {name: func.add_block(name) for name in (
+        "entry", "loop", "then1", "join1", "then2", "else2", "join2",
+        "inner", "iarm", "ilatch", "after", "skip", "latch", "exit")}
+
+    def at(name):
+        b.set_insert_point(blocks[name])
+
+    def branch(cond, first, second):
+        """``br cond`` with the seed choosing which edge is "then"."""
+        if rng.random() < 0.5:
+            first, second = second, first
+        b.br(cond, blocks[first], blocks[second])
+
+    def test(pool, tag):
+        return b.cmp(rng.choice(_PREDICATES), rng.choice(pool),
+                     rng.choice(pool), tag)
+
+    def chain(pool, acc, tag):
+        return random_ops(b, rng, pool, arrays, mask, rng.randrange(2, 6),
+                          acc, tag)
+
+    at("entry")
+    b.br(b.cmp("sgt", nval, b.const(0), "guard"), blocks["loop"],
+         blocks["exit"])
+
+    at("loop")
+    i = b.phi(INT64, "i")
+    mask = b.const(n - 1)
+    head = b.load(b.gep(a, b.and_(i, mask, "ix"), "ap"), "av")
+    pool = [i, b.const(rng.randrange(1, 100)), head]
+    head = chain(pool, head, "h.")
+    branch(test(pool, "c1"), "then1", "join1")
+
+    at("then1")
+    x1 = chain(list(pool), head, "t1.")
+    b.jmp(blocks["join1"])
+
+    at("join1")
+    m1 = b.phi(INT64, "m1")
+    m1.add_incoming(head, blocks["loop"])
+    m1.add_incoming(x1, blocks["then1"])
+    pool.append(m1)
+    branch(test(pool, "c2"), "then2", "else2")
+
+    at("then2")
+    x2 = chain(list(pool), m1, "t2.")
+    b.jmp(blocks["join2"])
+
+    at("else2")
+    y2 = chain(list(pool), m1, "e2.")
+    b.jmp(blocks["join2"])
+
+    at("join2")
+    m2 = b.phi(INT64, "m2")
+    m2.add_incoming(x2, blocks["then2"])
+    m2.add_incoming(y2, blocks["else2"])
+    pool.append(m2)
+    trips = b.and_(m2, b.const(rng.choice((3, 7))), "trips")
+    b.br(b.cmp("sgt", trips, b.const(0), "enter"), blocks["inner"],
+         blocks["after"])
+
+    at("inner")
+    j = b.phi(INT64, "j")
+    s = b.phi(INT64, "s")
+    ipool = pool + [j, s]
+    w = b.load(b.gep(bptr, b.and_(b.add(s, j, "sj"), mask, "jx"), "bp"),
+               "w")
+    ipool.append(w)
+    w = chain(ipool, w, "in.")
+    branch(test(ipool, "c3"), "iarm", "ilatch")
+
+    at("iarm")
+    xa = chain(list(ipool), w, "ia.")
+    b.jmp(blocks["ilatch"])
+
+    at("ilatch")
+    s2 = b.phi(INT64, "s2")
+    s2.add_incoming(w, blocks["inner"])
+    s2.add_incoming(xa, blocks["iarm"])
+    j2 = b.add(j, b.const(1), "j2")
+    b.br(b.cmp("slt", j2, trips, "more"), blocks["inner"], blocks["after"])
+    j.add_incoming(b.const(0), blocks["join2"])
+    j.add_incoming(j2, blocks["ilatch"])
+    s.add_incoming(m2, blocks["join2"])
+    s.add_incoming(s2, blocks["ilatch"])
+
+    at("after")
+    r = b.phi(INT64, "r")
+    r.add_incoming(m2, blocks["join2"])
+    r.add_incoming(s2, blocks["ilatch"])
+    pool.append(r)
+    r2 = chain(pool, r, "af.")
+    emask = rng.choice((255, 1023))
+    early = b.cmp("eq", b.and_(r2, b.const(emask), "em"),
+                  b.const(rng.randrange(emask + 1)), "early")
+    b.br(early, blocks["exit"], blocks["skip"])
+
+    at("skip")
+    i_skip = b.add(i, b.const(1), "i.skip")
+    cmask = rng.choice((1, 3))
+    room = b.cmp("slt", i_skip, nval, "room")
+    key = b.cmp("eq", b.and_(r2, b.const(cmask), "cm"),
+                b.const(rng.randrange(cmask + 1)), "key")
+    skip = b.select(room, key, room, "skip")
+    b.br(skip, blocks["loop"], blocks["latch"])
+
+    at("latch")
+    b.store(r2, b.gep(out, i, "op"))
+    i_next = b.add(i, b.const(1), "i.next")
+    b.br(b.cmp("slt", i_next, nval, "cond"), blocks["loop"],
+         blocks["exit"])
+    i.add_incoming(b.const(0), blocks["entry"])
+    i.add_incoming(i_skip, blocks["skip"])
+    i.add_incoming(i_next, blocks["latch"])
+
+    at("exit")
+    b.ret()
+    verify_module(module)
+    return module
+
+
 def run_engine(module: Module, machine, fastpath: bool, seed: int,
-               n: int = 512, telemetry: bool = False):
-    """Run a random kernel under one engine; returns (snapshot, out)."""
+               n: int = 512, telemetry: bool = False,
+               yield_every: int = 0):
+    """Run a random kernel under one engine; returns (snapshot, out).
+    With ``yield_every`` the run is stepped, and the snapshot also holds
+    the core times it yielded."""
     mem = Memory(machine.line_size)
     data = np.random.default_rng(seed).integers(0, 1 << 40, 2 * n)
     a = mem.allocate(8, n, "a")
@@ -120,7 +283,12 @@ def run_engine(module: Module, machine, fastpath: bool, seed: int,
     out = mem.allocate(8, n, "out")
     interp = Interpreter(module, mem, machine=machine,
                          fastpath=fastpath, telemetry=telemetry)
-    result = interp.run("kernel", [a.base, barr.base, out.base, n])
+    args = [a.base, barr.base, out.base, n]
+    if yield_every:
+        times = list(interp.run_stepped("kernel", args,
+                                        yield_every=yield_every))
+        return dict(snapshot(interp), yields=times), list(out.data)
+    result = interp.run("kernel", args)
     return snapshot(interp, result), list(out.data)
 
 
@@ -174,6 +342,11 @@ def hash_join():
     return hj2(num_probes=2000, num_buckets=1 << 12)
 
 
+def graph500():
+    from repro.workloads import Graph500
+    return Graph500(scale=8, edge_factor=6)
+
+
 # Telemetry on and off are sibling tests, not one more parametrize
 # axis, so the telemetry-off test ids stay stable.
 
@@ -191,6 +364,36 @@ class TestRandomKernelEquivalence:
         random_kernel_engines_agree(machine, seed, telemetry=True)
 
 
+class TestBranchyKernelEquivalence:
+    """Loop bodies with data-dependent arms, a data-dependent inner
+    loop and an early exit: the shapes the trace JIT compiles to
+    in-trace ``if``/``else`` and nested ``while`` statements."""
+
+    @pytest.mark.parametrize("machine", EQUIVALENCE_MACHINES,
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_identical_on_branchy_kernels(self, machine, seed):
+        slow, out_slow = run_engine(build_branchy_kernel(seed), machine,
+                                    False, seed)
+        fast, out_fast = run_engine(build_branchy_kernel(seed), machine,
+                                    True, seed)
+        assert fast == slow
+        assert out_fast == out_slow
+
+    @pytest.mark.parametrize("machine", (HASWELL, A53, SIMPLE_OOO),
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("yield_every", (7, 61))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stepped_runs_identical(self, machine, yield_every, seed):
+        """A small yield budget runs out inside arms and nested loops;
+        each budget exit must land on the reference yield boundary."""
+        slow = run_engine(build_branchy_kernel(seed), machine, False,
+                          seed, yield_every=yield_every)
+        fast = run_engine(build_branchy_kernel(seed), machine, True,
+                          seed, yield_every=yield_every)
+        assert fast == slow
+
+
 class TestWorkloadEquivalence:
     @pytest.mark.parametrize("machine", EQUIVALENCE_MACHINES,
                              ids=lambda m: m.name)
@@ -205,6 +408,24 @@ class TestWorkloadEquivalence:
     @pytest.mark.parametrize("variant", ("plain", "auto"))
     def test_integer_sort_with_telemetry(self, machine, variant):
         slow, fast = engine_snapshots(integer_sort, variant, machine,
+                                      telemetry=True)
+        assert fast == slow
+
+    @pytest.mark.parametrize("machine", EQUIVALENCE_MACHINES,
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("variant", ("plain", "auto", "manual"))
+    def test_graph500(self, machine, variant):
+        """BFS branches on ``parent[w] < 0`` in its edge loop, inside a
+        work-list loop: an arm in a nested loop."""
+        slow, fast = engine_snapshots(graph500, variant, machine,
+                                      telemetry=False)
+        assert fast == slow
+
+    @pytest.mark.parametrize("machine", (HASWELL, A53),
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("variant", ("plain", "auto", "manual"))
+    def test_graph500_with_telemetry(self, machine, variant):
+        slow, fast = engine_snapshots(graph500, variant, machine,
                                       telemetry=True)
         assert fast == slow
 

@@ -22,7 +22,8 @@ from repro.machine.tracejit import DEFAULT_THRESHOLD
 from repro.remarks import RemarkEmitter, collecting
 
 from .conftest import SIMPLE, SIMPLE_OOO
-from .test_fastpath_equivalence import (build_random_kernel, run_engine,
+from .test_fastpath_equivalence import (build_branchy_kernel,
+                                        build_random_kernel, run_engine,
                                         snapshot)
 
 
@@ -165,6 +166,8 @@ class TestTraceEquivalence:
 
 
 class TestSelfLoopTraces:
+    """A single-block inner loop is the smallest nested loop."""
+
     def test_nested_while_compiles_and_matches(self):
         _, slow, out_slow = run_module(build_nested_kernel(256),
                                        HASWELL, 256, fastpath=False)
@@ -182,11 +185,17 @@ class TestSelfLoopTraces:
         assert rows and rows[0]["iterations"] > 0
 
 
-def build_flip_kernel(n: int = 512) -> Module:
+def build_flip_kernel(n: int = 512, call: bool = False) -> Module:
     """A loop whose branch goes to ``small`` for the first half of the
     iterations and to ``big`` for the second half: the direction the
-    recorder bakes into the trace fails halfway through the run."""
+    recorder saw flips halfway through the run.  ``big`` doubles its
+    value through a call to ``twice`` when ``call`` is set."""
     module = Module("flip")
+    if call:
+        twice = module.create_function("twice", INT64, [("x", INT64)])
+        b = IRBuilder()
+        b.set_insert_point(twice.add_block("entry"))
+        b.ret(b.add(twice.args[0], twice.args[0], "xx"))
     func = module.create_function(
         "kernel", VOID,
         [("a", pointer(INT64)), ("out", pointer(INT64)), ("n", INT64)])
@@ -208,7 +217,8 @@ def build_flip_kernel(n: int = 512) -> Module:
     v = b.load(b.gep(a, i, "ap"), "v")
     b.br(b.cmp("slt", i, b.const(n // 2), "half"), small, big)
     b.set_insert_point(big)
-    vb = b.add(v, b.const(100), "vb")
+    vb = b.call(twice, [v], "vb") if call else \
+        b.add(v, b.const(100), "vb")
     b.jmp(latch)
     b.set_insert_point(small)
     vs = b.add(v, b.const(1), "vs")
@@ -228,24 +238,63 @@ def build_flip_kernel(n: int = 512) -> Module:
     return module
 
 
-class TestDeoptGuards:
-    def test_side_exit_returns_to_fused_tier(self):
-        """A branch that flips direction after recording side-exits;
-        the run must still be bit-identical and the trace re-entered."""
+class TestBranchArms:
+    def test_if_then_else_compiles_in_trace(self):
+        """Both arms of the flip kernel's if-then-else run in the trace
+        it compiled before the flip: one trace carries every iteration
+        after recording, bit-identical to the reference engine."""
         n = 512
         _, slow, out_slow = run_module(build_flip_kernel(n), HASWELL, n,
                                        fastpath=False)
-        interp, jit, out_jit = run_module(build_flip_kernel(n), HASWELL,
-                                          n)
+        emitter = RemarkEmitter()
+        with collecting(emitter):
+            interp, jit, out_jit = run_module(build_flip_kernel(n),
+                                              HASWELL, n)
         assert jit == slow
         assert out_jit == out_slow
-        rows = {r["header"]: r for r in interp.trace_report()}
-        # The first trace (recorded through `small`) stopped iterating
-        # at the flip: its side exit returned control to the fused
-        # dispatcher, which then saw `big` go hot and traced it too —
-        # `big` is only ever reached after the recorded direction fails.
-        assert rows["loop"]["iterations"] <= n // 2
-        assert "big" in rows and rows["big"]["iterations"] > 0
+        (row,) = interp.trace_report()
+        assert row["header"] == "loop" and row["entries"] == 1
+        assert row["iterations"] == n - DEFAULT_THRESHOLD - 2
+        (compiled,) = emitter.by_name("TraceCompiled")
+        assert compiled.arg("arms") == 1
+        assert not emitter.by_name("TraceDeopt")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_branchy_kernels_compile_arms_and_nests(self, seed):
+        """Each branchy kernel (compared with the reference engine in
+        ``test_fastpath_equivalence``) compiles some arm in-trace, and
+        its outer loop nests the inner loop whenever the recorded
+        iteration ran it (every seed but 2 and 3)."""
+        emitter = RemarkEmitter()
+        with collecting(emitter):
+            run_engine(build_branchy_kernel(seed), A53, True, seed)
+        compiled = emitter.by_name("TraceCompiled")
+        assert any(r.arg("arms") >= 1 for r in compiled)
+        outer = [r for r in compiled if r.arg("header") == "loop"]
+        if seed in (0, 1, 4, 5):
+            assert outer and outer[0].arg("nested") == 1
+
+
+class TestDeoptGuards:
+    def test_side_exit_returns_to_fused_tier(self):
+        """A branch that flips, after recording, to a block with a call
+        side-exits every iteration: the call runs on the fused tier,
+        the trace is re-entered at the next iteration and the run stays
+        bit-identical."""
+        n = 512
+        _, slow, out_slow = run_module(build_flip_kernel(n, call=True),
+                                       HASWELL, n, fastpath=False)
+        interp, jit, out_jit = run_module(build_flip_kernel(n, call=True),
+                                          HASWELL, n)
+        assert jit == slow
+        assert out_jit == out_slow
+        (row,) = interp.trace_report()
+        # The trace stopped iterating at the flip (i = n/2): one entry
+        # ran up to it, then each later iteration entered the trace and
+        # left through the side exit to `big`.
+        assert row["header"] == "loop"
+        assert row["iterations"] < n // 2
+        assert row["entries"] == n // 2
 
     def test_cold_line_falls_back_in_trace(self):
         """Loads far beyond the L1 working set keep missing the hot-line
@@ -312,9 +361,72 @@ class TestDeoptGuards:
                   if r.arg("stage") == "record"
                   and r.arg("reason") == "unfusable"]
         assert aborts
+        # Named like the run-stage remarks: function and block name.
+        assert aborts[0].function == "kernel"
+        assert aborts[0].arg("header") == "loop"
         assert not interp.trace_report()
         assert list(out_.data) == [2 * x for x in range(n)]
         assert interp._tj.aborts >= 1
+
+    def test_reentered_inner_loop_aborts(self):
+        """An inner loop entered a second time from outside it (``B ->
+        A``, where ``A`` does not dominate ``B``) cannot nest: recording
+        aborts as ``irreducible`` and the run is unaffected."""
+        n = 64
+        module = Module("reenter")
+        func = module.create_function(
+            "kernel", VOID,
+            [("a", pointer(INT64)), ("out", pointer(INT64)),
+             ("n", INT64)])
+        _a, out, nval = func.args
+        out.array_size = Constant(INT64, n)
+        b = IRBuilder()
+        entry, head, inner, side, latch, exit_ = (
+            func.add_block(name) for name in
+            ("entry", "head", "inner", "side", "latch", "exit"))
+        b.set_insert_point(entry)
+        b.jmp(head)
+        b.set_insert_point(head)
+        i = b.phi(INT64, "i")
+        b.br(b.cmp("slt", i, b.const(0), "never"), side, inner)
+        b.set_insert_point(inner)
+        j = b.phi(INT64, "j")
+        seen = b.phi(INT64, "seen")
+        j2 = b.add(j, b.const(1), "j2")
+        b.br(b.cmp("slt", j2, b.const(2), "again"), inner, side)
+        b.set_insert_point(side)
+        came = b.phi(INT64, "came")
+        b.br(b.cmp("eq", came, b.const(0), "first"), inner, latch)
+        b.set_insert_point(latch)
+        b.store(came, b.gep(out, i, "op"))
+        i2 = b.add(i, b.const(1), "i2")
+        b.br(b.cmp("slt", i2, nval, "cond"), head, exit_)
+        b.set_insert_point(exit_)
+        b.ret()
+        i.add_incoming(b.const(0), entry)
+        i.add_incoming(i2, latch)
+        for value, pred in ((b.const(0), head), (j2, inner),
+                            (b.const(0), side)):
+            j.add_incoming(value, pred)
+        for value, pred in ((b.const(0), head), (seen, inner),
+                            (b.const(1), side)):
+            seen.add_incoming(value, pred)
+        came.add_incoming(b.const(0), head)
+        came.add_incoming(seen, inner)
+        verify_module(module)
+
+        snaps = []
+        emitter = RemarkEmitter()
+        for fastpath in (False, True):
+            with collecting(emitter):
+                _, snap, data = run_module(module, HASWELL, n,
+                                           fastpath=fastpath)
+            snaps.append((snap, data))
+        assert snaps[1] == snaps[0]
+        assert snaps[0][1] == [1] * n
+        reasons = {(r.arg("header"), r.arg("reason"))
+                   for r in emitter.by_name("TraceDeopt")}
+        assert ("head", "irreducible") in reasons
 
     def test_low_yield_discards_and_blacklists(self):
         interp, _, _ = run_module(build_nested_kernel(64), HASWELL, 64)
@@ -327,6 +439,27 @@ class TestDeoptGuards:
         assert trace.header not in state.traces
         assert trace.header in state.blacklist
         assert tj.deopts >= 1
+
+
+class TestLoopNestCoverage:
+    def test_graph500_bfs_stays_on_traces(self):
+        """BFS's edge loop (which branches on ``parent[w] < 0``) nests in
+        the work-list loop's trace: nearly every instruction runs on a
+        trace and no trace is discarded for side-exiting."""
+        from repro.workloads import Graph500
+        wl = Graph500(scale=11, edge_factor=10)
+        module = wl.build_variant("plain")
+        mem = Memory(A53.line_size)
+        prepared = wl.prepare(mem)
+        interp = Interpreter(module, mem, machine=A53)
+        emitter = RemarkEmitter()
+        with collecting(emitter):
+            interp.run(wl.entry, prepared.args)
+        prepared.validate()
+        traced = sum(r["instructions"] for r in interp.trace_report())
+        assert traced >= 0.95 * interp.stats.instructions
+        assert not [r for r in emitter.by_name("TraceDeopt")
+                    if r.arg("reason") == "low-yield"]
 
 
 class TestGates:
