@@ -89,9 +89,10 @@ class SimOptions:
     :func:`repro.bench.cache.run_key` hashes the whole value, so every
     field is part of the run-cache key.
 
-    :ivar fastpath: the fast engine (fused segments, the hot-line memo
-        and the trace JIT); ``False`` selects the reference engine.
-        Both produce bit-identical numbers.
+    :ivar fastpath: the fast engine (the reference dispatch loop plus
+        the trace JIT and the hot-line memo its traces probe); ``False``
+        selects the reference engine.  Both produce bit-identical
+        numbers.
     :ivar telemetry: attach a prefetch-telemetry collector; its
         snapshot rides the result.
     :ivar timeline_window: record a windowed timeline with windows this

@@ -1,39 +1,26 @@
-"""Fused basic-block execution: the interpreter's fast path.
+"""Code generation for compiled traces.
 
-The slot-machine compiler (:mod:`repro.machine.interpreter`) produces one
-tuple per instruction and dispatches on an opcode kind in a large
-``if``/``elif`` chain, paying a Python-level dispatch plus one or more
-core-model method calls per dynamic instruction.  This module rewrites
-each basic block's straight-line runs of fusable instructions into a
-single generated-Python closure (a *superinstruction*): operand slots,
-constants, per-op latencies and the core's issue/retire arithmetic are
-baked into the source text, the closure is ``exec``-compiled once, and
-the core's architectural state is read at segment entry and written back
-at segment exit — one core interaction per segment instead of one method
-call per instruction.  Common 64-bit integer wrap-around arithmetic,
-comparisons and casts are emitted as inline expressions (no closure
-call), and the memory system's hot-line probe (see
-:class:`~repro.machine.system.MemorySystem`) is inlined into the segment
-with a call to the memory walk as the fallback.
-
-The per-op code generation lives in :class:`_Emitter`, which is
-parametrized over operand naming so the same emission logic serves both
-halves of the fast engine:
-
-* **fused segments** (this module) address the interpreter's register
-  file directly (``regs[i]`` / ``ready[i]``);
-* **compiled traces** (:mod:`repro.machine.tracejit`) of hot loops
-  lower register slots to function locals (``r{i}`` / ``t{i}``) and
-  splice whole loop iterations — ops, terminators, phi moves — into one
-  closure.
+The trace JIT (:mod:`repro.machine.tracejit`) compiles each hot loop
+nest to one generated-Python closure; this module writes the source for
+the instructions it splices in.  :class:`_Emitter` turns instruction
+tuples of the slot-machine form (:mod:`repro.machine.interpreter`) into
+source text: register slots become function locals (``r{i}`` for
+values, ``t{i}`` for ready times), and constants, per-op latencies and
+the core's issue/retire arithmetic are baked into the text.  Common
+64-bit integer wrap-around arithmetic, comparisons and casts are emitted
+as inline expressions (no closure call), and the memory system's
+hot-line probe (see :class:`~repro.machine.system.MemorySystem`) is
+inlined with a call to the memory walk as the fallback.
+:func:`compile_source` compiles every generated source through one
+bounded code cache.
 
 Equivalence contract
 --------------------
 
-The generated code replays *exactly* the arithmetic of the slow path, in
-the same order, on the same floats:
+The generated code replays *exactly* the arithmetic of the reference
+dispatch loop, in the same order, on the same floats:
 
-* ``InOrderCore.op/load/store/prefetch`` and
+* ``InOrderCore.op/load/store/prefetch/branch`` and
   ``OutOfOrderCore._fetch/_retire`` are transcribed operation-for-
   operation (``max(a, b)`` becomes the equivalent compare-and-assign),
   so cycle counts are bit-identical;
@@ -48,18 +35,16 @@ the same order, on the same floats:
   for every int under Python's floor-division semantics;
 * instruction counters are charged in bulk with the same totals.
 
-The only observable difference is *when* ``RunStats`` memory-op counters
-are incremented: the slow path counts per instruction, segments count at
-segment end.  A run that raises ``MemoryFault`` mid-segment therefore
-leaves slightly different in-flight counters behind — completed runs are
-indistinguishable.
+The only observable difference is *when* state is written back: the
+dispatch loop updates the core and the counters per instruction, while a
+trace holds registers, the core's clock and its counters in locals and
+flushes them at trace exit.  A run that raises ``MemoryFault`` inside a
+trace therefore loses the trace's batched counters; completed runs, and
+runs that fault outside a trace, are indistinguishable.
 
-Calls and allocations are never fused (they recurse into the interpreter
-or mutate the address space layout); they split a block into several
-segments and stay on the dispatch path.
-
-``Interpreter(fastpath=False)`` disables fusion (and the memory-system
-hot-line memo) and forces the reference slow path everywhere.
+Calls and allocations never enter generated code (they recurse into the
+interpreter or change the address-space layout): a block holding one
+runs on the dispatch loop, and a recording that reaches it aborts.
 
 Telemetry interaction: attaching a
 :class:`~repro.telemetry.TelemetryCollector` clears the memory system's
@@ -67,26 +52,24 @@ Telemetry interaction: attaching a
 emitter sees ``ms.fastpath`` false and emits plain
 ``_ms_demand``/``_ms_prefetch`` calls instead of the inlined hot-line
 probe — every memory operation then takes the instrumented walk while
-ALU fusion stays on.  With telemetry off (the default) nothing here
-changes: the generated code replays the same arithmetic it did before
-telemetry existed, so the fast path pays zero cost for the feature.
+traces still run.  With telemetry off (the default) nothing here
+changes, so the fast engine pays zero cost for the feature.
 """
 
 from __future__ import annotations
 
 import functools
 
-from ..telemetry.spans import span
 from .memory import MemoryFault
 
 # Compiled opcode kinds (shared with the interpreter, which imports them
 # from here so the two modules cannot drift apart).
 _BIN, _CMP, _SELECT, _CAST, _GEP, _LOAD, _STORE, _PREFETCH, _CALL, \
     _ALLOC = range(10)
-#: Kind tag of a fused segment: ``(SEG, closure)``.
-_SEG = 10
 
-#: Kinds that may be folded into a fused segment (or a compiled trace).
+#: Kinds a compiled trace may contain; a block with any other kind
+#: (a call or an allocation) is *unfusable* and stays on the dispatch
+#: loop.
 _FUSABLE = frozenset(
     (_BIN, _CMP, _SELECT, _CAST, _GEP, _LOAD, _STORE, _PREFETCH))
 
@@ -124,10 +107,11 @@ _INLINE_CMP = {
 #: Compiled generated sources kept per process.  Source embeds every
 #: constant (slots, pcs, latencies, machine parameters) but no object
 #: identities, so one code object serves every interpreter with the
-#: same block shape.  Measured distinct sources: 148-160 per pass of
-#: the benchmark's figs-cold workload (seeds 1-10), 514 for
-#: ``repro bench fig6 --small`` and 968 for fig2-fig10 in one process,
-#: so none of them evicts; a long-lived serve worker stops growing here.
+#: same loop shape.  Measured distinct sources (each one trace): 45-47
+#: for one pass of the benchmark's figs-cold workload with its warm-up
+#: (seeds 1-10), 196 for ``repro bench fig6 --small --no-cache --jobs
+#: 1`` and 360 for all 11 figures in one process, so none of them
+#: evicts; a long-lived serve worker stops growing here.
 _CODE_CACHE_SIZE = 1024
 
 
@@ -154,83 +138,41 @@ def _mod_expr(operand: str, modulus: int) -> str:
     return f"{operand} % {modulus}"
 
 
-def fuse_function(compiled, mode: str, bindings: dict) -> None:
-    """Rewrite ``compiled.blocks`` in place, fusing instruction runs.
-
-    The pre-fusion blocks are stashed as ``compiled.raw_blocks`` so the
-    trace JIT (:mod:`repro.machine.tracejit`) can recompile hot loop
-    paths from the original instruction tuples.
-
-    :param compiled: a :class:`~repro.machine.interpreter._CompiledFunction`.
-    :param mode: ``"func"`` (no timing), ``"inorder"`` or ``"ooo"``.
-    :param bindings: runtime objects generated code binds to: ``memory``
-        (:class:`Memory`), ``stats`` (:class:`RunStats`), and for timed
-        modes ``core`` and ``ms`` (the :class:`MemorySystem`).
-    """
-    with span("compile", "fuse", function=compiled.function.name,
-              mode=mode, blocks=len(compiled.blocks)):
-        compiled.raw_blocks = compiled.blocks
-        compiled.blocks = [
-            (_fuse_block(insts, mode, bindings), term, count)
-            for insts, term, count in compiled.blocks]
-
-
-def _fuse_block(insts: list, mode: str, bindings: dict) -> list:
-    items: list = []
-    run: list = []
-    for inst in insts:
-        if inst[0] in _FUSABLE:
-            run.append(inst)
-        else:
-            if run:
-                items.append((_SEG, _compile_segment(run, mode, bindings)))
-                run = []
-            items.append(inst)
-    if run:
-        items.append((_SEG, _compile_segment(run, mode, bindings)))
-    return items
-
-
 class _Emitter:
-    """Generates the specialized Python source for fusable ops.
+    """Generates the specialized Python source for one compiled trace.
 
     One instance accumulates source lines (:attr:`body`) and runtime
-    bindings (:attr:`env`) for a single generated closure.  The operand
-    naming is the only thing segments and traces disagree on:
+    bindings (:attr:`env`) for a single generated closure.  Operands are
+    function locals ``r{i}`` / ``t{i}``; every slot touched is recorded
+    in :attr:`slots` so the trace assembler can emit the load/store
+    prologue and epilogue, and every counter the inlined probe bumps is
+    a local recorded in :attr:`stat_locals`, which the assembler flushes
+    at trace exit.  The timing arithmetic (issue/retire, hot-line probe,
+    blocking thresholds) is the transcription of the core and
+    memory-system models documented in the module docstring.
 
-    * ``locals_tier=False`` (fused segments): operands address the
-      interpreter's register file, ``regs[i]`` / ``ready[i]``;
-    * ``locals_tier=True`` (compiled traces): operands are function
-      locals ``r{i}`` / ``t{i}``; every slot touched is recorded in
-      :attr:`slots` so the trace assembler can emit the load/store
-      prologue and epilogue.
-
-    All timing arithmetic (issue/retire, hot-line probe, blocking
-    thresholds) is identical between the two — it is the transcription of
-    the core and memory-system models documented in the module
-    docstring.
+    :param mode: ``"inorder"`` or ``"ooo"``, the core model transcribed.
+    :param bind: the runtime objects generated code binds to:
+        ``memory`` (:class:`Memory`), ``stats`` (:class:`RunStats`),
+        ``core`` and ``ms`` (the :class:`MemorySystem`).
+    :param env: the globals the closure is instantiated against.
     """
 
-    def __init__(self, mode: str, bind: dict, env: dict,
-                 locals_tier: bool = False):
+    def __init__(self, mode: str, bind: dict, env: dict):
         self.mode = mode
-        self.timed = mode != "func"
         self.env = env
         self.body: list[str] = []
-        self.locals_tier = locals_tier
         self.slots: set[int] = set()
         self.counts = {"loads": 0, "stores": 0, "prefetches": 0}
         self.site = 0
         self._nfn = 0
         self.hot = None
         self.stat_locals: set[tuple[str, str]] = set()
+        core = bind["core"]
+        ms = bind["ms"]
         env["_MF"] = MemoryFault
         env["_alloc_at"] = bind["memory"].allocation_at
         env["_stats"] = bind["stats"]
-        if not self.timed:
-            return
-        core = bind["core"]
-        ms = bind["ms"]
         env["_core"] = core
         env["_ms_demand"] = ms._demand
         env["_ms_prefetch"] = ms.prefetch
@@ -271,16 +213,12 @@ class _Emitter:
         self.body.append(line)
 
     def reg(self, slot: int) -> str:
-        if self.locals_tier:
-            self.slots.add(slot)
-            return f"r{slot}"
-        return f"regs[{slot}]"
+        self.slots.add(slot)
+        return f"r{slot}"
 
     def rdy(self, slot: int) -> str:
-        if self.locals_tier:
-            self.slots.add(slot)
-            return f"t{slot}"
-        return f"ready[{slot}]"
+        self.slots.add(slot)
+        return f"t{slot}"
 
     def operand(self, is_const: bool, payload) -> str:
         """Source text of one pre-resolved operand."""
@@ -343,7 +281,7 @@ class _Emitter:
                 emit(f"if {r} > issue: issue = {r}")
 
     def branch(self, dep: str | None) -> None:
-        """``core.branch(dep)`` with core state in locals (trace tier).
+        """``core.branch(dep)`` with core state in locals.
 
         ``dep`` is a source expression for the condition's ready time,
         or ``None`` for a constant condition (dep 0.0, which never
@@ -376,8 +314,6 @@ class _Emitter:
             emit(f"{self.reg(dst)} = _v - {_W64} if _v >= {_H64} else _v")
         else:
             emit(f"{self.reg(dst)} = {value}")
-        if not self.timed:
-            return
         self.issue_and(specs)
         if self.mode == "inorder":
             emit("t = issue")
@@ -393,7 +329,7 @@ class _Emitter:
         """Resolve ``addr``; leaves the site memo in ``_m``.
 
         ``_m`` is ``[alloc, base, end, element_size, data]`` — richer
-        than the dispatch path's one-slot allocation memo so the hot
+        than the dispatch loop's one-slot allocation memo so the hot
         case needs no attribute (or property) lookups.
         """
         emit = self.out
@@ -418,17 +354,12 @@ class _Emitter:
                 f"and {hot['page']} in _tp")
 
     def stat(self, target: str, local: str) -> str:
-        """One monotone counter bump.
-
-        Fused segments bump the stats object directly; traces batch
-        into a function local the assembler flushes at trace exit (the
-        counters are write-only during a run, so only the mid-run
-        ``MemoryFault`` caveat from the module docstring widens).
-        """
-        if self.locals_tier:
-            self.stat_locals.add((local, target))
-            return f"{local} += 1"
-        return f"{target} += 1"
+        """One monotone counter bump, batched into the function local
+        ``local`` that the assembler adds to ``target`` at trace exit
+        (the counters are write-only during a run, so only the
+        ``MemoryFault`` caveat of the module docstring applies)."""
+        self.stat_locals.add((local, target))
+        return f"{local} += 1"
 
     def hot_touch(self) -> None:
         """LRU touches + hit counters of the replayed L1/TLB hit."""
@@ -537,17 +468,16 @@ class _Emitter:
             self.address((pc_const, p), self.site, "load")
             self.site += 1
             emit(f"{self.reg(dst)} = _m[4][_q]")
-            if self.timed:
-                self.issue_and([(pc_const, p)])
-                self.demand(pc, is_write=False)
-                if self.mode == "inorder":
-                    emit(f"if rdy - issue > {self.bt}:")
-                    emit("    t = rdy")
-                    emit("else:")
-                    emit("    t = issue")
-                else:
-                    self.ooo_retire("rdy")
-                emit(f"{self.rdy(dst)} = rdy")
+            self.issue_and([(pc_const, p)])
+            self.demand(pc, is_write=False)
+            if self.mode == "inorder":
+                emit(f"if rdy - issue > {self.bt}:")
+                emit("    t = rdy")
+                emit("else:")
+                emit("    t = issue")
+            else:
+                self.ooo_retire("rdy")
+            emit(f"{self.rdy(dst)} = rdy")
         elif kind == _STORE:
             _, pc, vc, v, pc_const, p, cache = inst
             self.counts["stores"] += 1
@@ -555,43 +485,41 @@ class _Emitter:
             self.address((pc_const, p), self.site, "store")
             self.site += 1
             emit(f"_m[4][_q] = {self.operand(vc, v)}")
-            if self.timed:
-                self.issue_and([(vc, v), (pc_const, p)])
-                self.demand(pc, is_write=True)
-                if self.mode == "inorder":
-                    emit("t = issue")
-                else:
-                    emit("done = issue + 1.0")
-                    self.ooo_retire("done")
+            self.issue_and([(vc, v), (pc_const, p)])
+            self.demand(pc, is_write=True)
+            if self.mode == "inorder":
+                emit("t = issue")
+            else:
+                emit("done = issue + 1.0")
+                self.ooo_retire("done")
         elif kind == _PREFETCH:
             _, pc, pc_const, p = inst
             self.counts["prefetches"] += 1
             emit(f"addr = {self.operand(pc_const, p)}")
-            if self.timed:
-                self.issue_and([(pc_const, p)])
-                hot = self.hot
-                walk = f"acc = _ms_prefetch({pc}, addr, issue)"
-                if hot is None:
-                    emit(walk)
-                else:
-                    # A prefetch that hits the L1 never waits, so the
-                    # probe needs no fill check.
-                    emit(f"line = {hot['line']}")
-                    emit("entry = _hotget(line)")
-                    emit("if entry is not None and "
-                         f"(lines := _l1s[{hot['set']}]).get(line)"
-                         " is entry and "
-                         f"{hot['page']} in _tp:")
-                    emit(f"    {self.stat('_mst.sw_prefetches', '_nsp')}")
-                    self.hot_touch()
-                    emit("    acc = issue")
-                    emit("else:")
-                    emit(f"    {walk}")
-                if self.mode == "inorder":
-                    emit("t = acc")
-                else:
-                    emit("done = acc + 1.0")
-                    self.ooo_retire("done")
+            self.issue_and([(pc_const, p)])
+            hot = self.hot
+            walk = f"acc = _ms_prefetch({pc}, addr, issue)"
+            if hot is None:
+                emit(walk)
+            else:
+                # A prefetch that hits the L1 never waits, so the
+                # probe needs no fill check.
+                emit(f"line = {hot['line']}")
+                emit("entry = _hotget(line)")
+                emit("if entry is not None and "
+                     f"(lines := _l1s[{hot['set']}]).get(line)"
+                     " is entry and "
+                     f"{hot['page']} in _tp:")
+                emit(f"    {self.stat('_mst.sw_prefetches', '_nsp')}")
+                self.hot_touch()
+                emit("    acc = issue")
+                emit("else:")
+                emit(f"    {walk}")
+            if self.mode == "inorder":
+                emit("t = acc")
+            else:
+                emit("done = acc + 1.0")
+                self.ooo_retire("done")
         else:  # pragma: no cover - callers filter kinds
             raise RuntimeError(f"kind {kind} is not fusable")
 
@@ -601,23 +529,3 @@ def compile_source(src: str, env: dict, entry: str, filename: str):
     instantiate it against ``env``; returns the closure ``entry``."""
     exec(_compile_cached(src, filename), env)
     return env[entry]
-
-
-def _compile_segment(ops: list, mode: str, bind: dict):
-    """Generate, compile and instantiate the closure for one run."""
-    env: dict = {}
-    em = _Emitter(mode, bind, env)
-    if em.timed:
-        em.core_prologue()
-    for inst in ops:
-        em.op(inst)
-    if em.timed:
-        em.core_epilogue()
-        em.out(f"_core.instructions += {len(ops)}")
-    for field, n in em.counts.items():
-        if n:
-            em.out(f"_stats.{field} += {n}")
-
-    src = "def _seg(regs, ready):\n" + "".join(
-        f"    {line}\n" for line in em.body)
-    return compile_source(src, env, "_seg", "<fused-segment>")

@@ -31,8 +31,7 @@ from .configs import MachineConfig
 from .core import make_core
 from .dram import DRAMChannel
 from .fastexec import (_ALLOC, _BIN, _CALL, _CAST, _CMP, _GEP, _LOAD,
-                       _PREFETCH, _SEG, _SELECT, _STORE,
-                       fuse_function)
+                       _PREFETCH, _SELECT, _STORE)
 from .memory import Allocation, Memory, MemoryFault
 from .system import MemorySystem
 from .tracejit import NO_BUDGET, TraceJIT
@@ -156,14 +155,10 @@ class _CompiledFunction:
     """Slot-machine form of one function."""
 
     __slots__ = ("function", "num_slots", "arg_slots", "blocks",
-                 "block_names", "prefetch_pcs", "raw_blocks")
+                 "block_names", "prefetch_pcs")
 
     def __init__(self, func: Function, pc_base: int):
         self.function = func
-        #: pre-fusion blocks, stashed by ``fuse_function`` so the
-        #: trace-JIT can recompile hot paths from the raw instruction
-        #: tuples (``None`` until the function is fused).
-        self.raw_blocks = None
         #: remark_id -> pc for prefetches carrying a stable id (set by
         #: the prefetch passes); the join layer maps compile-time
         #: remarks to runtime per-PC telemetry bins through this.
@@ -193,9 +188,10 @@ class _CompiledFunction:
 
         block_index = {id(b): i for i, b in enumerate(func.blocks)}
         self.block_names = [b.name for b in func.blocks]
-        # Per block: (compiled items, terminator, instruction charge).
-        # The charge is fixed at compile time (pre-fusion) so fused
-        # execution books the same `stats.instructions` per block visit.
+        # Per block: (instruction tuples, terminator, instruction
+        # charge).  The charge is fixed at compile time so a compiled
+        # trace books the same `stats.instructions` per block visit as
+        # the dispatch loop.
         self.blocks: list[tuple[list, tuple, int]] = []
         pc = pc_base
         for block in func.blocks:
@@ -340,12 +336,13 @@ class Interpreter:
     :param machine: a :class:`MachineConfig` for timed execution, or
         ``None`` for functional execution.
     :param dram: optionally a shared DRAM channel (multicore runs).
-    :param fastpath: ``True`` selects the fast engine: fused-block
-        execution, the memory-system hot-line memo and, in timed mode,
-        the trace JIT, which compiles a loop once its header has been
-        visited :data:`~repro.machine.tracejit.DEFAULT_THRESHOLD`
-        times.  ``False`` selects the reference engine; the two are
-        bit-identical.
+    :param fastpath: ``True`` selects the fast engine: in timed mode,
+        the trace JIT compiles a loop once its header has been visited
+        :data:`~repro.machine.tracejit.DEFAULT_THRESHOLD` times, and
+        its traces probe the memory system's hot-line memo; every block
+        outside a trace runs on the reference dispatch loop, as does
+        all of a functional run.  ``False`` selects the reference
+        engine; the two are bit-identical.
     :param telemetry: a :class:`~repro.telemetry.TelemetryCollector`,
         or ``True``/``False`` for a fresh one or none.  Telemetry needs
         a machine model (it observes the memory hierarchy); a collector
@@ -381,7 +378,6 @@ class Interpreter:
         self._compiled: dict[str, _CompiledFunction] = {}
         self._pc_base = 0
         self.stats = RunStats()
-        self.max_steps: int | None = None
         self._tj = TraceJIT(
             mode="inorder" if machine.in_order else "ooo",
             bind={"memory": self.memory, "stats": self.stats,
@@ -393,14 +389,6 @@ class Interpreter:
         if compiled is None:
             compiled = _CompiledFunction(func, self._pc_base)
             self._pc_base += sum(len(b) for b in func.blocks) + 16
-            if self.fastpath:
-                if self.machine is None:
-                    mode = "func"
-                else:
-                    mode = "inorder" if self.machine.in_order else "ooo"
-                fuse_function(compiled, mode, {
-                    "memory": self.memory, "stats": self.stats,
-                    "core": self.core, "ms": self.memory_system})
             self._compiled[func.name] = compiled
         return compiled
 
@@ -503,11 +491,7 @@ class Interpreter:
         blocks = compiled.blocks
         block = 0
         steps = 0
-        max_steps = self.max_steps
-        # Trace JIT: needs timing and clashes with max_steps (a
-        # trace books its instructions only at exit, after the check).
-        tj = self._tj if (core is not None and max_steps is None) \
-            else None
+        tj = self._tj
         if tj is not None:
             tj_state = tj.state_for(compiled)
             traces = tj_state.traces
@@ -545,9 +529,7 @@ class Interpreter:
             insts, term, charge = blocks[block]
             for inst in insts:
                 kind = inst[0]
-                if kind == _SEG:
-                    inst[1](regs, ready)
-                elif kind == _BIN:
+                if kind == _BIN:
                     _, dst, fn, ac, a, bc, b, opcode, _bits = inst
                     av = a if ac else regs[a]
                     bv = b if bc else regs[b]
@@ -685,10 +667,6 @@ class Interpreter:
                     raise RuntimeError(f"bad compiled opcode {kind}")
             stats.instructions += charge
             steps += charge
-            if max_steps is not None and stats.instructions > max_steps:
-                raise RuntimeError(
-                    f"exceeded max_steps={max_steps} "
-                    f"(possible infinite loop)")
             # Terminator.
             op = term[0]
             if op == "jmp":

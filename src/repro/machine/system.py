@@ -80,15 +80,15 @@ class MemorySystem:
     ``_hot`` maps a line address to the ``[fill_time, dirty]`` entry
     list the L1 held for it when a walk last resolved it.  Its only
     reader is the probe :class:`~repro.machine.fastexec._Emitter`
-    inlines into fused segments and compiled traces.  The probe takes
-    the shortcut only when (a) the L1 set still holds *that very list
-    object* — :meth:`Cache.insert` always installs a fresh list, so
-    identity proves the line was neither evicted nor refilled since —
-    (b) the fill has completed, and (c) the page is still in the L1
-    TLB.  It then replays exactly the side effects the walk would have
-    had (LRU touches, hit counters, dirty marking, prefetcher
-    training); when any guard fails, the generated code calls
-    :meth:`_demand` or :meth:`prefetch`, the one memory walk.
+    inlines into compiled traces; the dispatch loop always walks.  The
+    probe takes the shortcut only when (a) the L1 set still holds *that
+    very list object* — :meth:`Cache.insert` always installs a fresh
+    list, so identity proves the line was neither evicted nor refilled
+    since — (b) the fill has completed, and (c) the page is still in
+    the L1 TLB.  It then replays exactly the side effects the walk
+    would have had (LRU touches, hit counters, dirty marking,
+    prefetcher training); when any guard fails, the generated code
+    calls :meth:`_demand` or :meth:`prefetch`, the one memory walk.
     """
 
     def __init__(self, config: MachineConfig,

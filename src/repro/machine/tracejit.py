@@ -1,7 +1,8 @@
 """Trace JIT: compile hot loop nests to closures.
 
-The hot-loop half of the fast engine (``fastpath=True``, the default),
-on top of the fused-segment dispatch loop:
+The hot-loop half of the fast engine (``fastpath=True``, the default);
+every block outside a trace runs on the interpreter's reference
+dispatch loop:
 
 1. **Profile** — the interpreter's dispatch loop counts visits to every
    basic block of a function (a superset of back-edge counting: a loop
@@ -18,12 +19,12 @@ on top of the fused-segment dispatch loop:
    header's loop (a ``break``, or an inner loop's last trip) is
    dropped, and the header records again at its next visit.
    Recording aborts (and blacklists the header) on a block with an
-   unfusable instruction (calls, allocations), a nest of more than
+   unfusable instruction (a call or an allocation), a nest of more than
    :data:`_MAX_BLOCKS` blocks or :data:`_MAX_DEPTH` levels, or a
    re-entry of a block that heads no natural loop (irreducible flow)
    or of a nested loop the path already left.
 3. **Compile** — the tree is compiled to one generated-Python closure
-   via the shared :class:`~repro.machine.fastexec._Emitter`, with
+   via :class:`~repro.machine.fastexec._Emitter`, with
    register slots lowered to function locals, the core's architectural
    state hoisted into locals across the whole nest, the memory system's
    hot-line/TLB fast path inlined per site, and phi moves emitted as
@@ -49,7 +50,7 @@ leads:
   with after it: ``break``;
 * **side exit** — anywhere else (out of the traced nest, into
   unfusable code, or to a join that does not nest): the edge's phi
-  moves are applied and control returns to the fused tier with the
+  moves are applied and control returns to the dispatch loop with the
   correct successor block.
 
 Guards and deoptimization
@@ -58,8 +59,8 @@ Guards and deoptimization
 * **Side exit** (in-trace): as above.
 * **Cold line / TLB miss / MSHR pressure** (in-trace): the inlined
   hot-line probe falls back to the memory system's one walk
-  (``MemorySystem._demand`` / ``MemorySystem.prefetch``) exactly as
-  fused segments do — a *local* deoptimization that stays in the trace.
+  (``MemorySystem._demand`` / ``MemorySystem.prefetch``) — a *local*
+  deoptimization that stays in the trace.
 * **Yield budget** (in-trace): traces take the remaining instruction
   budget to the next ``yield_every`` boundary and exit at exactly the
   block boundary the reference engine would yield at, so multicore
@@ -73,13 +74,15 @@ sets ``_x`` to the successor block and breaks, and every enclosing
 so it is also the break flag).
 
 Equivalence: compiled traces execute the same arithmetic in the same
-order as the fused tier (which replays the reference engine bit-for-
-bit); instruction/branch/memory-op counters are charged in bulk at
-trace exit with identical totals.  ``tests/test_tracejit.py`` drives
-the fast engine against the reference engine.
+order as the dispatch loop (the contract of
+:mod:`repro.machine.fastexec`); instruction/branch/memory-op counters
+are charged in bulk at trace exit with identical totals.
+``tests/test_tracejit.py`` drives the fast engine against the reference
+engine.
 
-The JIT runs whenever the fast path does and a machine model is
-attached; the reference engine (``fastpath=False``) never traces.
+The JIT runs whenever the fast engine does and a machine model is
+attached; the reference engine (``fastpath=False``) and functional runs
+never trace.
 """
 
 from __future__ import annotations
@@ -163,8 +166,7 @@ def _natural_loops(func) -> dict[int, frozenset[int]]:
 
 
 def _fusable(compiled, block: int) -> bool:
-    return all(inst[0] in _FUSABLE
-               for inst in compiled.raw_blocks[block][0])
+    return all(inst[0] in _FUSABLE for inst in compiled.blocks[block][0])
 
 
 def _entry(item) -> int:
@@ -247,8 +249,9 @@ class Recording:
 class TraceJIT:
     """The per-interpreter trace-JIT controller.
 
-    :param mode: ``"inorder"`` or ``"ooo"`` (matches the fused tier).
-    :param bind: the fuse bindings (``memory``/``stats``/``core``/``ms``).
+    :param mode: ``"inorder"`` or ``"ooo"``, the interpreter's core model.
+    :param bind: the runtime objects traces bind to
+        (``memory``/``stats``/``core``/``ms``; see :class:`_Emitter`).
     """
 
     def __init__(self, mode: str, bind: dict):
@@ -294,8 +297,8 @@ class TraceJIT:
         if _depth(tree) > _MAX_DEPTH:
             return self.abort(compiled, state, header, "too-deep")
         env: dict = {}
-        asm = _Assembler(_Emitter(self.mode, self.bind, env,
-                                  locals_tier=True), compiled.raw_blocks)
+        asm = _Assembler(_Emitter(self.mode, self.bind, env),
+                         compiled.blocks)
         asm.loop(tree, None)
         if asm.ops > self.max_ops:
             return self.abort(compiled, state, header, "too-many-ops")
@@ -423,9 +426,10 @@ class _Assembler:
     """Emits the body of one trace from a recorded path tree (see
     "Branches" in the module docstring)."""
 
-    def __init__(self, em: _Emitter, raw: list):
+    def __init__(self, em: _Emitter, code: list):
         self.em = em
-        self.raw = raw
+        #: the compiled function's blocks (``_CompiledFunction.blocks``).
+        self.code = code
         self.blocks = 0
         self.ops = 0
         self.nested = 0
@@ -462,7 +466,7 @@ class _Assembler:
         the position emission continues at."""
         em = self.em
         self.emit_block(bi)
-        term = self.raw[bi][1]
+        term = self.code[bi][1]
         if term[0] == "jmp":
             em.branch(None)
             self.moves(term[2])
@@ -512,7 +516,7 @@ class _Assembler:
         chain: list[int] = []
         while block not in joins and block != f.items[0] \
                 and block != f.exit and len(chain) < _MAX_ARM:
-            insts, term, _charge = self.raw[block]
+            insts, term, _charge = self.code[block]
             if term[0] != "jmp" or any(inst[0] not in _FUSABLE
                                        for inst in insts):
                 break
@@ -531,7 +535,7 @@ class _Assembler:
             self.arrive(f, bi, recorded=False)
             self.emit_block(bi)
             self.em.branch(None)
-            self.moves(self.raw[bi][1][2])
+            self.moves(self.code[bi][1][2])
         self.arrive(f, join, recorded=False)
 
     def arrive(self, f: _Frame, target: int, recorded: bool) -> None:
@@ -553,7 +557,7 @@ class _Assembler:
     def emit_block(self, bi: int) -> None:
         """A block's ops, instruction charge and counters."""
         em = self.em
-        insts, _term, charge = self.raw[bi]
+        insts, _term, charge = self.code[bi]
         before = dict(em.counts)
         for inst in insts:
             em.op(inst)

@@ -11,7 +11,7 @@ job submissions the ID keys a bounded :class:`TraceBuffer` entry — a
   spans.recording` in the waiter's own task;
 * the *job's* spans, shared by every coalesced waiter: queue wait,
   worker round-trip and CAS store on the server side; and
-* the worker process's spans (frontend compile, per-pass, fuse/
+* the worker process's spans (frontend compile, per-pass,
   trace-JIT compiles, bench build/simulate/validate), carried back
   across the pool pipe.
 

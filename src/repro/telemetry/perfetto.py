@@ -10,7 +10,7 @@ Serialises flight-recorder data as the Trace Event Format JSON that
   phase structure is visible at a glance.
 * **pid 2 — "pipeline"**: wall-clock ``X`` spans from the
   :class:`~repro.telemetry.spans.SpanRecorder` (frontend, passes,
-  fuse/trace compiles, cache probes, bench jobs) on one thread per
+  trace-JIT compiles, cache probes, bench jobs) on one thread per
   span category, and trace-JIT ``TraceCompiled``/``TraceDeopt``
   events as instants (``ph: "i"``).
 
@@ -51,8 +51,8 @@ REQUEST_SERVER_PID = 1
 REQUEST_WORKER_PID = 2
 
 #: Span categories get stable thread IDs so Perfetto groups them.
-_CATEGORY_TIDS = {"bench": 1, "frontend": 2, "pass": 3, "compile": 4,
-                  "tracejit": 5, "cache": 6}
+_CATEGORY_TIDS = {"bench": 1, "frontend": 2, "pass": 3, "tracejit": 5,
+                  "cache": 6}
 _OTHER_TID = 7
 
 
@@ -181,8 +181,8 @@ def build_request_trace(record: dict) -> dict:
       (coalesced waiters that joined after the job started anchor at
       0).
     * **pid 2 — "worker"**: the worker-process SpanRecorder records —
-      frontend compile, per-pass spans, fuse/trace-JIT compile spans
-      and instants, bench build/prepare/simulate/validate — anchored
+      frontend compile, per-pass spans, trace-JIT compile spans and
+      instants, bench build/prepare/simulate/validate — anchored
       where the job's queue span ends (accurate to one pipe send).
 
     All timestamps are wall microseconds from the waiter's admission.

@@ -3,11 +3,10 @@
 Where :mod:`repro.telemetry.timeline` watches *simulated* time, the
 span recorder watches *wall-clock* time: frontend compiles, each
 optimization pass (the same measurement the ``PassExecuted`` remark
-reports), fused-segment and trace-JIT compiles, run-cache probes,
-bench-runner jobs, and every stage of a ``repro serve`` request.  The
-records feed the Chrome trace-event export
-(:mod:`repro.telemetry.perfetto`), the serve stage histograms and the
-``repro bench --obs-out`` metrics.
+reports), trace-JIT compiles, run-cache probes, bench-runner jobs, and
+every stage of a ``repro serve`` request.  The records feed the Chrome
+trace-event export (:mod:`repro.telemetry.perfetto`), the serve stage
+histograms and the ``repro bench --obs-out`` metrics.
 
 The active recorder lives in a :class:`~contextvars.ContextVar`, like
 the remark emitter's (:mod:`repro.remarks.emitter`): instrumentation

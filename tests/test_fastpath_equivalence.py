@@ -1,10 +1,11 @@
 """Fast-path vs slow-path engine equivalence.
 
-The fast engine — fused segments, the memory-system hot-line memo and
-the trace JIT (``SimOptions(fastpath=True)``, the default) — must be
-*bit-identical* to the reference per-instruction engine: same cycles,
-same instruction counters, same cache/TLB/DRAM statistics, same memory
-contents, and with a telemetry collector attached the same telemetry.
+The fast engine — the reference dispatch loop plus the trace JIT and
+the memory-system hot-line memo its traces probe
+(``SimOptions(fastpath=True)``, the default) — must be *bit-identical*
+to the reference per-instruction engine: same cycles, same instruction
+counters, same cache/TLB/DRAM statistics, same memory contents, and
+with a telemetry collector attached the same telemetry.
 These tests drive randomized IR kernels and real workloads through both
 engines on all four machine configurations, with telemetry off and on,
 and compare everything.
@@ -24,14 +25,15 @@ from repro.ir.values import Constant
 from repro.bench.runner import collecting_traces, run_defaults, run_variant
 from repro.envcfg import SimOptions
 from repro.machine import A53, A57, HASWELL, XEON_PHI, Interpreter
-from repro.machine.memory import Memory
-from tests.conftest import SIMPLE, SIMPLE_OOO
+from repro.machine.memory import Memory, MemoryFault
+from tests.conftest import SIMPLE, SIMPLE_OOO, build_indirect_kernel
 
 ALL_MACHINES = (HASWELL, A57, A53, XEON_PHI)
 #: The four paper machines plus two one-level hierarchies.
 EQUIVALENCE_MACHINES = ALL_MACHINES + (SIMPLE, SIMPLE_OOO)
 
-#: Binary ops drawn by the random kernel generator (all inline-fused).
+#: Binary ops drawn by the random kernel generator (all inlined in
+#: traces).
 _BINOPS = ("add", "sub", "mul", "and_", "or_", "xor", "shl", "ashr",
            "lshr", "smin")
 _PREDICATES = ("eq", "ne", "slt", "sle", "sgt", "sge", "ult", "ugt")
@@ -394,6 +396,32 @@ class TestBranchyKernelEquivalence:
         assert fast == slow
 
 
+class TestFaultEquivalence:
+    @pytest.mark.parametrize("machine", (HASWELL, A53),
+                             ids=lambda m: m.name)
+    def test_fault_outside_trace_leaves_same_state(self, machine):
+        """``keys[3]`` indexes far past ``buckets``: the fourth
+        iteration raises ``MemoryFault``, before the loop header is hot
+        enough to trace, so both engines fault on the dispatch loop and
+        leave the same counters, core clock and memory-system stats."""
+        n = 40
+        snaps = []
+        for fastpath in (False, True):
+            mem = Memory(machine.line_size)
+            keys = mem.allocate(8, n, "keys")
+            keys.fill([(7 * i) % 64 for i in range(n)])
+            keys.data[3] = 1 << 40
+            buckets = mem.allocate(8, 64, "buckets")
+            interp = Interpreter(build_indirect_kernel(num_buckets=64),
+                                 mem, machine=machine, fastpath=fastpath)
+            with pytest.raises(MemoryFault):
+                interp.run("kernel", [keys.base, buckets.base, n])
+            assert interp.trace_report() == []
+            snaps.append(snapshot(interp))
+        assert snaps[1] == snaps[0]
+        assert snaps[0]["run_stats"]["loads"] == 7
+
+
 class TestWorkloadEquivalence:
     @pytest.mark.parametrize("machine", EQUIVALENCE_MACHINES,
                              ids=lambda m: m.name)
@@ -447,7 +475,7 @@ class TestWorkloadEquivalence:
 class TestTelemetryEquivalence:
     """Telemetry is observational: attaching a collector must leave
     every timing and architectural counter bit-identical under both
-    engines (reference, and fused segments plus the trace JIT), and
+    engines (reference, and the fast engine with its trace JIT), and
     both engines must produce the same telemetry snapshot."""
 
     @pytest.mark.parametrize("machine", (HASWELL, A53),

@@ -310,21 +310,6 @@ class TestInterpreterSemantics:
         with pytest.raises(TypeError):
             interp.run("f", [])
 
-    def test_max_steps_guard(self):
-        text = """
-        func @forever() -> void {
-        entry:
-          jmp entry.loop
-        entry.loop:
-          jmp entry.loop
-        }
-        """
-        from repro.ir import parse_module
-        interp = Interpreter(parse_module(text))
-        interp.max_steps = 1000
-        with pytest.raises(RuntimeError, match="max_steps"):
-            interp.run("forever", [])
-
     def test_stats_counters(self, indirect_module):
         mem = Memory()
         keys = mem.allocate(8, 10, "keys")

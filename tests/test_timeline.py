@@ -2,8 +2,8 @@
 
 The load-bearing property is **tier identity**: attaching a
 :class:`TimelineRecorder` must not move a single simulated cycle or
-telemetry aggregate under either engine (reference, or fused segments
-plus the trace JIT) on any machine — sampling happens only at the
+telemetry aggregate under either engine (reference, or the fast engine
+with its trace JIT) on any machine — sampling happens only at the
 reference yield boundaries both engines share.  The rest asserts the
 window bookkeeping, the cache key, span recording, and the determinism
 of the Chrome trace-event export.

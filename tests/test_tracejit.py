@@ -1,11 +1,12 @@
 """Trace JIT: equivalence, deopt guards, reporting.
 
 The fast engine (``fastpath=True``, the default) compiles hot loop
-paths to specialized Python on top of the fused segments.  Its contract
-is the fast path's: *bit-identical* results — cycles, run stats, and
-memory-system snapshots — against the reference engine, under every
-combination of engine, telemetry, and yield schedule.  These tests also
-poke each deoptimization guard directly.
+nests to specialized Python and runs every other block on the reference
+dispatch loop.  Its contract is the fast path's: *bit-identical*
+results — cycles, run stats, and memory-system snapshots — against the
+reference engine, under every combination of engine, telemetry, and
+yield schedule.  These tests also poke each deoptimization guard
+directly.
 """
 
 from __future__ import annotations
@@ -276,9 +277,9 @@ class TestBranchArms:
 
 
 class TestDeoptGuards:
-    def test_side_exit_returns_to_fused_tier(self):
+    def test_side_exit_returns_to_dispatch(self):
         """A branch that flips, after recording, to a block with a call
-        side-exits every iteration: the call runs on the fused tier,
+        side-exits every iteration: the call runs on the dispatch loop,
         the trace is re-entered at the next iteration and the run stays
         bit-identical."""
         n = 512
