@@ -90,9 +90,8 @@ class SimOptions:
     field is part of the run-cache key.
 
     :ivar fastpath: the fast engine (the reference dispatch loop plus
-        the trace JIT and the hot-line memo its traces probe); ``False``
-        selects the reference engine.  Both produce bit-identical
-        numbers.
+        the trace JIT); ``False`` selects the reference engine.  Both
+        produce bit-identical numbers.
     :ivar telemetry: attach a prefetch-telemetry collector; its
         snapshot rides the result.
     :ivar timeline_window: record a windowed timeline with windows this

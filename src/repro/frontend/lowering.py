@@ -28,13 +28,16 @@ class LoweringError(Exception):
     """Raised on semantic errors (unknown names, type mismatches...)."""
 
 
-def _lower_type(t: ast.TypeName) -> Type:
+def _lower_type(t: ast.TypeName, line: int) -> Type:
     base: Type
     if t.base == "long":
         base = INT64
     elif t.base == "double":
         base = FLOAT64
     elif t.base == "void":
+        if t.pointers:
+            raise LoweringError(f"line {line}: void pointers are not "
+                                "supported")
         base = VOID
     else:  # pragma: no cover - parser guarantees the base
         raise LoweringError(f"unknown type {t.base}")
@@ -131,7 +134,7 @@ class _FunctionLowering:
             # block so construction stays well-formed.
             self.builder.set_insert_point(self._new_block("dead"))
         if isinstance(stmt, ast.Declaration):
-            var_type = _lower_type(stmt.type)
+            var_type = _lower_type(stmt.type, stmt.line)
             if isinstance(var_type, type(VOID)):
                 raise LoweringError(
                     f"line {stmt.line}: cannot declare void variable")
@@ -365,10 +368,19 @@ def lower_program(program: ast.Program, name: str = "module",
     module = Module(name)
     functions = []
     for definition in program.functions:
+        line = definition.line
+        if any(d.name == definition.name for _, d in functions):
+            raise LoweringError(f"line {line}: redefinition of function "
+                                f"{definition.name!r}")
+        params = [(p.name, _lower_type(p.type, line))
+                  for p in definition.params]
+        for pname, ptype in params:
+            if ptype is VOID:
+                raise LoweringError(f"line {line}: parameter {pname!r} "
+                                    "cannot be void")
         func = module.create_function(
-            definition.name, _lower_type(definition.return_type),
-            [(p.name, _lower_type(p.type)) for p in definition.params],
-            pure=definition.pure)
+            definition.name, _lower_type(definition.return_type, line),
+            params, pure=definition.pure)
         for arg, param in zip(func.args, definition.params):
             arg.noalias = param.restrict
         functions.append((func, definition))

@@ -8,9 +8,9 @@ source text: register slots become function locals (``r{i}`` for
 values, ``t{i}`` for ready times), and constants, per-op latencies and
 the core's issue/retire arithmetic are baked into the text.  Common
 64-bit integer wrap-around arithmetic, comparisons and casts are emitted
-as inline expressions (no closure call), and the memory system's
-hot-line probe (see :class:`~repro.machine.system.MemorySystem`) is
-inlined with a call to the memory walk as the fallback.
+as inline expressions (no closure call), and an L1 hit probe (see
+:class:`~repro.machine.system.MemorySystem`) is inlined with a call to
+the memory walk as the fallback.
 :func:`compile_source` compiles every generated source through one
 bounded code cache.
 
@@ -24,10 +24,11 @@ dispatch loop, in the same order, on the same floats:
   ``OutOfOrderCore._fetch/_retire`` are transcribed operation-for-
   operation (``max(a, b)`` becomes the equivalent compare-and-assign),
   so cycle counts are bit-identical;
-* the inlined hot-line probe is the engine's only copy of any memory
-  system behaviour: on an L1 hit whose page is in the L1 TLB it
-  performs the same LRU touches, hit counters, dirty marking and
-  prefetcher training the walk would, and whenever a guard fails it
+* the inlined L1 hit probe is the engine's only copy of any memory
+  system behaviour: it reads the line's entry straight from its L1
+  set, and on a hit whose fill has completed and whose page is in the
+  L1 TLB it performs the same LRU touches, hit counters, dirty marking
+  and prefetcher training the walk would; whenever a guard fails it
   calls the one walk itself (``MemorySystem._demand`` or
   ``MemorySystem.prefetch``), so every miss runs the reference code;
 * division/modulo by compile-time power-of-two machine parameters
@@ -46,14 +47,14 @@ Calls and allocations never enter generated code (they recurse into the
 interpreter or change the address-space layout): a block holding one
 runs on the dispatch loop, and a recording that reaches it aborts.
 
-Telemetry interaction: attaching a
-:class:`~repro.telemetry.TelemetryCollector` clears the memory system's
-``fastpath`` flag, fixed for the memory system's lifetime, so the
-emitter sees ``ms.fastpath`` false and emits plain
-``_ms_demand``/``_ms_prefetch`` calls instead of the inlined hot-line
-probe — every memory operation then takes the instrumented walk while
-traces still run.  With telemetry off (the default) nothing here
-changes, so the fast engine pays zero cost for the feature.
+Telemetry interaction: the probe is inlined exactly when no
+:class:`~repro.telemetry.TelemetryCollector` is attached to the memory
+system (``ms.telemetry is None``, fixed when the memory system is
+built).  With a collector, the emitter writes plain
+``_ms_demand``/``_ms_prefetch`` calls instead, so every memory
+operation takes the instrumented walk while traces still run.  With
+telemetry off (the default) nothing here changes, so the fast engine
+pays zero cost for the feature.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ class _Emitter:
     in :attr:`slots` so the trace assembler can emit the load/store
     prologue and epilogue, and every counter the inlined probe bumps is
     a local recorded in :attr:`stat_locals`, which the assembler flushes
-    at trace exit.  The timing arithmetic (issue/retire, hot-line probe,
+    at trace exit.  The timing arithmetic (issue/retire, L1 hit probe,
     blocking thresholds) is the transcription of the core and
     memory-system models documented in the module docstring.
 
@@ -166,7 +167,7 @@ class _Emitter:
         self.counts = {"loads": 0, "stores": 0, "prefetches": 0}
         self.site = 0
         self._nfn = 0
-        self.hot = None
+        self.probe = None
         self.stat_locals: set[tuple[str, str]] = set()
         core = bind["core"]
         ms = bind["ms"]
@@ -182,13 +183,12 @@ class _Emitter:
         else:
             env["_rob"] = core._rob
             self.nrob = len(core._rob)
-        if ms.fastpath:
-            # Bindings for the inlined hot-line probe.  All of these
+        if ms.telemetry is None:
+            # Bindings for the inlined L1 hit probe.  All of these
             # objects are stable for the MemorySystem's lifetime (flush
             # clears them in place).
             l1 = ms.caches[0]
-            env.update(_hotget=ms._hot.get, _l1s=l1._sets,
-                       _tp=ms.tlb._pages,
+            env.update(_l1s=l1._sets, _tp=ms.tlb._pages,
                        _mst=ms.stats, _tst=ms.tlb.stats,
                        _l1st=l1.stats, _pf=ms.prefetcher,
                        _observe=ms.prefetcher.observe,
@@ -199,7 +199,7 @@ class _Emitter:
                 env[f"_ds{i}"] = c._sets
                 self.dirty.append(
                     (f"_ds{i}", _mod_expr("line", c.num_sets)))
-            self.hot = {
+            self.probe = {
                 "line": _div_expr("addr", ms.line_size),
                 "set": _mod_expr("line", l1.num_sets),
                 "page": f"(page := addr >> {ms.tlb.page_bits})",
@@ -346,12 +346,18 @@ class _Emitter:
         emit("if _r:")
         emit(f"    raise _MF('misaligned {op_name} at %#x' % addr)")
 
-    def hot_probe(self) -> str:
-        """Guard expression: line resident in L1 + page in L1 TLB."""
-        hot = self.hot
-        return (f"entry is not None and entry[0] <= issue and "
-                f"(lines := _l1s[{hot['set']}]).get(line) is entry "
-                f"and {hot['page']} in _tp")
+    def l1_probe(self, wait: bool) -> None:
+        """The L1 hit probe's lookup and guard: ``entry`` is read
+        straight from the line's L1 set, and the guarded branch runs
+        when the line is resident, its fill has completed (checked only
+        when ``wait``: a prefetch that hits the L1 never waits) and its
+        page is in the L1 TLB."""
+        emit = self.out
+        probe = self.probe
+        emit(f"line = {probe['line']}")
+        emit(f"entry = (lines := _l1s[{probe['set']}]).get(line)")
+        fill = "entry[0] <= issue and " if wait else ""
+        emit(f"if entry is not None and {fill}{probe['page']} in _tp:")
 
     def stat(self, target: str, local: str) -> str:
         """One monotone counter bump, batched into the function local
@@ -361,7 +367,7 @@ class _Emitter:
         self.stat_locals.add((local, target))
         return f"{local} += 1"
 
-    def hot_touch(self) -> None:
+    def hit_touch(self) -> None:
         """LRU touches + hit counters of the replayed L1/TLB hit."""
         emit = self.out
         emit("    del _tp[page]")
@@ -382,16 +388,13 @@ class _Emitter:
     def demand(self, pc: int, is_write: bool) -> None:
         """``rdy = <memory system demand access at issue>``."""
         emit = self.out
-        hot = self.hot
         walk = f"rdy = _ms_demand({pc}, addr, issue, {is_write})"
-        if hot is None:
+        if self.probe is None:
             emit(walk)
             return
-        emit(f"line = {hot['line']}")
-        emit("entry = _hotget(line)")
-        emit(f"if {self.hot_probe()}:")
+        self.l1_probe(wait=True)
         emit(f"    {self.stat('_mst.demand_accesses', '_nda')}")
-        self.hot_touch()
+        self.hit_touch()
         emit(f"    {self.stat('_l1st.hits', '_nl1')}")
         if is_write:
             emit("    entry[1] = True")
@@ -400,7 +403,7 @@ class _Emitter:
                 emit("    if _e is not None:")
                 emit("        _e[1] = True")
         self.train(pc, "    ")
-        emit(f"    rdy = issue + {hot['lat']}")
+        emit(f"    rdy = issue + {self.probe['lat']}")
         emit("else:")
         emit(f"    {walk}")
 
@@ -497,21 +500,13 @@ class _Emitter:
             self.counts["prefetches"] += 1
             emit(f"addr = {self.operand(pc_const, p)}")
             self.issue_and([(pc_const, p)])
-            hot = self.hot
             walk = f"acc = _ms_prefetch({pc}, addr, issue)"
-            if hot is None:
+            if self.probe is None:
                 emit(walk)
             else:
-                # A prefetch that hits the L1 never waits, so the
-                # probe needs no fill check.
-                emit(f"line = {hot['line']}")
-                emit("entry = _hotget(line)")
-                emit("if entry is not None and "
-                     f"(lines := _l1s[{hot['set']}]).get(line)"
-                     " is entry and "
-                     f"{hot['page']} in _tp:")
+                self.l1_probe(wait=False)
                 emit(f"    {self.stat('_mst.sw_prefetches', '_nsp')}")
-                self.hot_touch()
+                self.hit_touch()
                 emit("    acc = issue")
                 emit("else:")
                 emit(f"    {walk}")

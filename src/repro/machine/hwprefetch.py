@@ -47,7 +47,6 @@ class StridePrefetcher:
         self.table_size = table_size
         self._table: dict[int, list[list]] = {}
         self._last_line: int | None = None
-        self.issued = 0
 
     def observe(self, pc: int, line_addr: int) -> list[int]:
         """Train on a demand access; returns line addresses to prefetch.
@@ -105,13 +104,10 @@ class StridePrefetcher:
         entry[_LAST] = line_addr
         if conf < self.train_threshold:
             return []
-        fills = [line_addr + stride * (self.distance + i)
-                 for i in range(self.degree)]
-        self.issued += len(fills)
-        return fills
+        return [line_addr + stride * (self.distance + i)
+                for i in range(self.degree)]
 
     def reset(self) -> None:
         """Forget all streams."""
         self._table.clear()
         self._last_line = None
-        self.issued = 0

@@ -34,7 +34,7 @@ from .fastexec import (_ALLOC, _BIN, _CALL, _CAST, _CMP, _GEP, _LOAD,
                        _PREFETCH, _SELECT, _STORE)
 from .memory import Allocation, Memory, MemoryFault
 from .system import MemorySystem
-from .tracejit import NO_BUDGET, TraceJIT
+from .tracejit import DEFAULT_THRESHOLD, NO_BUDGET, TraceJIT
 
 _M64 = (1 << 64) - 1
 
@@ -339,15 +339,16 @@ class Interpreter:
     :param fastpath: ``True`` selects the fast engine: in timed mode,
         the trace JIT compiles a loop once its header has been visited
         :data:`~repro.machine.tracejit.DEFAULT_THRESHOLD` times, and
-        its traces probe the memory system's hot-line memo; every block
-        outside a trace runs on the reference dispatch loop, as does
-        all of a functional run.  ``False`` selects the reference
-        engine; the two are bit-identical.
+        its traces serve L1 hits with an inlined probe of the L1 set;
+        every block outside a trace runs on the reference dispatch
+        loop, as does all of a functional run.  ``False`` selects the
+        reference engine; the two are bit-identical.
     :param telemetry: a :class:`~repro.telemetry.TelemetryCollector`,
         or ``True``/``False`` for a fresh one or none.  Telemetry needs
-        a machine model (it observes the memory hierarchy); a collector
-        forces the memory system onto its instrumented reference walks,
-        which are cycle-for-cycle identical to the fast path.
+        a machine model (it observes the memory hierarchy); with a
+        collector attached, traces call the instrumented walk for every
+        memory access instead of inlining the L1 hit probe, and cycle
+        counts are unchanged.
     :param timeline: a :class:`~repro.telemetry.TimelineRecorder`, or
         ``True``/``False`` for a fresh one (default window) or none.
         Needs a machine model.  Sampling reads counters only at the
@@ -370,8 +371,7 @@ class Interpreter:
         self.timeline = (resolve_timeline(timeline)
                          if machine is not None else None)
         self.memory_system = (
-            MemorySystem(machine, dram, fastpath=self.fastpath,
-                         telemetry=self.telemetry)
+            MemorySystem(machine, dram, telemetry=self.telemetry)
             if machine is not None else None)
         self.core = (make_core(machine, self.memory_system)
                      if machine is not None else None)
@@ -505,7 +505,7 @@ class Interpreter:
                     if tr is None:
                         c = counts.get(block, 0) + 1
                         counts[block] = c
-                        if c == tj.threshold and \
+                        if c == DEFAULT_THRESHOLD and \
                                 block not in tj_state.blacklist:
                             rec = tj.record(compiled, tj_state, block)
                 elif rec.visit(block):

@@ -22,10 +22,6 @@ from .tlb import TLB
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.collector import TelemetryCollector
 
-#: Hot-line memo entries are dropped wholesale past this size so the
-#: memo cannot outgrow the simulated working set it shadows.
-_HOT_LIMIT = 1 << 20
-
 
 @dataclass
 class MemoryStats:
@@ -69,31 +65,23 @@ class MemorySystem:
     :param config: machine description.
     :param dram: optionally a shared channel (multicore); a private one is
         created otherwise.
-    :param fastpath: enable the hot-line memo.
     :param telemetry: a :class:`~repro.telemetry.TelemetryCollector` to
-        observe this hierarchy.  Attaching one disables the hot-line
-        memo so every access takes the instrumented walk — cycle counts
-        are unchanged (the hooks are pure observation), only wall-clock
-        speed drops.
+        observe this hierarchy.  The hooks are pure observation: cycle
+        counts are unchanged, only wall-clock speed drops.
 
-    The **hot-line memo** backs the fast engine's one memory shortcut:
-    ``_hot`` maps a line address to the ``[fill_time, dirty]`` entry
-    list the L1 held for it when a walk last resolved it.  Its only
-    reader is the probe :class:`~repro.machine.fastexec._Emitter`
-    inlines into compiled traces; the dispatch loop always walks.  The
-    probe takes the shortcut only when (a) the L1 set still holds *that
-    very list object* — :meth:`Cache.insert` always installs a fresh
-    list, so identity proves the line was neither evicted nor refilled
-    since — (b) the fill has completed, and (c) the page is still in
-    the L1 TLB.  It then replays exactly the side effects the walk
-    would have had (LRU touches, hit counters, dirty marking,
-    prefetcher training); when any guard fails, the generated code
-    calls :meth:`_demand` or :meth:`prefetch`, the one memory walk.
+    Both engines use this one walk.  The fast engine's only shortcut is
+    the L1 hit probe :class:`~repro.machine.fastexec._Emitter` inlines
+    into compiled traces when no collector is attached: it reads the
+    line's ``[fill_time, dirty]`` entry straight from its L1 set
+    (``caches[0]._sets``) and, when the fill has completed and the page
+    is in the L1 TLB, replays exactly the side effects the walk would
+    have had (LRU touches, hit counters, dirty marking, prefetcher
+    training); otherwise the generated code calls :meth:`_demand` or
+    :meth:`prefetch`.  The memory system holds no state for the probe.
     """
 
     def __init__(self, config: MachineConfig,
                  dram: DRAMChannel | None = None,
-                 fastpath: bool = True,
                  telemetry: "TelemetryCollector | None" = None):
         self.config = config
         self.line_size = config.line_size
@@ -114,9 +102,6 @@ class MemorySystem:
         self.mshrs = _MSHRFile(config.mshrs)
         self.stats = MemoryStats()
         self.telemetry = telemetry
-        self.fastpath = fastpath and telemetry is None
-        self._hot: dict[int, list] = {}
-        self._l1 = self.caches[0]
 
     # -- public access points ---------------------------------------------
 
@@ -151,7 +136,6 @@ class MemorySystem:
                 for upper in self.caches[:level]:
                     upper.insert(line, ready)
                     upper.stats.prefetch_fills += 1
-                self._memoize(line)
                 if tel is not None:
                     tel.prefetch_redundant(pc, line, time, cache.name)
                 return time
@@ -160,9 +144,8 @@ class MemorySystem:
         done = self.dram.access(start)
         self.mshrs.occupy(done)
         self.stats.sw_prefetch_dram_fills += 1
-        self._fill_all(line, done, request_time=start)
+        self._fill_all(line, done, start)
         self.caches[0].stats.prefetch_fills += 1
-        self._memoize(line)
         # The core resumes once the request is accepted (MSHR acquired);
         # translation latency itself is off the critical path.
         accepted = max(time, start - (t - time))
@@ -173,19 +156,6 @@ class MemorySystem:
             else:
                 tel.prefetch_issued(pc, line, time, done)
         return accepted
-
-    def _memoize(self, line: int) -> None:
-        """Record the L1's current entry list for ``line`` (which every
-        demand access and prefetch leaves resident in the L1)."""
-        if not self.fastpath:
-            return
-        hot = self._hot
-        if len(hot) > _HOT_LIMIT:
-            hot.clear()
-        l1 = self._l1
-        entry = l1._sets[line % l1.num_sets].get(line)
-        if entry is not None:
-            hot[line] = entry
 
     # -- internals ----------------------------------------------------------
 
@@ -200,7 +170,6 @@ class MemorySystem:
         fills = self.prefetcher.observe(pc, line)
         if fills:
             self._issue_hw_fills(fills, t)
-        self._memoize(line)
         return ready
 
     def _hierarchy_access(self, line: int, t: float,
@@ -233,12 +202,11 @@ class MemorySystem:
         self.stats.demand_misses_to_dram += 1
         if tel is not None:
             tel.demand_miss(line, t, done)
-        self._fill_all(line, done, dirty=is_write, request_time=start)
+        self._fill_all(line, done, start, dirty=is_write)
         return done
 
-    def _fill_all(self, line: int, fill_time: float,
-                  dirty: bool = False,
-                  request_time: float | None = None) -> None:
+    def _fill_all(self, line: int, fill_time: float, request_time: float,
+                  dirty: bool = False) -> None:
         """Install a line at every level, charging LLC dirty evictions.
 
         Writebacks are charged at the *request* time: scheduling them at
@@ -246,10 +214,9 @@ class MemorySystem:
         latency rather than one line's worth of bandwidth.
         """
         llc = self.caches[-1]
-        wb_time = fill_time if request_time is None else request_time
         for cache in self.caches:
             if cache.insert(line, fill_time, dirty) and cache is llc:
-                self.dram.writeback(wb_time)
+                self.dram.writeback(request_time)
 
     def _issue_hw_fills(self, fills: list[int], t: float) -> None:
         # Hardware prefetches fill into the L2 (the L1 of a one-level
@@ -274,7 +241,6 @@ class MemorySystem:
             cache.invalidate_all()
         self.tlb.flush()
         self.prefetcher.reset()
-        self._hot.clear()
 
     def mshr_occupancy(self, time: float) -> int:
         """Outstanding line fills still in flight at ``time``.

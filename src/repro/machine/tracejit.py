@@ -26,10 +26,10 @@ dispatch loop:
 3. **Compile** — the tree is compiled to one generated-Python closure
    via :class:`~repro.machine.fastexec._Emitter`, with
    register slots lowered to function locals, the core's architectural
-   state hoisted into locals across the whole nest, the memory system's
-   hot-line/TLB fast path inlined per site, and phi moves emitted as
-   parallel local copies.  Every loop of the tree runs as a native
-   ``while`` with *no* per-block dispatch until a guard fires.
+   state hoisted into locals across the whole nest, an L1 hit probe
+   inlined per memory site, and phi moves emitted as parallel local
+   copies.  Every loop of the tree runs as a native ``while`` with
+   *no* per-block dispatch until a guard fires.
 
 Branches
 --------
@@ -57,8 +57,8 @@ Guards and deoptimization
 -------------------------
 
 * **Side exit** (in-trace): as above.
-* **Cold line / TLB miss / MSHR pressure** (in-trace): the inlined
-  hot-line probe falls back to the memory system's one walk
+* **Cold line / in-flight fill / L1-TLB miss** (in-trace): the inlined
+  L1 hit probe falls back to the memory system's one walk
   (``MemorySystem._demand`` / ``MemorySystem.prefetch``) — a *local*
   deoptimization that stays in the trace.
 * **Yield budget** (in-trace): traces take the remaining instruction
@@ -212,7 +212,7 @@ class Recording:
         if block not in self.body:
             # The iteration left the loop (a break, or the last trip of
             # an inner loop): record again at the header's next visit.
-            self.state.counts[tree[0]] = self.jit.threshold - 1
+            self.state.counts[tree[0]] = DEFAULT_THRESHOLD - 1
             return True
         if self.skip is not None:
             if block in self.skip:
@@ -228,7 +228,7 @@ class Recording:
         """Add ``block`` to the tree; the abort reason if it cannot."""
         tree = self.tree
         if block not in self.seen:
-            if len(self.seen) >= self.jit.max_blocks:
+            if len(self.seen) >= _MAX_BLOCKS:
                 return "too-long"
             if not _fusable(self.compiled, block):
                 return "unfusable"
@@ -257,13 +257,9 @@ class TraceJIT:
     def __init__(self, mode: str, bind: dict):
         self.mode = mode
         self.bind = bind
-        self.threshold = DEFAULT_THRESHOLD
-        self.max_blocks = _MAX_BLOCKS
-        self.max_ops = _MAX_OPS
         self._states: dict[str, FunctionState] = {}
         #: every trace ever compiled (for the hot report).
         self.traces: list[Trace] = []
-        self.compiles = 0
         self.deopts = 0
         self.aborts = 0
 
@@ -300,19 +296,17 @@ class TraceJIT:
         asm = _Assembler(_Emitter(self.mode, self.bind, env),
                          compiled.blocks)
         asm.loop(tree, None)
-        if asm.ops > self.max_ops:
+        if asm.ops > _MAX_OPS:
             return self.abort(compiled, state, header, "too-many-ops")
         with span("tracejit", "compile", function=compiled.function.name,
                   blocks=asm.blocks, ops=asm.ops):
             trace = self._assemble(compiled, header, asm, env)
         state.traces[header] = trace
         self.traces.append(trace)
-        self.compiles += 1
         remark_emit("analysis", "trace-jit", "TraceCompiled",
                     function=trace.func, header=trace.header_name,
                     blocks=asm.blocks, ops=asm.ops, nested=asm.nested,
-                    arms=asm.arms, mode=self.mode,
-                    fastpath=self.bind["ms"].fastpath)
+                    arms=asm.arms, mode=self.mode)
         instant("tracejit", "TraceCompiled", function=trace.func,
                 header=trace.header_name, blocks=asm.blocks, ops=asm.ops)
         return trace

@@ -10,9 +10,9 @@ the paper's §6 analysis and Fig. 8 overhead discussion).
 Telemetry is **observational only**: attaching a collector never changes
 a single simulated cycle.  It is off by default (see
 :class:`~repro.envcfg.SimOptions`) because classification needs the
-hierarchy walk; enabling it disables the memory system's hot-line
-memo for that run and routes every access through the instrumented
-walk, which the equivalence suite proves bit-identical.
+hierarchy walk; enabling it keeps compiled traces from inlining their
+L1 hit probe for that run and routes every access through the
+instrumented walk, which the equivalence suite proves bit-identical.
 
 Layout:
 

@@ -56,11 +56,6 @@ class TestGating:
         collector = TelemetryCollector()
         assert resolve_collector(collector) is collector
 
-    def test_collector_disables_hot_line_memo(self):
-        ms, _ = make_system()
-        assert ms.fastpath is False
-        assert MemorySystem(HASWELL, fastpath=True).fastpath is True
-
 
 class TestClassification:
     """Drive the memory system directly and check each outcome bin."""

@@ -11,6 +11,8 @@ directly.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -298,12 +300,12 @@ class TestDeoptGuards:
         assert row["entries"] == n // 2
 
     def test_cold_line_falls_back_in_trace(self):
-        """Loads far beyond the L1 working set keep missing the hot-line
-        memo: the in-trace fast path must take the full-walk fallback
-        and stay bit-identical."""
+        """Loads far beyond the L1 working set keep missing the L1 set
+        the inlined probe reads: the trace must take the full-walk
+        fallback and stay bit-identical."""
         seed = 99
         machine = A53
-        n = 2048  # 16 KiB per array: misses both the memo and L1 often
+        n = 2048  # 16 KiB per array: misses the L1 often
         slow, out_slow = run_engine(build_random_kernel(seed, n=n),
                                     machine, False, seed, n=n)
         interp, jit, out_jit = run_jit(build_random_kernel(seed, n=n),
@@ -440,6 +442,72 @@ class TestDeoptGuards:
         assert trace.header not in state.traces
         assert trace.header in state.blacklist
         assert tj.deopts >= 1
+
+
+def build_stream_kernel() -> Module:
+    """``out[i] = a[i] + 1`` over ``n`` elements."""
+    module = Module("stream")
+    func = module.create_function(
+        "kernel", VOID,
+        [("a", pointer(INT64)), ("out", pointer(INT64)), ("n", INT64)])
+    a, out, nval = func.args
+    b = IRBuilder()
+    entry = func.add_block("entry")
+    loop = func.add_block("loop")
+    exit_ = func.add_block("exit")
+    b.set_insert_point(entry)
+    b.br(b.cmp("sgt", nval, b.const(0), "guard"), loop, exit_)
+    b.set_insert_point(loop)
+    i = b.phi(INT64, "i")
+    v = b.load(b.gep(a, i, "ap"), "v")
+    b.store(b.add(v, b.const(1), "v1"), b.gep(out, i, "op"))
+    i2 = b.add(i, b.const(1), "i2")
+    b.br(b.cmp("slt", i2, nval, "cond"), loop, exit_)
+    i.add_incoming(b.const(0), entry)
+    i.add_incoming(i2, loop)
+    b.set_insert_point(exit_)
+    b.ret()
+    verify_module(module)
+    return module
+
+
+class TestL1Probe:
+    @pytest.mark.parametrize("machine", (SIMPLE, SIMPLE_OOO, HASWELL, A53),
+                             ids=lambda m: m.name)
+    def test_trace_walks_only_what_the_probe_cannot_serve(self, machine):
+        """A compiled trace calls the memory walk only for an access
+        the inlined probe cannot serve: the line is not in its L1 set,
+        its fill is still in flight, or its page is not in the L1 TLB.
+        On the one-level machines hardware-prefetch fills land in the
+        L1, so a streaming loop hits lines no earlier walk of its own
+        brought in."""
+        n = 4096
+        mem = Memory(machine.line_size)
+        a = mem.allocate(8, n, "a")
+        a.fill(np.arange(n))
+        out = mem.allocate(8, n, "out")
+        interp = Interpreter(build_stream_kernel(), mem, machine=machine)
+        ms = interp.memory_system
+        l1, walk = ms.caches[0], ms._demand
+        calls, servable = 0, 0
+
+        def demand(pc, addr, time, is_write):
+            nonlocal calls, servable
+            if sys._getframe(1).f_code.co_filename == "<compiled-trace>":
+                calls += 1
+                line = addr // ms.line_size
+                entry = l1._sets[line % l1.num_sets].get(line)
+                if entry is not None and entry[0] <= time and \
+                        addr >> ms.tlb.page_bits in ms.tlb._pages:
+                    servable += 1
+            return walk(pc, addr, time, is_write)
+
+        ms._demand = demand
+        interp.run("kernel", [a.base, out.base, n])
+        assert list(out.data) == list(range(1, n + 1))
+        assert interp.trace_report()
+        assert calls > 0
+        assert servable == 0
 
 
 class TestLoopNestCoverage:

@@ -20,7 +20,7 @@ TARGET = ROOT / "EXPERIMENTS.md"
 BLOCKS = {
     "MEASURED_FIG2": ["fig2_prefetch_schemes.txt"],
     "MEASURED_FIG4": ["fig4a_haswell.txt", "fig4b_a57.txt",
-                      "fig4c_a53.txt", "fig4d_xeon phi.txt"],
+                      "fig4c_a53.txt", "fig4d_xeon_phi.txt"],
     "MEASURED_FIG5": ["fig5_stride_addition.txt"],
     "MEASURED_FIG6": ["fig6_lookahead.txt"],
     "MEASURED_FIG7": ["fig7_stagger_depth.txt"],
