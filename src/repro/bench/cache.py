@@ -9,14 +9,23 @@ point in a figure's run sequence hash differently, preserving the
 figures' data-generation sequencing), and a hash of the simulator's own
 source code so any engine change invalidates everything.
 
-Cache layout: ``<root>/<key[:2]>/<key>.json``, one JSON-serialised
-:class:`~repro.bench.runner.VariantResult` per file.  The disk layer is
-:class:`repro.serve.cas.ContentStore` — the content-addressed store
-shared with ``repro serve`` — so writes are atomic (same-directory temp
-file + rename), corrupt or truncated entries read as misses, and
-concurrent runner/server processes can share a root; ``repro cache gc``
-garbage-collects it.  :class:`RunCache` adds a per-process in-memory
-layer on top.  Which cache a run uses is the caller's choice (see
+An entry is ``{"row": ..., "rng": ...}``: the JSON-serialised
+:class:`~repro.bench.runner.VariantResult` and the workload RNG's
+``bit_generator.state`` after ``prepare``.  A hit restores that state
+instead of running ``prepare``, which is exact because ``prepare``
+changes its workload only by drawing from the RNG (the
+:meth:`~repro.workloads.base.Workload.prepare` contract), so the
+instance — and every later run key — ends where an uncached run leaves
+it.
+
+Cache layout: ``<root>/<key[:2]>/<key>.json``, one entry per file.  The
+disk layer is :class:`repro.serve.cas.ContentStore` — the
+content-addressed store shared with ``repro serve`` — so writes are
+atomic (same-directory temp file + rename), corrupt or truncated
+entries read as misses, and concurrent runner/server processes can
+share a root; ``repro cache gc`` garbage-collects it.
+:class:`RunCache` adds a per-process in-memory layer on top.  Which
+cache a run uses is the caller's choice (see
 :func:`repro.bench.runner.run_defaults`).
 """
 
@@ -32,8 +41,10 @@ import numpy as np
 from ..serve.cas import ContentStore
 from ..telemetry.spans import span
 
-#: Bump when cached-result semantics change without a source change.
-ENGINE_VERSION = "1"
+#: Bump when cached-result semantics change without a source change
+#: of :data:`_SIM_SOURCES` (``bench/``, which writes the entries, is not
+#: hashed).
+ENGINE_VERSION = "2"
 
 _CODE_HASH: str | None = None
 
@@ -127,7 +138,8 @@ class RunCache(ContentStore):
         self._mem: dict[str, dict] = {}
 
     def get(self, key: str) -> dict | None:
-        """Cached result dict for ``key``, or ``None`` (corrupt = miss)."""
+        """The entry stored under ``key``, or ``None`` (corrupt = miss).
+        The dict is the in-memory layer's own: read it, never change it."""
         with span("cache", "probe", key=key[:12]) as s:
             data = self._mem.get(key)
             if data is None:

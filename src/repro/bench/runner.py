@@ -139,10 +139,13 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
     """Build, execute, and validate one variant on one machine.
 
     :param cache: a :class:`RunCache`, ``False`` for none, or ``None``
-        for the one :func:`run_defaults` installed.  On a hit,
-        ``prepare`` still runs (it advances the workload's RNG, keeping
-        later runs' inputs — and cache keys — identical to an uncached
-        sequence) but simulation and validation are skipped.
+        for the one :func:`run_defaults` installed.  A miss stores the
+        row together with the workload's RNG state after ``prepare``.
+        A hit builds the module (its IR is part of the key), restores
+        that RNG state — so later runs on the instance draw the inputs,
+        and get the keys, of an uncached sequence — and returns the
+        row: no ``Memory`` is built and ``prepare``, simulation and
+        validation do not run.
     :param sim: the engine options, or ``None`` for the ones
         :func:`run_defaults` installed.  Telemetry and the timeline
         never change the measured cycles; their snapshots ride the
@@ -156,29 +159,21 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
                 variant, lookahead=lookahead, options=options,
                 **manual_knobs)
         sim, run_cache = _resolved(sim, cache)
-        hit = key = None
+        key = None
         if run_cache is not None:
             # Keyed before prepare(): the RNG state at this point, plus
             # the built IR, pin down the run's inputs exactly.
             key = run_key(print_module(module), machine, workload,
                           validate, sim)
-            hit = run_cache.get(key)
-        memory = Memory(machine.line_size)
-        with span("bench", "prepare", workload=workload.name):
-            prepared = workload.prepare(memory)
-        if hit is not None:
-            try:
-                out = VariantResult(**hit)
-            except TypeError:
-                # A row written by an incompatible schema (stale entry
-                # surviving a code-hash collision, or a hand-edited
-                # file) is a miss, not a crash.
-                hit = None
-            else:
+            out = _replay(run_cache.get(key), workload)
+            if out is not None:
                 job["cached"] = True
                 TELEMETRY["cached_runs"] += 1
                 return out
         job["cached"] = False
+        memory = Memory(machine.line_size)
+        with span("bench", "prepare", workload=workload.name):
+            prepared = workload.prepare(memory)
         interp = Interpreter(
             module, memory, machine=machine, fastpath=sim.fastpath,
             telemetry=sim.telemetry,
@@ -214,8 +209,24 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
                            machine=machine.name)
                 trace_rows.append(row)
         if run_cache is not None:
-            run_cache.put(key, dataclasses.asdict(out))
+            run_cache.put(key, {"row": dataclasses.asdict(out),
+                                "rng": workload.rng.bit_generator.state})
         return out
+
+
+def _replay(entry: dict | None, workload: Workload) -> VariantResult | None:
+    """The row of a cache entry, with ``workload``'s RNG moved to the
+    state the entry's run left it in; ``None`` (a miss) for no entry or
+    one this code did not write — an older layout, a hand-edited file.
+    ``entry`` is shared with the cache's in-memory layer: read only."""
+    if entry is None:
+        return None
+    try:
+        out = VariantResult(**entry["row"])
+        workload.rng.bit_generator.state = entry["rng"]
+    except (KeyError, TypeError, ValueError):
+        return None
+    return out
 
 
 @dataclass

@@ -46,6 +46,24 @@ class LexError(Exception):
     """Raised on characters the language does not know."""
 
 
+def int_value(text: str) -> int:
+    """The value of an integer-constant token: hex after ``0x``, octal
+    after a leading ``0`` (as in C), else decimal."""
+    octal = text[0] == "0" and text[1:2].isdigit()
+    return int(text, 8 if octal else 0)
+
+
+def _int_token(text: str, line: int) -> Token:
+    """An integer-constant token, which must fit in 64 bits.  The IR
+    reads values from ``2**63`` up as two's complement, so a mask such
+    as ``0xFFFFFFFFFFFFFFFF`` is -1; from ``2**64`` up, bits would be
+    lost silently."""
+    if int_value(text) >= 1 << 64:
+        raise LexError(f"line {line}: integer constant {text!r} does "
+                       f"not fit in 64 bits")
+    return Token("number", text, line)
+
+
 def tokenize(source: str) -> list[Token]:
     """Split ``source`` into tokens (comments ``//`` and ``/* */``)."""
     tokens: list[Token] = []
@@ -90,7 +108,7 @@ def tokenize(source: str) -> list[Token]:
                 if j == i + 2:
                     raise LexError(f"line {line}: hex constant "
                                    f"{source[i:j]!r} has no digits")
-                tokens.append(Token("number", source[i:j], line))
+                tokens.append(_int_token(source[i:j], line))
                 i = j
                 continue
             while j < n and source[j].isdigit():
@@ -107,7 +125,7 @@ def tokenize(source: str) -> list[Token]:
                 if text[0] == "0" and ("8" in text or "9" in text):
                     raise LexError(f"line {line}: invalid digit in "
                                    f"octal constant {text!r}")
-                tokens.append(Token("number", text, line))
+                tokens.append(_int_token(text, line))
             i = j
             continue
         for op in _OPERATORS:

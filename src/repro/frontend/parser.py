@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import ast
-from .lexer import Token, tokenize
+from .lexer import Token, int_value, tokenize
 
 
 class SyntaxErrorC(Exception):
@@ -24,6 +24,14 @@ _PRECEDENCE = {
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
                "<<=", ">>=")
 
+#: Deepest nesting the parser accepts, over one budget: each statement
+#: (blocks and ``if``/``while``/``for`` bodies nest), each expression
+#: (so each parenthesis, index, call argument and ternary arm) and each
+#: unary operator is a level.  At this depth every construct still
+#: compiles and round-trips within Python's default recursion limit;
+#: deeper source is a ``SyntaxErrorC``, never a ``RecursionError``.
+MAX_NESTING = 100
+
 
 class Parser:
     """Parses a token stream into a :class:`~repro.frontend.ast.Program`."""
@@ -31,6 +39,7 @@ class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # -- token helpers --------------------------------------------------
 
@@ -67,6 +76,16 @@ class Parser:
                 f"line {self.current.line}: expected identifier, got "
                 f"{self.current.text!r}")
         return self.advance().text
+
+    def nest(self) -> None:
+        """Enter one more level of nesting (see :data:`MAX_NESTING`);
+        the caller steps back out with ``self.depth -= 1``.  A parse
+        that raises is abandoned, so no ``finally`` is needed."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SyntaxErrorC(
+                f"line {self.current.line}: nesting deeper than "
+                f"{MAX_NESTING} levels")
 
     # -- grammar ------------------------------------------------------------
 
@@ -120,6 +139,12 @@ class Parser:
         return statements
 
     def parse_statement(self) -> ast.Stmt:
+        self.nest()
+        stmt = self._statement()
+        self.depth -= 1
+        return stmt
+
+    def _statement(self) -> ast.Stmt:
         line = self.current.line
         if self.check("{"):
             # A bare block: flatten it as an If(true) would be overkill;
@@ -202,14 +227,17 @@ class Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expression(self) -> ast.Expr:
-        return self.parse_ternary()
+        self.nest()
+        expr = self.parse_ternary()
+        self.depth -= 1
+        return expr
 
     def parse_ternary(self) -> ast.Expr:
         cond = self.parse_binary(0)
         if self.accept("?"):
             then = self.parse_expression()
             self.expect(":")
-            otherwise = self.parse_ternary()
+            otherwise = self.parse_expression()
             return ast.Ternary(cond, then, otherwise, line=cond.line)
         return cond
 
@@ -227,7 +255,10 @@ class Parser:
         if self.current.kind == "op" and self.current.text in ("-", "!",
                                                                "~"):
             op = self.advance().text
-            return ast.Unary(op, self.parse_unary(), line=line)
+            self.nest()
+            operand = self.parse_unary()
+            self.depth -= 1
+            return ast.Unary(op, operand, line=line)
         return self.parse_postfix()
 
     def parse_postfix(self) -> ast.Expr:
@@ -244,10 +275,7 @@ class Parser:
         token = self.current
         if token.kind == "number":
             self.advance()
-            text = token.text
-            octal = text[0] == "0" and text[1:2].isdigit()
-            return ast.IntLiteral(int(text, 8 if octal else 0),
-                                  line=token.line)
+            return ast.IntLiteral(int_value(token.text), line=token.line)
         if token.kind == "float":
             self.advance()
             return ast.FloatLiteral(float(token.text), line=token.line)

@@ -26,8 +26,8 @@ _INT_FOLDS = {
     "shl": lambda a, b: a << (b & 63),
     "sdiv": lambda a, b: _sdiv(a, b),
     "srem": lambda a, b: _srem(a, b),
-    "udiv": lambda a, b: (a & _M64) // (b & _M64) if b else 0,
-    "urem": lambda a, b: (a & _M64) % (b & _M64) if b else 0,
+    "udiv": lambda a, b: (a & _M64) // (b & _M64),
+    "urem": lambda a, b: (a & _M64) % (b & _M64),
     "lshr": lambda a, b: (a & _M64) >> (b & 63),
     "ashr": lambda a, b: a >> (b & 63),
 }
@@ -35,8 +35,12 @@ _FLOAT_FOLDS = {
     "fadd": lambda a, b: a + b,
     "fsub": lambda a, b: a - b,
     "fmul": lambda a, b: a * b,
-    "fdiv": lambda a, b: a / b if b else float("inf"),
+    "fdiv": lambda a, b: a / b,
 }
+#: Division and remainder by a constant zero stay unfolded: the
+#: interpreter raises ``ZeroDivisionError`` for them, and a folded
+#: value would make the result depend on whether ``-O`` ran.
+_DIVISIONS = frozenset({"sdiv", "srem", "udiv", "urem", "fdiv"})
 _CMP_FOLDS = {
     "eq": lambda a, b: a == b, "ne": lambda a, b: a != b,
     "slt": lambda a, b: a < b, "sle": lambda a, b: a <= b,
@@ -53,15 +57,11 @@ _M64 = (1 << 64) - 1
 
 
 def _sdiv(a: int, b: int) -> int:
-    if b == 0:
-        return 0
     q = abs(a) // abs(b)
     return -q if (a < 0) != (b < 0) else q
 
 
 def _srem(a: int, b: int) -> int:
-    if b == 0:
-        return 0
     return a - _sdiv(a, b) * b
 
 
@@ -117,6 +117,8 @@ class ConstantFoldingPass:
         lc = isinstance(lhs, Constant)
         rc = isinstance(rhs, Constant)
         if lc and rc:
+            if inst.opcode in _DIVISIONS and rhs.value == 0:
+                return None
             table = _FLOAT_FOLDS if inst.opcode in _FLOAT_FOLDS else _INT_FOLDS
             fn = table.get(inst.opcode)
             if fn is None:

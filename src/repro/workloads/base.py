@@ -72,7 +72,15 @@ class Workload(ABC):
 
     @abstractmethod
     def prepare(self, memory: Memory) -> PreparedRun:
-        """Allocate and initialise inputs; returns args + validator."""
+        """Allocate and initialise inputs; returns args + validator.
+
+        Contract: ``prepare`` changes its instance only by drawing from
+        ``self.rng`` — every other attribute keeps its value (and its
+        :func:`~repro.bench.cache.canonical_token`).  A run-cache hit
+        relies on it: it restores the RNG state a real run left and
+        skips ``prepare``, which leaves the instance, and so every later
+        run's inputs and key, exactly as an uncached run would.
+        """
 
     # -- variant construction (shared) ---------------------------------------
 

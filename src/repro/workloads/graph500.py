@@ -23,6 +23,8 @@ variant staggers the full work-list chain across all four structures.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..ir.builder import IRBuilder
@@ -35,6 +37,16 @@ from .kronecker import CSRGraph, bfs_reference, generate_kronecker
 
 #: Queue slack for unclamped manual look-ahead reads.
 QUEUE_SLACK = 2 * 256 + 8
+
+
+@functools.lru_cache(maxsize=4)
+def _kronecker(scale: int, edge_factor: int, seed: int) -> CSRGraph:
+    """The graph of one ``(scale, edge_factor, seed)``, generated once
+    per process and shared by every instance: its arrays are read-only."""
+    graph = generate_kronecker(scale, edge_factor, seed=seed)
+    graph.xoff.flags.writeable = False
+    graph.xadj.flags.writeable = False
+    return graph
 
 
 class Graph500(Workload):
@@ -51,7 +63,13 @@ class Graph500(Workload):
         self.scale = scale
         self.edge_factor = edge_factor
         self.name = label or f"G500-s{scale}"
-        self.graph: CSRGraph | None = None
+
+    @property
+    def graph(self) -> CSRGraph:
+        """The Kronecker graph, a function of ``(scale, edge_factor,
+        seed)`` only — not instance state, so ``prepare`` keeps the
+        :meth:`Workload.prepare` contract."""
+        return _kronecker(self.scale, self.edge_factor, self.seed)
 
     # -- IR ---------------------------------------------------------------
 
@@ -229,9 +247,6 @@ class Graph500(Workload):
     # -- data ----------------------------------------------------------------
 
     def prepare(self, memory: Memory) -> PreparedRun:
-        if self.graph is None:
-            self.graph = generate_kronecker(
-                self.scale, self.edge_factor, seed=self.seed)
         graph = self.graph
         nv = graph.num_vertices
         ne = graph.num_directed_edges

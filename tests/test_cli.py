@@ -235,16 +235,16 @@ class TestBenchObsOut:
         "stage (build, prepare, simulate, validate).\n"
         "# TYPE repro_bench_stage_seconds histogram\n")
 
-    def test_fig2_runs_and_stage_counts(self, tmp_path):
+    @staticmethod
+    def _bench(*argv):
+        """``repro bench`` in a fresh process, so an ``--obs-out`` file
+        holds that invocation's runs and nothing an earlier test ran;
+        returns its stdout."""
         import os
-        import re
         import subprocess
         import sys
         from pathlib import Path
 
-        # A fresh process, so the file holds this invocation's runs
-        # and nothing an earlier test ran.
-        path = tmp_path / "bench.prom"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [
             str(Path(__file__).resolve().parent.parent / "src"),
@@ -253,10 +253,16 @@ class TestBenchObsOut:
             [sys.executable, "-c",
              "import sys; from repro.cli import main; "
              "sys.exit(main(sys.argv[1:]))",
-             "bench", "fig2", "--small", "--no-cache", "--jobs", "1",
-             "--obs-out", str(path)],
+             "bench", *argv],
             capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def _samples(self, path):
+        """The exposition's run-counter samples, as ``(labels,
+        value)``, and its stage-histogram counts by stage."""
+        import re
+
         text = path.read_text()
         assert self.RUNS_HEADER in text
         assert self.STAGES_HEADER in text
@@ -272,11 +278,33 @@ class TestBenchObsOut:
                 runs.append((labels, float(value)))
             elif name == "repro_bench_stage_seconds_count":
                 counts[labels["stage"]] = float(value)
+        return runs, counts
+
+    def test_fig2_runs_and_stage_counts(self, tmp_path):
+        path = tmp_path / "bench.prom"
+        self._bench("fig2", "--small", "--no-cache", "--jobs", "1",
+                    "--obs-out", str(path))
+        runs, counts = self._samples(path)
         assert sum(value for _, value in runs) == 5
         assert all(set(labels) == {"cached", "machine", "variant",
                                    "workload"} for labels, _ in runs)
         assert counts == {"build": 5, "prepare": 5, "simulate": 5,
                           "validate": 5}
+
+    def test_warm_fig2_rerun_does_no_input_work(self, tmp_path):
+        """Run twice into one cache directory, the second invocation
+        prints the same table with every run a hit that only builds:
+        no ``prepare``, ``simulate`` or ``validate`` stage."""
+        store, path = str(tmp_path / "cache"), tmp_path / "warm.prom"
+        cold = self._bench("fig2", "--small", "--jobs", "1",
+                           "--cache-dir", store)
+        warm = self._bench("fig2", "--small", "--jobs", "1",
+                           "--cache-dir", store, "--obs-out", str(path))
+        assert warm == cold
+        runs, counts = self._samples(path)
+        assert sum(value for _, value in runs) == 5
+        assert {labels["cached"] for labels, _ in runs} == {"true"}
+        assert counts == {"build": 5}
 
 
 class TestBenchOptionScope:

@@ -8,6 +8,7 @@ import pytest
 from repro.frontend import (SOURCE_ERRORS, LexError, LoweringError,
                             SyntaxErrorC, compile_source, parse_source,
                             tokenize)
+from repro.frontend.parser import MAX_NESTING
 from repro.ir import parse_module, print_module, verify_module
 from repro.machine import Interpreter, Memory
 from repro.passes import IndirectPrefetchPass
@@ -88,6 +89,24 @@ class TestLexer:
     def test_unknown_character(self):
         with pytest.raises(LexError):
             tokenize("a @ b")
+
+    @pytest.mark.parametrize("text", (
+        "18446744073709551616", "99999999999999999999999",
+        "0x10000000000000000", "02000000000000000000000"))
+    def test_constant_of_2_to_the_64_or_more(self, text):
+        with pytest.raises(LexError, match=(
+                rf"^line 2: integer constant '{text}' does not fit")):
+            tokenize(f"long f() {{\n    long x = {text};")
+
+    @pytest.mark.parametrize("text, value", (
+        ("0xFFFFFFFFFFFFFFFF", -1), ("18446744073709551615", -1),
+        ("9223372036854775808", -2 ** 63),
+        ("0x7FFFFFFFFFFFFFFF", 2 ** 63 - 1)))
+    def test_constants_from_2_to_the_63_wrap(self, text, value):
+        """Up to ``2**64 - 1`` a constant keeps its two's-complement
+        reading, so 64-bit masks still work."""
+        module = compile_source(f"long f() {{ return {text}; }}")
+        assert Interpreter(module).run("f", []).value == value
 
 
 class TestParser:
@@ -298,6 +317,78 @@ class TestInvalidSourceThatCrashedTheCompiler:
     def test_raises_lowering_error(self, source, message):
         with pytest.raises(LoweringError, match=message):
             compile_source(source)
+
+
+def _nested_for(n):
+    heads = "".join(f"for (long i{k} = 0; i{k} < n; i{k}++) {{\n"
+                    for k in range(n))
+    return ("void f(long* restrict a, long* restrict b, long n) {\n"
+            + heads + f"b[a[i{n - 1}]] += 1;\n" + "}\n" * n + "}")
+
+
+#: ``name: (levels, source)``: ``source(n)`` nests ``n`` levels of one
+#: construct, one per line from line 2, around an innermost statement
+#: that adds ``levels`` more (the statement and its expression; the
+#: ``for`` body also indexes twice).
+NESTED = {
+    "parens": (2, lambda n: "long f(long a) {\nreturn " + "(\n" * n
+               + "a" + ")" * n + "; }"),
+    "unary": (2, lambda n: "long f(long a) {\nreturn " + "-\n" * n
+              + "a; }"),
+    "braces": (2, lambda n: "long f(long a) {\nlong x = 0; " + "{\n" * n
+               + "x = a;\n" + "}\n" * n + "return x; }"),
+    "if": (2, lambda n: "long f(long a) {\nlong x = 0; "
+           + "if (a) {\n" * n + "x = a;\n" + "}\n" * n + "return x; }"),
+    "for": (4, _nested_for),
+}
+
+
+class TestNestingLimit:
+    """Nesting past ``MAX_NESTING`` levels is a ``SyntaxErrorC`` naming
+    its line, never a ``RecursionError`` (a 500 from ``repro serve``);
+    source nested exactly at the limit still compiles."""
+
+    @pytest.mark.parametrize("name", NESTED)
+    def test_limit_compiles_passes_and_round_trips(self, name):
+        levels, source = NESTED[name]
+        module = compile_source(source(MAX_NESTING - levels))
+        IndirectPrefetchPass().run(module)
+        verify_module(module)
+        text = print_module(module)
+        reparsed = parse_module(text)
+        verify_module(reparsed)
+        assert print_module(reparsed) == text
+
+    @pytest.mark.parametrize("name", NESTED)
+    def test_one_level_deeper_raises(self, name):
+        levels, source = NESTED[name]
+        n = MAX_NESTING - levels + 1
+        # Line 1 is the function header, level k opens on line k + 1,
+        # so the innermost statement sits on line n + 2.
+        with pytest.raises(SyntaxErrorC, match=(
+                rf"^line {n + 2}: nesting deeper than {MAX_NESTING} ")):
+            compile_source(source(n))
+
+    @pytest.mark.parametrize("name", NESTED)
+    def test_two_thousand_levels_raise(self, name):
+        with pytest.raises(SyntaxErrorC, match="nesting deeper than"):
+            compile_source(NESTED[name][1](2_000))
+
+
+class TestDivisionByConstantZero:
+    """``-O`` folds constant arithmetic but never a division by zero:
+    with or without it, the program raises at run time."""
+
+    @pytest.mark.parametrize("optimize", (True, False), ids=("O", "O0"))
+    @pytest.mark.parametrize("source", (
+        "long f() { return 1 / 0; }",
+        "long f() { return 7 % 0; }",
+        "double f() { return 1.0 / 0.0; }",
+    ), ids=("sdiv", "srem", "fdiv"))
+    def test_raises_at_run_time(self, source, optimize):
+        module = compile_source(source, optimize=optimize)
+        with pytest.raises(ZeroDivisionError):
+            Interpreter(module).run("f", [])
 
 
 class TestFrontendToPrefetchPipeline:

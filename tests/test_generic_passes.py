@@ -111,12 +111,28 @@ class TestConstantFolding:
         assert ret.value.name == "x"
 
     def test_division_by_zero_not_crashing(self):
+        """The pass leaves a division by a constant zero in place, for
+        the interpreter to raise on as it does without folding."""
         m = self._fold("""
           %a = sdiv i64 5, 0
           ret i64 %a
         """)
         ret = m.function("f").entry.terminator
-        assert isinstance(ret.value, Constant)
+        assert ret.value.opcode == "sdiv"
+
+    @pytest.mark.parametrize("opcode", ("udiv", "urem"))
+    def test_unsigned_division_by_zero_stays_and_raises(self, opcode):
+        m = self._fold(f"""
+          %a = {opcode} i64 5, 0
+          %b = {opcode} i64 7, 2
+          %c = add i64 %a, %b
+          ret i64 %c
+        """)
+        ret = m.function("f").entry.terminator
+        assert ret.value.lhs.opcode == opcode
+        assert isinstance(ret.value.rhs, Constant)  # 7 by 2 still folds
+        with pytest.raises(ZeroDivisionError):
+            Interpreter(m).run("f", [0])
 
     @given(st.integers(-2**31, 2**31), st.integers(-2**31, 2**31))
     def test_fold_matches_interpreter(self, a, b):

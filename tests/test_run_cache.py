@@ -2,8 +2,10 @@
 
 Covers key stability and invalidation, cold/warm behaviour of
 ``run_variant``, corrupted-entry handling, scoped-default resolution,
-and the acceptance property: a second invocation of a figure benchmark
-with unchanged inputs hits the disk cache and skips re-simulation.
+the hit path's contract on all seven quick workloads (a hit restores
+the RNG state its entry stored and runs no ``prepare``), and the
+acceptance property: a second invocation of a figure benchmark with
+unchanged inputs hits the disk cache and skips re-simulation.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 
 import pytest
 
+from repro.bench import runner
 from repro.bench.cache import (RunCache, canonical_token, run_key,
                                simulator_code_hash)
 from repro.bench.runner import (RunSpec, TELEMETRY, reset_telemetry,
@@ -20,8 +23,10 @@ from repro.bench.runner import (RunSpec, TELEMETRY, reset_telemetry,
 from repro.envcfg import SimOptions
 from repro.ir import print_module
 from repro.machine import A53, HASWELL
+from repro.machine.memory import Memory
 from repro.passes import PrefetchOptions
-from repro.workloads import IntegerSort, RandomAccess
+from repro.workloads import (IntegerSort, RandomAccess, paper_benchmarks,
+                             workload_by_name)
 
 
 def _ir(workload, variant="plain", **kwargs):
@@ -34,6 +39,14 @@ SIM = SimOptions()
 
 def small_is():
     return IntegerSort(num_keys=1500, num_buckets=1 << 12)
+
+
+#: The seven quick workloads, by name; :func:`quick` makes a fresh one.
+QUICK = [wl.name for wl in paper_benchmarks(small=True)]
+
+
+def quick(name):
+    return workload_by_name(name, small=True)
 
 
 class TestRunKey:
@@ -79,7 +92,6 @@ class TestRunKey:
     def test_rng_advancement_invalidates(self):
         """After prepare() the shared RNG has moved, so a repeat run of
         the same instance is (correctly) a different run."""
-        from repro.machine.memory import Memory
         wl = small_is()
         ir = _ir(wl)
         before = run_key(ir, HASWELL, wl, True, SIM)
@@ -155,19 +167,27 @@ class TestRunVariantCaching:
         assert warm == uncached
 
     def test_sequence_semantics_preserved(self, tmp_path):
-        """A cached first run must leave the workload's RNG exactly
-        where an uncached run would, so the *second* run on the same
-        instance sees identical inputs either way."""
-        rc = RunCache(tmp_path)
-        wl = small_is()
-        run_variant(wl, "plain", HASWELL, cache=rc)
-        second_uncached = run_variant(wl, "auto", HASWELL, cache=False)
+        """A cached first run must leave the workload exactly where an
+        uncached run would, so a plain → auto → manual sequence on one
+        instance sees identical inputs, rows and run keys whether its
+        first run missed or hit — on every quick workload."""
+        def sequence(wl, rc):
+            rows, keys = [], []
+            for variant in ("plain", "auto", "manual"):
+                keys.append(run_key(_ir(wl, variant), HASWELL, wl, True,
+                                    SIM))
+                rows.append(run_variant(
+                    wl, variant, HASWELL,
+                    cache=rc if variant == "plain" else False))
+            return rows, keys
 
-        wl = small_is()
-        run_variant(wl, "plain", HASWELL, cache=rc)  # cache hit
-        second_after_hit = run_variant(wl, "auto", HASWELL,
-                                       cache=False)
-        assert second_after_hit == second_uncached
+        for name in QUICK:
+            rc = RunCache(tmp_path / name)
+            missed = sequence(quick(name), rc)
+            reset_telemetry()
+            after_hit = sequence(quick(name), rc)
+            assert TELEMETRY["cached_runs"] == 1, name
+            assert after_hit == missed, name
 
     def test_run_specs_parallel_populates_shared_cache(self, tmp_path):
         rc = RunCache(tmp_path)
@@ -184,6 +204,75 @@ class TestRunVariantCaching:
         assert second == first
         assert TELEMETRY["simulated_runs"] == 0
         assert TELEMETRY["cached_runs"] == 2
+
+
+class TestHitPath:
+    """The hit path's contract, on each quick workload: ``prepare``
+    changes nothing but the RNG, so a hit may skip it and restore the
+    RNG state its entry stored instead."""
+
+    @pytest.mark.parametrize("name", QUICK)
+    def test_prepare_changes_only_the_rng(self, name):
+        wl = quick(name)
+
+        def state():
+            return {attr: canonical_token(value)
+                    for attr, value in vars(wl).items() if attr != "rng"}
+
+        before = state()
+        wl.prepare(Memory())
+        assert state() == before
+
+    @pytest.mark.parametrize("name", QUICK)
+    def test_hit_does_no_input_work(self, tmp_path, monkeypatch, name):
+        """A hit calls no ``prepare`` and builds no ``Memory``, and
+        leaves the RNG where the run that wrote the entry left it."""
+        rc = RunCache(tmp_path)
+        first = quick(name)
+        cold = run_variant(first, "plain", HASWELL, cache=rc)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("input work on a cache hit")
+
+        wl = quick(name)
+        monkeypatch.setattr(type(wl), "prepare", refuse)
+        monkeypatch.setattr(runner, "Memory", refuse)
+        assert run_variant(wl, "plain", HASWELL, cache=rc) == cold
+        assert canonical_token(wl.rng) == canonical_token(first.rng)
+
+    @pytest.mark.parametrize("name", QUICK)
+    def test_entry_without_rng_state_is_a_miss(self, tmp_path, name):
+        """An entry in the layout written before the RNG state was
+        stored (the bare row) re-simulates and is rewritten whole."""
+        wl = quick(name)
+        key = run_key(_ir(wl), HASWELL, wl, True, SIM)
+        cold = run_variant(wl, "plain", HASWELL, cache=RunCache(tmp_path))
+        entry = RunCache(tmp_path).get(key)
+        assert set(entry) == {"row", "rng"}
+        RunCache(tmp_path).put(key, entry["row"])
+        reset_telemetry()
+        again = run_variant(quick(name), "plain", HASWELL,
+                            cache=RunCache(tmp_path))
+        assert TELEMETRY["simulated_runs"] == 1
+        assert TELEMETRY["cached_runs"] == 0
+        assert again == cold
+        assert RunCache(tmp_path).get(key) == entry
+
+    @pytest.mark.parametrize("name", QUICK)
+    def test_hits_leave_the_shared_entry_alone(self, tmp_path, name):
+        """The in-memory layer hands every hit the same dict: two hits
+        on one cache return equal rows and leave that dict as stored."""
+        rc = RunCache(tmp_path)
+        wl = quick(name)
+        key = run_key(_ir(wl), HASWELL, wl, True, SIM)
+        cold = run_variant(wl, "plain", HASWELL, cache=rc)
+        stored = json.dumps(rc.get(key), sort_keys=True)
+        reset_telemetry()
+        hits = [run_variant(quick(name), "plain", HASWELL, cache=rc)
+                for _ in range(2)]
+        assert TELEMETRY["cached_runs"] == 2
+        assert hits == [cold, cold]
+        assert json.dumps(rc.get(key), sort_keys=True) == stored
 
 
 class TestFigureLevelCaching:

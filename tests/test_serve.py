@@ -394,6 +394,19 @@ class TestServerFaults:
             assert body["status"] == "error"
         serve_scenario(scenario)(tmp_path)
 
+    def test_deeply_nested_source_served_as_400(self, tmp_path):
+        """Source nested past the parser's limit is the client's error,
+        not a ``RecursionError`` reaching the pool's 500."""
+        source = "long f() { return " + "(" * 2000 + "1" + ")" * 2000 \
+            + "; }"
+
+        async def scenario(server):
+            status, body = await roundtrip(
+                server, {"kind": "compile", "source": source})
+            assert status == 400
+            assert "nesting deeper than" in body["error"]
+        serve_scenario(scenario)(tmp_path)
+
     @pytest.mark.usefixtures("broken_prefetch_pass")
     def test_compiler_bug_served_as_500(self, tmp_path):
         """A compile job that fails inside the compiler is the server's
