@@ -1,7 +1,8 @@
 """Control-flow graph analyses: orderings, dominators, frontiers.
 
 Dominators use the Cooper-Harvey-Kennedy iterative algorithm, which is
-simple and fast for the CFG sizes this project manipulates.
+simple and fast for the CFG sizes this project manipulates.  Maps are
+keyed by the blocks themselves (blocks hash by identity).
 """
 
 from __future__ import annotations
@@ -27,76 +28,87 @@ def predecessor_map(func: Function) -> dict[BasicBlock, list[BasicBlock]]:
 
 def reverse_postorder(func: Function) -> list[BasicBlock]:
     """Blocks reachable from entry, in reverse postorder."""
-    visited: set[int] = set()
+    entry = func.entry
+    visited = {entry}
     order: list[BasicBlock] = []
-
-    def visit(block: BasicBlock) -> None:
-        # Iterative DFS with an explicit stack to avoid recursion limits.
-        stack: list[tuple[BasicBlock, int]] = [(block, 0)]
-        visited.add(id(block))
-        while stack:
-            current, index = stack.pop()
-            succs = current.successors
-            if index < len(succs):
-                stack.append((current, index + 1))
-                child = succs[index]
-                if id(child) not in visited:
-                    visited.add(id(child))
-                    stack.append((child, 0))
-            else:
-                order.append(current)
-
-    visit(func.entry)
+    # Iterative DFS with an explicit stack to avoid recursion limits; each
+    # frame resumes its block's successor list where it left off.
+    stack = [(entry, iter(entry.successors))]
+    while stack:
+        block, succs = stack[-1]
+        for child in succs:
+            if child not in visited:
+                visited.add(child)
+                stack.append((child, iter(child.successors)))
+                break
+        else:
+            stack.pop()
+            order.append(block)
     order.reverse()
     return order
 
 
-def dominators(func: Function) -> dict[BasicBlock, BasicBlock | None]:
+def dominators(
+        func: Function,
+        preds: dict[BasicBlock, list[BasicBlock]] | None = None,
+) -> dict[BasicBlock, BasicBlock | None]:
     """Immediate dominators for all reachable blocks.
 
-    Returns a map ``block -> idom``; the entry block maps to ``None``.
-    Unreachable blocks are absent from the map.
+    Returns a map ``block -> idom`` in reverse postorder; the entry block
+    maps to ``None``.  Unreachable blocks are absent from the map.
+    ``preds`` is the function's predecessor map if the caller already has
+    one (see :func:`predecessor_map`; repeated entries are harmless).
     """
     rpo = reverse_postorder(func)
-    index = {id(b): i for i, b in enumerate(rpo)}
-    preds = predecessor_map(func)
-    entry = func.entry
+    index = {block: i for i, block in enumerate(rpo)}
+    if preds is None:
+        preds = predecessor_map(func)
+    entry = rpo[0]
 
-    idom: dict[int, BasicBlock] = {id(entry): entry}
+    idom: dict[BasicBlock, BasicBlock] = {entry: entry}
 
     def intersect(a: BasicBlock, b: BasicBlock) -> BasicBlock:
         while a is not b:
-            while index[id(a)] > index[id(b)]:
-                a = idom[id(a)]
-            while index[id(b)] > index[id(a)]:
-                b = idom[id(b)]
+            while index[a] > index[b]:
+                a = idom[a]
+            while index[b] > index[a]:
+                b = idom[b]
         return a
 
     changed = True
     while changed:
         changed = False
-        for block in rpo:
-            if block is entry:
-                continue
+        for block in rpo[1:]:
             new_idom: BasicBlock | None = None
             for pred in preds[block]:
-                if id(pred) not in idom or id(pred) not in index:
+                if pred not in idom:  # unreachable, or not yet processed
                     continue
                 if new_idom is None:
                     new_idom = pred
                 else:
                     new_idom = intersect(new_idom, pred)
-            if new_idom is not None and idom.get(id(block)) is not new_idom:
-                idom[id(block)] = new_idom
+            if new_idom is not None and idom.get(block) is not new_idom:
+                idom[block] = new_idom
                 changed = True
 
     result: dict[BasicBlock, BasicBlock | None] = {entry: None}
-    for block in rpo:
-        if block is entry:
-            continue
-        if id(block) in idom:
-            result[block] = idom[id(block)]
+    for block in rpo[1:]:
+        result[block] = idom[block]
     return result
+
+
+def dominator_tree(
+        func: Function, idom: dict[BasicBlock, BasicBlock | None],
+) -> dict[BasicBlock, list[BasicBlock]]:
+    """Children of each reachable block in the dominator tree given by
+    ``idom``, in block order."""
+    children: dict[BasicBlock, list[BasicBlock]] = {
+        block: [] for block in idom}
+    for block in func.blocks:
+        parent = idom.get(block)
+        if parent is not None:
+            children[parent].append(block)
+    return children
 
 
 def dominates(a: BasicBlock, b: BasicBlock,
@@ -113,11 +125,13 @@ def dominates(a: BasicBlock, b: BasicBlock,
 def dominance_frontiers(
         func: Function,
         idom: dict[BasicBlock, BasicBlock | None] | None = None,
+        preds: dict[BasicBlock, list[BasicBlock]] | None = None,
 ) -> dict[BasicBlock, set[BasicBlock]]:
     """Dominance frontier of each reachable block (Cytron's definition)."""
+    if preds is None:
+        preds = predecessor_map(func)
     if idom is None:
-        idom = dominators(func)
-    preds = predecessor_map(func)
+        idom = dominators(func, preds)
     frontiers: dict[BasicBlock, set[BasicBlock]] = {
         block: set() for block in idom}
     for block in idom:

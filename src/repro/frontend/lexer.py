@@ -8,6 +8,8 @@ level (see ``examples/clike_frontend.py``).
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 
 KEYWORDS = frozenset({
@@ -15,7 +17,7 @@ KEYWORDS = frozenset({
     "prefetch", "pure", "restrict",
 })
 
-#: Multi-character operators, longest first so maximal munch works.
+#: Operators, longest first so maximal munch works.
 _OPERATORS = (
     "<<=", ">>=", "&&", "||", "==", "!=", "<=", ">=", "<<", ">>",
     "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
@@ -64,76 +66,64 @@ def _int_token(text: str, line: int) -> Token:
     return Token("number", text, line)
 
 
+#: One alternative per token class, tried in order at each position;
+#: ``bad`` catches any other character, so matches tile the source.
+#: ``/*/`` closes itself: the ``*`` that opens a block comment may also
+#: begin the ``*/`` that ends it.  A ``word`` may start with a character
+#: ``\w`` accepts but that is not a letter (``²``); :func:`tokenize`
+#: rejects those.
+_TOKEN = re.compile(r"""
+    (?P<space>[ \t\r\n]+)
+  | (?P<comment>//[^\n]*|/\*/|/\*.*?\*/)
+  | (?P<unterminated>/\*)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<hex>0[xX][0-9a-fA-F]*)
+  | (?P<float>[0-9]+\.[0-9]+)
+  | (?P<number>[0-9]+)
+  | (?P<op>""" + "|".join(map(re.escape, _OPERATORS)) + r""")
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+
+
 def tokenize(source: str) -> list[Token]:
-    """Split ``source`` into tokens (comments ``//`` and ``/* */``)."""
+    """Split ``source`` into tokens (comments ``//`` and ``/* */``).
+
+    Numbers are ASCII digits only; any other character that is not a
+    letter, ``_``, an operator or white space is a :class:`LexError`."""
     tokens: list[Token] = []
-    i = 0
     line = 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            end = source.find("\n", i)
-            i = n if end < 0 else end
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i)
-            if end < 0:
-                raise LexError(f"line {line}: unterminated comment")
-            line += source.count("\n", i, end)
-            i = end + 2
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            if source.startswith("0x", i) or source.startswith("0X", i):
-                j = i + 2
-                while j < n and source[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                if j == i + 2:
-                    raise LexError(f"line {line}: hex constant "
-                                   f"{source[i:j]!r} has no digits")
-                tokens.append(_int_token(source[i:j], line))
-                i = j
-                continue
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and \
-                    source[j + 1].isdigit():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-                tokens.append(Token("float", source[i:j], line))
-            else:
-                text = source[i:j]
-                # A leading 0 makes an integer octal, as in C.
-                if text[0] == "0" and ("8" in text or "9" in text):
-                    raise LexError(f"line {line}: invalid digit in "
-                                   f"octal constant {text!r}")
-                tokens.append(_int_token(text, line))
-            i = j
-            continue
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line))
-                i += len(op)
-                break
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        if kind == "space" or kind == "comment":
+            line += text.count("\n")
+        elif kind == "word":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise LexError(
+                    f"line {line}: unexpected character {text[0]!r}")
+            tokens.append(Token(
+                "keyword" if text in KEYWORDS else "ident", text, line))
+        elif kind == "op":
+            tokens.append(Token("op", text, line))
+        elif kind == "number":
+            # A leading 0 makes an integer octal, as in C.
+            if text[0] == "0" and ("8" in text or "9" in text):
+                raise LexError(f"line {line}: invalid digit in "
+                               f"octal constant {text!r}")
+            tokens.append(_int_token(text, line))
+        elif kind == "hex":
+            if len(text) == 2:
+                raise LexError(f"line {line}: hex constant "
+                               f"{text!r} has no digits")
+            tokens.append(_int_token(text, line))
+        elif kind == "float":
+            if math.isinf(float(text)):
+                raise LexError(f"line {line}: floating constant "
+                               f"{text!r} does not fit in a double")
+            tokens.append(Token("float", text, line))
+        elif kind == "unterminated":
+            raise LexError(f"line {line}: unterminated comment")
         else:
-            raise LexError(f"line {line}: unexpected character {ch!r}")
+            raise LexError(f"line {line}: unexpected character {text!r}")
     tokens.append(Token("eof", "", line))
     return tokens

@@ -66,6 +66,8 @@ class _FunctionLowering:
         self.scopes: list[dict[str, Value]] = [{}]
         self.entry = func.add_block("entry")
         self.entry_jump: Jump | None = None
+        #: How many blocks :meth:`_new_block` has made per base name.
+        self.block_counts: dict[str, int] = {}
 
     # -- scope helpers --------------------------------------------------
 
@@ -111,14 +113,12 @@ class _FunctionLowering:
 
     def _new_block(self, name: str) -> BasicBlock:
         # Repeated constructs (nested loops, chains of ifs) reuse the
-        # same base names; uniquify with a suffix.
-        taken = {b.name for b in self.func.blocks}
-        if name in taken:
-            counter = 1
-            while f"{name}.{counter}" in taken:
-                counter += 1
-            name = f"{name}.{counter}"
-        return self.func.add_block(name)
+        # same base names: the first block of a base takes the bare name,
+        # the next ones ``name.1``, ``name.2``, ...  No base ends in
+        # ``.<digits>``, so these never collide.
+        count = self.block_counts.get(name, 0)
+        self.block_counts[name] = count + 1
+        return self.func.add_block(f"{name}.{count}" if count else name)
 
     # -- statements ----------------------------------------------------------
 
@@ -311,23 +311,18 @@ class _FunctionLowering:
                 return b.cast("zext", is_zero, INT64)
             raise LoweringError(f"unknown unary operator {expr.op}")
         if isinstance(expr, ast.Binary):
-            lhs = self._lower_expr_inner(expr.lhs)
-            rhs = self.lower_expr(expr.rhs, expect=lhs.type)
-            if expr.op in _INT_CMPS:
-                table = _FLOAT_CMPS if isinstance(lhs.type, FloatType) \
-                    else _INT_CMPS
-                flag = b.cmp(table[expr.op], lhs, rhs)
-                return b.cast("zext", flag, INT64)
-            if expr.op in ("&&", "||"):
-                # Non-short-circuit logical ops on 0/1 longs.
-                opcode = "and" if expr.op == "&&" else "or"
-                lb = b.cmp("ne", lhs, Constant(lhs.type, 0))
-                rb = b.cmp("ne", rhs, Constant(rhs.type, 0))
-                combined = b.binop(opcode, b.cast("zext", lb, INT64),
-                                   b.cast("zext", rb, INT64))
-                return combined
-            opcode = self._binop_opcode(expr.op, lhs.type, expr.line)
-            return b.binop(opcode, lhs, rhs)
+            # The parser builds ``a + b + c`` left-deep, so a long flat
+            # chain is walked down its left spine, not recursed into;
+            # operands are still lowered left to right.
+            spine = []
+            while isinstance(expr, ast.Binary):
+                spine.append(expr)
+                expr = expr.lhs
+            lhs = self._lower_expr_inner(expr)
+            for node in reversed(spine):
+                rhs = self.lower_expr(node.rhs, expect=lhs.type)
+                lhs = self._lower_binary(node, lhs, rhs)
+            return lhs
         if isinstance(expr, ast.Ternary):
             cond = self.lower_condition(expr.cond)
             then = self._lower_expr_inner(expr.then)
@@ -350,6 +345,24 @@ class _FunctionLowering:
             return b.call(callee, args)
         raise LoweringError(
             f"cannot lower expression {type(expr).__name__}")
+
+    def _lower_binary(self, expr: ast.Binary, lhs: Value,
+                      rhs: Value) -> Value:
+        b = self.builder
+        if expr.op in _INT_CMPS:
+            table = _FLOAT_CMPS if isinstance(lhs.type, FloatType) \
+                else _INT_CMPS
+            flag = b.cmp(table[expr.op], lhs, rhs)
+            return b.cast("zext", flag, INT64)
+        if expr.op in ("&&", "||"):
+            # Non-short-circuit logical ops on 0/1 longs.
+            opcode = "and" if expr.op == "&&" else "or"
+            lb = b.cmp("ne", lhs, Constant(lhs.type, 0))
+            rb = b.cmp("ne", rhs, Constant(rhs.type, 0))
+            return b.binop(opcode, b.cast("zext", lb, INT64),
+                           b.cast("zext", rb, INT64))
+        opcode = self._binop_opcode(expr.op, lhs.type, expr.line)
+        return b.binop(opcode, lhs, rhs)
 
     def _lower_address(self, expr: ast.Index) -> Value:
         base = self._lower_expr_inner(expr.base)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .instructions import Instruction, Phi
 
@@ -120,3 +120,29 @@ class BasicBlock:
 
     def __repr__(self) -> str:
         return f"<BasicBlock {self.name} ({len(self)} insts)>"
+
+
+def erase_instructions(insts: Iterable[Instruction]) -> None:
+    """Erase ``insts`` as :meth:`Instruction.erase` would one at a time,
+    but with one pass over each block that holds some of them, where
+    ``erase`` scans the block once per instruction.
+
+    Uses among ``insts`` may remain: every instruction drops its operand
+    references first, and only then must none of them have a use left.
+    """
+    doomed = list(insts)
+    for inst in doomed:
+        inst.drop_all_references()
+    by_block: dict[BasicBlock, set[Instruction]] = {}
+    for inst in doomed:
+        uses = inst.uses
+        if uses:
+            raise ValueError(f"cannot erase {inst!r}: it still has "
+                             f"{len(uses)} uses")
+        if inst.parent is not None:
+            by_block.setdefault(inst.parent, set()).add(inst)
+    for block, gone in by_block.items():
+        block._instructions = [inst for inst in block._instructions
+                               if inst not in gone]
+        for inst in gone:
+            inst.parent = None

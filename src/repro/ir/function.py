@@ -32,7 +32,11 @@ class Function:
         self.name = name
         self.type = FunctionType(return_type, tuple(t for _, t in params))
         self.args = [Argument(t, n, i) for i, (n, t) in enumerate(params)]
+        #: The blocks in layout order; add and remove them through
+        #: :meth:`add_block` and :meth:`remove_block`, which keep the
+        #: name index :meth:`block` reads.
         self.blocks: list[BasicBlock] = []
+        self._blocks_by_name: dict[str, BasicBlock] = {}
         self.parent: "Module | None" = None
         self.pure = pure
         self._block_counter = 0
@@ -53,18 +57,20 @@ class Function:
         if not name:
             name = f"bb{self._block_counter}"
             self._block_counter += 1
-        if any(b.name == name for b in self.blocks):
+        if name in self._blocks_by_name:
             raise ValueError(f"duplicate block name {name!r} in {self.name}")
         block = BasicBlock(name, self)
         self.blocks.append(block)
+        self._blocks_by_name[name] = block
         return block
 
     def block(self, name: str) -> BasicBlock:
         """Find a block by name; raises ``KeyError`` if absent."""
-        for b in self.blocks:
-            if b.name == name:
-                return b
-        raise KeyError(f"no block named {name!r} in {self.name}")
+        try:
+            return self._blocks_by_name[name]
+        except KeyError:
+            raise KeyError(f"no block named {name!r} in {self.name}") \
+                from None
 
     def arg(self, name: str) -> Argument:
         """Find an argument by name; raises ``KeyError`` if absent."""
@@ -76,6 +82,8 @@ class Function:
     def remove_block(self, block: BasicBlock) -> None:
         """Remove an (unreferenced) block from the function."""
         self.blocks.remove(block)
+        if self._blocks_by_name.get(block.name) is block:
+            del self._blocks_by_name[block.name]
         block.parent = None
 
     def instructions(self) -> Iterator[Instruction]:

@@ -117,6 +117,9 @@ class BinOp(Instruction):
     INT_OPS = ("add", "sub", "mul", "sdiv", "srem", "udiv", "urem",
                "and", "or", "xor", "shl", "lshr", "ashr")
     FLOAT_OPS = ("fadd", "fsub", "fmul", "fdiv")
+    #: Opcodes that raise ``ZeroDivisionError`` on a zero divisor when
+    #: run, so no pass may fold or delete one whose divisor can be zero.
+    DIVISIONS = frozenset({"sdiv", "srem", "udiv", "urem", "fdiv"})
 
     def __init__(self, opcode: str, lhs: Value, rhs: Value, name: str = ""):
         if opcode not in self.INT_OPS + self.FLOAT_OPS:

@@ -38,6 +38,9 @@ class Namer:
     def __init__(self, func: Function):
         self._names: dict[int, str] = {}
         self._used: set[str] = set()
+        #: Per base name, the suffix its next clash starts searching
+        #: from: every lower suffix is already taken.
+        self._next_suffix: dict[str, int] = {}
         self._counter = 0
         for arg in func.args:
             self._assign(arg)
@@ -52,10 +55,13 @@ class Namer:
             base = str(self._counter)
             self._counter += 1
         name = base
-        suffix = 1
-        while name in self._used:
+        if name in self._used:
+            suffix = self._next_suffix.get(base, 1)
             name = f"{base}.{suffix}"
-            suffix += 1
+            while name in self._used:
+                suffix += 1
+                name = f"{base}.{suffix}"
+            self._next_suffix[base] = suffix + 1
         self._used.add(name)
         self._names[id(value)] = name
 

@@ -27,12 +27,15 @@ class Value:
         self.type = type
         self.name = name
         # Uses are stored as (user instruction, operand index) pairs so that
-        # replacement can patch exactly the right slot.
-        self._uses: list[tuple["Instruction", int]] = []
+        # replacement can patch exactly the right slot.  Each pair occurs
+        # once; the keys of a dict keep them in the order they were added
+        # and remove any of them in O(1).
+        self._uses: dict[tuple["Instruction", int], None] = {}
 
     @property
     def uses(self) -> list[tuple["Instruction", int]]:
-        """The (user, operand-index) pairs currently referencing this value."""
+        """The (user, operand-index) pairs currently referencing this value,
+        oldest first."""
         return list(self._uses)
 
     @property
@@ -41,10 +44,10 @@ class Value:
         return [user for user, _ in self._uses]
 
     def _add_use(self, user: "Instruction", index: int) -> None:
-        self._uses.append((user, index))
+        self._uses[user, index] = None
 
     def _remove_use(self, user: "Instruction", index: int) -> None:
-        self._uses.remove((user, index))
+        del self._uses[user, index]
 
     def replace_all_uses_with(self, replacement: "Value") -> None:
         """Rewrite every use of this value to use ``replacement`` instead."""

@@ -8,6 +8,7 @@ are constants.
 
 from __future__ import annotations
 
+from ..ir.basicblock import erase_instructions
 from ..ir.function import Function
 from ..ir.instructions import BinOp, Cast, Cmp, Instruction, Select
 from ..ir.module import Module
@@ -37,10 +38,6 @@ _FLOAT_FOLDS = {
     "fmul": lambda a, b: a * b,
     "fdiv": lambda a, b: a / b,
 }
-#: Division and remainder by a constant zero stay unfolded: the
-#: interpreter raises ``ZeroDivisionError`` for them, and a folded
-#: value would make the result depend on whether ``-O`` ran.
-_DIVISIONS = frozenset({"sdiv", "srem", "udiv", "urem", "fdiv"})
 _CMP_FOLDS = {
     "eq": lambda a, b: a == b, "ne": lambda a, b: a != b,
     "slt": lambda a, b: a < b, "sle": lambda a, b: a <= b,
@@ -82,6 +79,7 @@ class ConstantFoldingPass:
         while changed:
             changed = False
             for block in func.blocks:
+                gone = []
                 for inst in block.instructions:
                     replacement = self._fold(inst)
                     if replacement is not None:
@@ -92,9 +90,12 @@ class ConstantFoldingPass:
                                  opcode=inst.opcode,
                                  replaced_by=namer.ref(replacement))
                         inst.replace_all_uses_with(replacement)
-                        inst.erase()
-                        folded += 1
-                        changed = True
+                        inst.drop_all_references()
+                        gone.append(inst)
+                if gone:
+                    erase_instructions(gone)
+                    folded += len(gone)
+                    changed = True
         return folded
 
     def _fold(self, inst: Instruction) -> Value | None:
@@ -117,7 +118,10 @@ class ConstantFoldingPass:
         lc = isinstance(lhs, Constant)
         rc = isinstance(rhs, Constant)
         if lc and rc:
-            if inst.opcode in _DIVISIONS and rhs.value == 0:
+            # Division and remainder by a constant zero stay unfolded:
+            # a folded value would make the result depend on whether
+            # ``-O`` ran.
+            if inst.opcode in BinOp.DIVISIONS and rhs.value == 0:
                 return None
             table = _FLOAT_FOLDS if inst.opcode in _FLOAT_FOLDS else _INT_FOLDS
             fn = table.get(inst.opcode)

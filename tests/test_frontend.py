@@ -1,5 +1,6 @@
 """Tests for the C-like frontend: lexer, parser, lowering, execution."""
 
+import contextlib
 import random
 import signal
 
@@ -11,7 +12,10 @@ from repro.frontend import (SOURCE_ERRORS, LexError, LoweringError,
 from repro.frontend.parser import MAX_NESTING
 from repro.ir import parse_module, print_module, verify_module
 from repro.machine import Interpreter, Memory
-from repro.passes import IndirectPrefetchPass
+from repro.passes import (CommonSubexpressionEliminationPass,
+                          DeadCodeEliminationPass, IndirectPrefetchPass,
+                          LoopInvariantCodeMotionPass, PassManager,
+                          SimplifyCFGPass)
 from tests import test_property_based
 
 HISTOGRAM = """
@@ -50,6 +54,21 @@ void fill(long* m, long rows, long cols) {
             m[r * cols + c] = r * 100 + c;
 }
 """
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise ``TimeoutError`` in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestLexer:
@@ -97,6 +116,24 @@ class TestLexer:
         with pytest.raises(LexError, match=(
                 rf"^line 2: integer constant '{text}' does not fit")):
             tokenize(f"long f() {{\n    long x = {text};")
+
+    def test_floating_constant_beyond_a_double(self):
+        """It would silently become ``inf``."""
+        text = "9" * 400 + ".0"
+        with pytest.raises(LexError, match=(
+                rf"^line 2: floating constant '{text}' does not fit "
+                rf"in a double$")):
+            tokenize(f"double f() {{\n    return {text};")
+
+    @pytest.mark.parametrize("text", ("²", "١", "1١", "1.٥"), ids=(
+        "superscript-two", "arabic-indic-one", "one-arabic-indic-one",
+        "one-point-arabic-indic-five"))
+    def test_numbers_are_ascii_digits_only(self, text):
+        """``²`` made ``int()`` raise ``ValueError`` (a 500 from ``repro
+        serve``); ``١`` was read as 1, and ``1١`` as 11."""
+        with pytest.raises(LexError,
+                           match=r"^line 2: unexpected character '.'$"):
+            tokenize(f"long f() {{\n    return {text};")
 
     @pytest.mark.parametrize("text, value", (
         ("0xFFFFFFFFFFFFFFFF", -1), ("18446744073709551615", -1),
@@ -390,6 +427,24 @@ class TestDivisionByConstantZero:
         with pytest.raises(ZeroDivisionError):
             Interpreter(module).run("f", [])
 
+    @pytest.mark.parametrize("optimize", (True, False), ids=("O", "O0"))
+    @pytest.mark.parametrize("source", (
+        "long f(long a) { long x = a / 0; return 0; }",
+        "long f(long a) { long x = a % 0; return 0; }",
+        "long f(long a) { double x = 1.0 / 0.0; return 0; }",
+    ), ids=("sdiv", "srem", "fdiv"))
+    def test_unused_result_still_raises(self, source, optimize):
+        """Dead code elimination keeps a division whose result nobody
+        reads, because it raises."""
+        module = compile_source(source, optimize=optimize)
+        with pytest.raises(ZeroDivisionError):
+            Interpreter(module).run("f", [7])
+
+    def test_unused_division_by_a_nonzero_constant_is_deleted(self):
+        module = compile_source(
+            "long f(long a) { long x = a / 3; return 0; }")
+        assert "sdiv" not in print_module(module)
+
 
 class TestFrontendToPrefetchPipeline:
     def test_full_pipeline(self):
@@ -474,20 +529,15 @@ class TestCompileFuzz:
         """Every mutant, within the deadline, either raises one of
         ``SOURCE_ERRORS`` or compiles, passes the prefetch pass,
         verifies and round-trips print -> parse -> print."""
-        def expire(signum, frame):
-            raise TimeoutError(f"over {self.DEADLINE_S} s")
-
         rng = random.Random(self.SEED)
         corpus = self.corpus()
         pool = sorted({t for tokens in corpus for t in tokens})
         compiled, failures = 0, []
-        previous = signal.signal(signal.SIGALRM, expire)
-        try:
-            for _ in range(self.MUTANTS):
-                source = " ".join(
-                    self.mutate(rng, rng.choice(corpus), corpus, pool))
-                signal.setitimer(signal.ITIMER_REAL, self.DEADLINE_S)
-                try:
+        for _ in range(self.MUTANTS):
+            source = " ".join(
+                self.mutate(rng, rng.choice(corpus), corpus, pool))
+            try:
+                with deadline(self.DEADLINE_S):
                     module = compile_source(source)
                     IndirectPrefetchPass().run(module)
                     verify_module(module)
@@ -495,16 +545,75 @@ class TestCompileFuzz:
                     reparsed = parse_module(text)
                     verify_module(reparsed)
                     assert print_module(reparsed) == text, "round trip"
-                    compiled += 1
-                except SOURCE_ERRORS:
-                    pass
-                except Exception as exc:
-                    failures.append(f"{exc!r}: {source}")
-                finally:
-                    signal.setitimer(signal.ITIMER_REAL, 0)
-        finally:
-            signal.signal(signal.SIGALRM, previous)
+                compiled += 1
+            except SOURCE_ERRORS:
+                pass
+            except Exception as exc:
+                failures.append(f"{exc!r}: {source}")
         assert not failures, "\n".join(failures)
         # Seed 2 compiles 59 of its 400 mutants; the floor keeps the
         # test from passing on frontend rejections alone.
         assert compiled >= 20, compiled
+
+
+def flat_sum(n: int) -> str:
+    """``a + a + ... + a`` of ``n`` terms, which the parser builds as a
+    left-deep tree ``n - 1`` levels deep."""
+    return "long f(long a) {\n    return " + " + ".join(["a"] * n) \
+        + ";\n}\n"
+
+
+def sequential_ifs(n: int) -> str:
+    """``n`` ifs in a row, each two blocks below the last in the
+    dominator tree."""
+    return ("long f(long a) {\n    long x = 0;\n"
+            + "    if (a > 1) x = x + a;\n" * n + "    return x;\n}\n")
+
+
+def dead_sum(n: int) -> str:
+    """A ``flat_sum`` nobody reads: dead code elimination deletes its
+    ``n - 1`` adds, whose operands all use one argument."""
+    return "long f(long a) {\n    long x = " + " + ".join(["a"] * n) \
+        + ";\n    return 0;\n}\n"
+
+
+class TestLongFunctions:
+    """Functions far longer than any kernel, each within
+    :class:`TestCompileFuzz`'s deadline: every stage of the compile path
+    does work linear in the function's size and recurses neither per
+    operator nor per block.  At 1,000 terms or 2,000 ``if``s each raised
+    ``RecursionError`` (a 500 from ``repro serve``)."""
+
+    @pytest.mark.parametrize("source, a, value", (
+        (flat_sum(1_000), 3, 3_000),
+        (flat_sum(10_000), 3, 30_000),
+        (sequential_ifs(2_000), 2, 4_000),
+        (dead_sum(10_000), 3, 0),
+    ), ids=("sum-1000", "sum-10000", "ifs-2000", "dead-sum-10000"))
+    def test_compiles_passes_and_round_trips(self, source, a, value):
+        with deadline(TestCompileFuzz.DEADLINE_S):
+            module = compile_source(source)
+            IndirectPrefetchPass().run(module)
+            verify_module(module)
+            text = print_module(module)
+            reparsed = parse_module(text)
+            verify_module(reparsed)
+            assert print_module(reparsed) == text
+        assert Interpreter(module).run("f", [a]).value == value
+
+    def test_optimize_pipeline_on_a_long_if_chain(self):
+        """``-O``'s CSE walks the dominator tree without recursion: its
+        depth grows by one per ``if``, and at 1,000 raised
+        ``RecursionError``.  (No deadline: SimplifyCFG still rescans
+        the function after every change.)"""
+        module = compile_source(sequential_ifs(1_000))
+        IndirectPrefetchPass().run(module)
+        pipeline = PassManager()
+        for pass_ in (SimplifyCFGPass(), LoopInvariantCodeMotionPass(),
+                      CommonSubexpressionEliminationPass(),
+                      DeadCodeEliminationPass()):
+            pipeline.add(pass_)
+        pipeline.run(module)
+        text = print_module(module)
+        assert print_module(parse_module(text)) == text
+        assert Interpreter(module).run("f", [2]).value == 2_000

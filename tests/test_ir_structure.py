@@ -1,13 +1,123 @@
 """Tests for blocks, functions, modules, builder, verifier, and the
 textual printer/parser round trip."""
 
+import re
+import sys
+
 import pytest
 
+from repro.frontend import compile_source
 from repro.ir import (Constant, INT64, IRBuilder, Module, VOID,
                       VerificationError, parse_function, parse_module,
                       pointer, print_function, print_module,
                       verify_function, verify_module)
+from repro.ir.instructions import BinOp
+from repro.ir.values import Value
 from tests.conftest import build_diamond_function, build_indirect_kernel
+
+
+def _diamond():
+    """The diamond function and its named parts."""
+    f = build_diamond_function().function("f")
+    parts = {inst.name: inst for inst in f.instructions() if inst.name}
+    return f, parts
+
+
+def _no_blocks():
+    return Module("m").create_function("f", VOID)
+
+
+def _duplicate_block_name():
+    f, _ = _diamond()
+    f.block("other").name = "then"
+    return f
+
+
+def _block_of_another_function():
+    f, _ = _diamond()
+    f.block("other").parent = None
+    return f
+
+
+def _instruction_with_wrong_parent():
+    f, parts = _diamond()
+    parts["negated"].parent = f.block("then")
+    return f
+
+
+def _successor_outside_function():
+    m = Module("m")
+    g = m.create_function("g", VOID)
+    b = IRBuilder()
+    b.set_insert_point(g.add_block("away"))
+    b.ret()
+    f = m.create_function("f", VOID)
+    b.set_insert_point(f.add_block("entry"))
+    b.jmp(g.block("away"))
+    return f
+
+
+def _duplicate_phi_incoming_block():
+    f, parts = _diamond()
+    parts["result"].add_incoming(parts["doubled"], f.block("then"))
+    return f
+
+
+def _operand_not_placed():
+    f, parts = _diamond()
+    floating = BinOp("add", f.arg("x"), Constant(INT64, 1), "floating")
+    parts["negated"].set_operand(1, floating)
+    return f
+
+
+def _operand_not_an_instruction():
+    f, parts = _diamond()
+    parts["negated"].set_operand(1, Value(INT64, "bare"))
+    return f
+
+
+def _phi_incoming_does_not_dominate_predecessor():
+    f, parts = _diamond()
+    # ``doubled`` is defined in ``then``, not on the path through
+    # ``other`` that this incoming value arrives by.
+    parts["result"].set_operand(1, parts["doubled"])
+    return f
+
+
+#: ``id: (build, message)``: IR with exactly one violation, and the whole
+#: message the verifier raises for it.
+SINGLE_VIOLATIONS = {
+    "no-blocks": (_no_blocks, "f: function has no blocks"),
+    "duplicate-block-name": (_duplicate_block_name,
+                             "f: duplicate block name then"),
+    "block-of-another-function": (_block_of_another_function,
+                                  "f/other: wrong parent function"),
+    "instruction-wrong-parent": (
+        _instruction_with_wrong_parent,
+        "f/other: instruction sub has wrong parent"),
+    "successor-outside-function": (
+        _successor_outside_function,
+        "f/entry: successor away not in function"),
+    "duplicate-phi-incoming": (
+        _duplicate_phi_incoming_block,
+        "f/merge: phi result has duplicate incoming blocks"),
+    "operand-not-placed": (
+        _operand_not_placed,
+        "f: operand floating of sub is not placed in the function"),
+    "operand-not-an-instruction": (
+        _operand_not_an_instruction,
+        "f: operand <Value bare: i64> of sub is not an instruction, "
+        "constant, or argument"),
+    "phi-incoming-does-not-dominate": (
+        _phi_incoming_does_not_dominate_predecessor,
+        "f: definition of doubled in then does not dominate use in "
+        "other"),
+}
+
+
+def _sequential_ifs(n: int) -> str:
+    return ("long f(long a) {\n    long x = 0;\n"
+            + "    if (a > 1) x = x + a;\n" * n + "    return x;\n}\n")
 
 
 class TestBlocksAndFunctions:
@@ -175,6 +285,39 @@ class TestVerifier:
         block._instructions[-1].parent = block
         with pytest.raises(VerificationError):
             verify_function(f)
+
+
+    @pytest.mark.parametrize("name", SINGLE_VIOLATIONS)
+    def test_single_violation_message(self, name):
+        build, message = SINGLE_VIOLATIONS[name]
+        with pytest.raises(VerificationError,
+                           match=f"^{re.escape(message)}$"):
+            verify_function(build())
+
+    def test_cost_grows_linearly_with_function_size(self):
+        """Doubling a function at most about doubles the calls one
+        verification makes: no predecessor scan per block, no walk up
+        the dominator tree per operand.  Unoptimized, every local is an
+        ``alloc`` in the entry block that every ``if`` block loads."""
+        def calls(n: int) -> int:
+            func = compile_source(_sequential_ifs(n),
+                                  optimize=False).function("f")
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                if event in ("call", "c_call"):
+                    count += 1
+
+            sys.setprofile(profile)
+            try:
+                verify_function(func)
+            finally:
+                sys.setprofile(None)
+            return count
+
+        small, large = calls(250), calls(500)
+        assert large <= 2.3 * small, (small, large)
 
 
 class TestPrinterParserRoundTrip:

@@ -5,6 +5,7 @@ import pytest
 from repro.ir import (BinOp, Cmp, Constant, GEP, INT1, INT32, INT64,
                       FLOAT64, IRBuilder, Load, Module, Phi, Prefetch,
                       Select, Store, VOID, clone_instruction, pointer)
+from repro.ir.basicblock import erase_instructions
 from repro.ir.instructions import Alloc, Branch, Call, Cast, Jump, Ret
 from repro.ir.values import Argument, UndefValue, const
 
@@ -74,6 +75,40 @@ class TestUseLists:
         BinOp("mul", add, add)
         with pytest.raises(ValueError):
             add.erase()
+
+    def test_uses_listed_oldest_first(self):
+        n = make_func().arg("n")
+        first = BinOp("add", n, const(1))
+        second = BinOp("mul", n, n)
+        first.set_operand(0, const(5))
+        first.set_operand(0, n)  # removed and added again: now newest
+        assert n.uses == [(second, 0), (second, 1), (first, 0)]
+
+    def test_erase_instructions_together(self):
+        """Uses among the erased instructions may remain; the block
+        keeps its other instructions in order."""
+        func = make_func()
+        block = func.add_block("entry")
+        b = IRBuilder()
+        b.set_insert_point(block)
+        n = func.arg("n")
+        add = b.add(n, b.const(1), "add")
+        keep = b.add(n, b.const(2), "keep")
+        mul = b.mul(add, add, "mul")
+        ret = b.ret()
+        erase_instructions([add, mul])
+        assert list(block) == [keep, ret]
+        assert add.parent is None and mul.parent is None
+        assert n.users == [keep]
+
+    def test_erase_instructions_requires_no_outside_uses(self):
+        func = make_func()
+        b = IRBuilder()
+        b.set_insert_point(func.add_block("entry"))
+        add = b.add(func.arg("n"), b.const(1), "add")
+        b.mul(add, add, "mul")
+        with pytest.raises(ValueError, match="still has 2 uses"):
+            erase_instructions([add])
 
     def test_drop_all_references(self):
         n = make_func().arg("n")

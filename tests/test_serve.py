@@ -407,6 +407,20 @@ class TestServerFaults:
             assert "nesting deeper than" in body["error"]
         serve_scenario(scenario)(tmp_path)
 
+    def test_long_flat_sum_served_as_200(self, tmp_path):
+        """Lowering walks the parser's left-deep chain of a 1,000-term
+        sum instead of recursing down it, where a ``RecursionError``
+        reached the pool's 500."""
+        source = "long f(long a) { return " + " + ".join(["a"] * 1000) \
+            + "; }"
+
+        async def scenario(server):
+            status, body = await roundtrip(
+                server, {"kind": "compile", "source": source})
+            assert status == 200
+            assert body["status"] == "ok"
+        serve_scenario(scenario)(tmp_path)
+
     @pytest.mark.usefixtures("broken_prefetch_pass")
     def test_compiler_bug_served_as_500(self, tmp_path):
         """A compile job that fails inside the compiler is the server's
