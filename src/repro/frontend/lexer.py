@@ -67,14 +67,14 @@ def _int_token(text: str, line: int) -> Token:
 
 
 #: One alternative per token class, tried in order at each position;
-#: ``bad`` catches any other character, so matches tile the source.
-#: ``/*/`` closes itself: the ``*`` that opens a block comment may also
-#: begin the ``*/`` that ends it.  A ``word`` may start with a character
+#: ``bad`` catches any other character, so matches tile the source.  A
+#: block comment ends at the first ``*/`` after its opening ``/*``, as
+#: in C (so ``/*/`` opens one).  A ``word`` may start with a character
 #: ``\w`` accepts but that is not a letter (``²``); :func:`tokenize`
 #: rejects those.
 _TOKEN = re.compile(r"""
     (?P<space>[ \t\r\n]+)
-  | (?P<comment>//[^\n]*|/\*/|/\*.*?\*/)
+  | (?P<comment>//[^\n]*|/\*.*?\*/)
   | (?P<unterminated>/\*)
   | (?P<word>[^\W\d]\w*)
   | (?P<hex>0[xX][0-9a-fA-F]*)

@@ -61,21 +61,23 @@ class Cache:
         self.line_size = line_size
         self.latency = latency
         self.num_sets = lines // ways
-        # Per set: {line address: [fill_time, dirty]}; dict preserves
-        # insertion order and we re-insert on touch, giving LRU.
-        self._sets: list[dict[int, list]] = [
+        # Per set: {line address: fill_time}; dict preserves insertion
+        # order and we re-insert on touch, giving LRU.  A set holds only
+        # ints and floats, so the garbage collector never tracks it.
+        self._sets: list[dict[int, float]] = [
             {} for _ in range(self.num_sets)]
+        #: The resident lines written since their fill (always a subset
+        #: of the lines in ``_sets``).
+        self._dirty: set[int] = set()
         self.stats = CacheStats()
 
     def lookup(self, line_addr: int) -> float | None:
         """Return the line's fill time if resident (marking it MRU)."""
         lines = self._sets[line_addr % self.num_sets]
-        entry = lines.get(line_addr)
-        if entry is None:
-            return None
-        del lines[line_addr]
-        lines[line_addr] = entry
-        return entry[0]
+        fill = lines.pop(line_addr, None)
+        if fill is not None:
+            lines[line_addr] = fill
+        return fill
 
     def insert(self, line_addr: int, fill_time: float,
                dirty: bool = False) -> bool:
@@ -87,23 +89,24 @@ class Cache:
         lines = self._sets[line_addr % self.num_sets]
         dirty_evicted = False
         if line_addr in lines:
-            dirty = dirty or lines[line_addr][1]
             del lines[line_addr]
         elif len(lines) >= self.ways:
             oldest = next(iter(lines))
-            dirty_evicted = lines[oldest][1]
             del lines[oldest]
             self.stats.evictions += 1
-            if dirty_evicted:
+            if oldest in self._dirty:
+                self._dirty.remove(oldest)
+                dirty_evicted = True
                 self.stats.dirty_evictions += 1
-        lines[line_addr] = [fill_time, dirty]
+        lines[line_addr] = fill_time
+        if dirty:
+            self._dirty.add(line_addr)
         return dirty_evicted
 
     def mark_dirty(self, line_addr: int) -> None:
         """Flag a resident line as modified (no-op when absent)."""
-        entry = self._sets[line_addr % self.num_sets].get(line_addr)
-        if entry is not None:
-            entry[1] = True
+        if line_addr in self._sets[line_addr % self.num_sets]:
+            self._dirty.add(line_addr)
 
     def contains(self, line_addr: int) -> bool:
         """Residence test without LRU side effects."""
@@ -113,6 +116,7 @@ class Cache:
         """Drop every line (used between benchmark repetitions)."""
         for s in self._sets:
             s.clear()
+        self._dirty.clear()
 
     def snapshot(self) -> dict:
         """Geometry and statistics as a plain dict (JSON-ready)."""

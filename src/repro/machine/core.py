@@ -21,6 +21,8 @@ instruction overhead (Fig. 8) costs real time.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .configs import MachineConfig
 from .system import MemorySystem
 
@@ -100,27 +102,23 @@ class OutOfOrderCore:
         self.memory = memory
         self.issue_cost = 1.0 / config.issue_width
         self.fetch_time = 0.0
-        self.completion_max = 0.0
-        # Ring buffer of retire times for ROB occupancy.
-        self._rob = [0.0] * config.rob_size
-        self._rob_head = 0
+        # Retire times of the last ``rob_size`` instructions, oldest
+        # first: instruction n fetches no earlier than instruction
+        # n - rob_size retires and frees its ROB entry.
+        self._rob = deque([0.0] * config.rob_size, maxlen=config.rob_size)
         self._last_retire = 0.0
         self.instructions = 0
 
     def _fetch(self) -> float:
         """Advance the in-order fetch/rename stage by one instruction."""
-        slot = self._rob_head
-        fetch = max(self.fetch_time + self.issue_cost, self._rob[slot])
+        fetch = max(self.fetch_time + self.issue_cost, self._rob[0])
         self.fetch_time = fetch
         return fetch
 
     def _retire(self, completion: float) -> None:
         retire = max(completion, self._last_retire)
         self._last_retire = retire
-        self._rob[self._rob_head] = retire
-        self._rob_head = (self._rob_head + 1) % len(self._rob)
-        if completion > self.completion_max:
-            self.completion_max = completion
+        self._rob.append(retire)
 
     def op(self, dep_ready: float, opcode: str = "") -> float:
         """Issue an ALU op; returns result-ready time."""

@@ -8,7 +8,8 @@ source text: register slots become function locals (``r{i}`` for
 values, ``t{i}`` for ready times), and constants, per-op latencies and
 the core's issue/retire arithmetic are baked into the text.  Common
 64-bit integer wrap-around arithmetic, comparisons and casts are emitted
-as inline expressions (no closure call), and an L1 hit probe (see
+as inline expressions (no closure call), each load or store keeps the
+allocation it last touched in locals, and an L1 hit probe (see
 :class:`~repro.machine.system.MemorySystem`) is inlined with a call to
 the memory walk as the fallback.
 :func:`compile_source` compiles every generated source through one
@@ -25,15 +26,19 @@ dispatch loop, in the same order, on the same floats:
   operation (``max(a, b)`` becomes the equivalent compare-and-assign),
   so cycle counts are bit-identical;
 * the inlined L1 hit probe is the engine's only copy of any memory
-  system behaviour: it reads the line's entry straight from its L1
+  system behaviour: it reads the line's fill time straight from its L1
   set, and on a hit whose fill has completed and whose page is in the
   L1 TLB it performs the same LRU touches, hit counters, dirty marking
-  and prefetcher training the walk would; whenever a guard fails it
-  calls the one walk itself (``MemorySystem._demand`` or
-  ``MemorySystem.prefetch``), so every miss runs the reference code;
+  (each level's set of dirty lines) and prefetcher training the walk
+  would; whenever a guard fails it calls the one walk itself
+  (``MemorySystem._demand`` or ``MemorySystem.prefetch``), so every
+  miss runs the reference code;
 * division/modulo by compile-time power-of-two machine parameters
   (line size, set count) is emitted as shifts/masks — identical results
-  for every int under Python's floor-division semantics;
+  for every int under Python's floor-division semantics — and so is the
+  element index within an allocation, whose element size is a power of
+  two by construction (``Memory.allocate``); misaligned and unmapped
+  addresses raise the dispatch loop's ``MemoryFault`` messages;
 * instruction counters are charged in bulk with the same totals.
 
 The only observable difference is *when* state is written back: the
@@ -139,6 +144,16 @@ def _mod_expr(operand: str, modulus: int) -> str:
     return f"{operand} % {modulus}"
 
 
+#: What one hit of the inlined probe counts, per access kind: the local
+#: that counts the hits in a trace, and the statistics the walk would
+#: have bumped once per hit, to which the local is added at trace exit.
+_PROBE_HITS = {
+    "demand": ("_nhd", ("_mst.demand_accesses", "_tst.hits",
+                        "_l1st.hits")),
+    "prefetch": ("_nhp", ("_mst.sw_prefetches", "_tst.hits")),
+}
+
+
 class _Emitter:
     """Generates the specialized Python source for one compiled trace.
 
@@ -146,11 +161,12 @@ class _Emitter:
     bindings (:attr:`env`) for a single generated closure.  Operands are
     function locals ``r{i}`` / ``t{i}``; every slot touched is recorded
     in :attr:`slots` so the trace assembler can emit the load/store
-    prologue and epilogue, and every counter the inlined probe bumps is
-    a local recorded in :attr:`stat_locals`, which the assembler flushes
-    at trace exit.  The timing arithmetic (issue/retire, L1 hit probe,
-    blocking thresholds) is the transcription of the core and
-    memory-system models documented in the module docstring.
+    prologue and epilogue, and :meth:`prologue` / :meth:`epilogue` hold
+    the emitter's own locals: the core's state, each memory site's
+    allocation memo and the probe's hit counters.  The timing
+    arithmetic (issue/retire, L1 hit probe, blocking thresholds) is the
+    transcription of the core and memory-system models documented in
+    the module docstring.
 
     :param mode: ``"inorder"`` or ``"ooo"``, the core model transcribed.
     :param bind: the runtime objects generated code binds to:
@@ -168,7 +184,8 @@ class _Emitter:
         self.site = 0
         self._nfn = 0
         self.probe = None
-        self.stat_locals: set[tuple[str, str]] = set()
+        #: access kinds (keys of :data:`_PROBE_HITS`) a probe serves.
+        self.hits: set[str] = set()
         core = bind["core"]
         ms = bind["ms"]
         env["_MF"] = MemoryFault
@@ -180,25 +197,30 @@ class _Emitter:
         self.ic = repr(core.issue_cost)
         if mode == "inorder":
             self.bt = repr(core._block_threshold)
+            # The in-order clock is the issue time of the op in flight.
+            self.issue = "t"
         else:
             env["_rob"] = core._rob
-            self.nrob = len(core._rob)
+            env["_retire"] = core._rob.append
+            self.issue = "issue"
         if ms.telemetry is None:
             # Bindings for the inlined L1 hit probe.  All of these
             # objects are stable for the MemorySystem's lifetime (flush
             # clears them in place).
             l1 = ms.caches[0]
-            env.update(_l1s=l1._sets, _tp=ms.tlb._pages,
+            env.update(_l1s=l1._sets, _l1d=l1._dirty, _tp=ms.tlb._pages,
                        _mst=ms.stats, _tst=ms.tlb.stats,
                        _l1st=l1.stats, _pf=ms.prefetcher,
                        _observe=ms.prefetcher.observe,
                        _hwfill=ms._issue_hw_fills)
-            # Per-level L1-below set arrays for inlined dirty marking.
+            # Per-level sets and dirty sets below the L1, for the inlined
+            # dirty marking.
             self.dirty = []
             for i, c in enumerate(ms.caches[1:]):
                 env[f"_ds{i}"] = c._sets
+                env[f"_dd{i}"] = c._dirty
                 self.dirty.append(
-                    (f"_ds{i}", _mod_expr("line", c.num_sets)))
+                    (f"_ds{i}", _mod_expr("line", c.num_sets), f"_dd{i}"))
             self.probe = {
                 "line": _div_expr("addr", ms.line_size),
                 "set": _mod_expr("line", l1.num_sets),
@@ -230,55 +252,68 @@ class _Emitter:
         self.env[name] = fn
         return name
 
+    # -- the trace's own locals ----------------------------------------
+
+    def prologue(self) -> None:
+        """Load the core's state into locals; start every site's
+        allocation memo empty (its first access looks the allocation
+        up) and every probe hit counter at zero."""
+        emit = self.out
+        if self.mode == "inorder":
+            emit("t = _core.time")
+        else:
+            emit("ft = _core.fetch_time")
+            emit("lr = _core._last_retire")
+        for site in range(self.site):
+            emit(f"_b{site} = 0")
+            emit(f"_e{site} = -1")
+        for kind in sorted(self.hits):
+            emit(f"{_PROBE_HITS[kind][0]} = 0")
+
+    def epilogue(self) -> None:
+        """Write the core's state back and add the probe's hits to every
+        statistic each one stands for."""
+        emit = self.out
+        if self.mode == "inorder":
+            emit("_core.time = t")
+        else:
+            emit("_core.fetch_time = ft")
+            emit("_core._last_retire = lr")
+        for kind in sorted(self.hits):
+            local, targets = _PROBE_HITS[kind]
+            emit(f"if {local}:")
+            for target in targets:
+                emit(f"    {target} += {local}")
+
     # -- core-model transcription --------------------------------------
 
-    def core_prologue(self) -> None:
-        """Load the core's architectural state into locals."""
-        if self.mode == "inorder":
-            self.out("t = _core.time")
-        else:
-            self.out("head = _core._rob_head")
-            self.out("ft = _core.fetch_time")
-            self.out("lr = _core._last_retire")
-            self.out("cm = _core.completion_max")
-
-    def core_epilogue(self) -> None:
-        """Write the locals back to the core."""
-        if self.mode == "inorder":
-            self.out("_core.time = t")
-        else:
-            self.out("_core._rob_head = head")
-            self.out("_core.fetch_time = ft")
-            self.out("_core._last_retire = lr")
-            self.out("_core.completion_max = cm")
-
     def ooo_retire(self, done: str) -> None:
-        emit = self.out
-        emit(f"if {done} > lr: lr = {done}")
-        emit("_rob[head] = lr")
-        emit("head += 1")
-        emit(f"if head == {self.nrob}: head = 0")
-        emit(f"if {done} > cm: cm = {done}")
+        """``OutOfOrderCore._retire(done)``: the ROB deque drops the
+        entry :meth:`issue_and` read as it appends."""
+        self.out(f"if {done} > lr: lr = {done}")
+        self.out("_retire(lr)")
 
     def issue_and(self, specs) -> None:
-        """Issue time for one op into ``issue``: the core clock advance
-        with each non-const operand's ready time folded in directly
-        (``max`` is assoc/commutative, so folding the operand compares
-        into the issue compare chain is bit-identical to computing
-        ``dep = max(ready...)`` first, with fewer temporaries)."""
+        """The issue time of one op into :attr:`issue`: the core clock
+        advance with each non-const operand's ready time folded in
+        directly (``max`` is assoc/commutative, so folding the operand
+        compares into the issue compare chain is bit-identical to
+        computing ``dep = max(ready...)`` first, with fewer
+        temporaries)."""
         emit = self.out
+        issue = self.issue
         if self.mode == "inorder":
-            emit(f"issue = t + {self.ic}")
+            emit(f"t += {self.ic}")
         else:
-            # _fetch(): fetch = max(ft + ic, rob[head]); ft = fetch.
+            # _fetch(): fetch = max(ft + ic, rob[0]); ft = fetch.
             emit(f"issue = ft + {self.ic}")
-            emit("_s = _rob[head]")
+            emit("_s = _rob[0]")
             emit("if _s > issue: issue = _s")
             emit("ft = issue")
         for c, v in specs:
             if not c:
                 r = self.rdy(v)
-                emit(f"if {r} > issue: issue = {r}")
+                emit(f"if {r} > {issue}: {issue} = {r}")
 
     def branch(self, dep: str | None) -> None:
         """``core.branch(dep)`` with core state in locals.
@@ -287,17 +322,10 @@ class _Emitter:
         or ``None`` for a constant condition (dep 0.0, which never
         dominates the non-negative clock)."""
         emit = self.out
-        if self.mode == "inorder":
-            emit(f"t += {self.ic}")
-            if dep is not None:
-                emit(f"if {dep} > t: t = {dep}")
-        else:
-            emit(f"issue = ft + {self.ic}")
-            emit("_s = _rob[head]")
-            emit("if _s > issue: issue = _s")
-            emit("ft = issue")
-            if dep is not None:
-                emit(f"if {dep} > issue: issue = {dep}")
+        self.issue_and(())
+        if dep is not None:
+            emit(f"if {dep} > {self.issue}: {self.issue} = {dep}")
+        if self.mode == "ooo":
             emit("done = issue + 1.0")
             self.ooo_retire("done")
 
@@ -315,39 +343,41 @@ class _Emitter:
         else:
             emit(f"{self.reg(dst)} = {value}")
         self.issue_and(specs)
-        if self.mode == "inorder":
-            emit("t = issue")
-            emit(f"{self.rdy(dst)} = issue + {lat!r}")
-        else:
-            emit(f"done = issue + {lat!r}")
-            self.ooo_retire("done")
-            emit(f"{self.rdy(dst)} = done")
+        ready = self.rdy(dst)
+        emit(f"{ready} = {self.issue} + {lat!r}")
+        if self.mode == "ooo":
+            self.ooo_retire(ready)
 
     # -- memory-system transcription -----------------------------------
 
-    def address(self, ptr_spec, site: int, op_name: str) -> None:
-        """Resolve ``addr``; leaves the site memo in ``_m``.
+    def address(self, ptr_spec, op_name: str) -> str:
+        """Resolve ``addr`` and check it; returns the source expression
+        of the element it addresses.
 
-        ``_m`` is ``[alloc, base, end, element_size, data]`` — richer
-        than the dispatch loop's one-slot allocation memo so the hot
-        case needs no attribute (or property) lookups.
-        """
+        Each memory site keeps a memo of the last allocation it
+        touched in trace locals: ``_b``/``_e`` bound it and ``_d`` is
+        its data; the element size is a power of two (``Memory.allocate``
+        enforces it), so ``_k`` (size - 1) tests alignment and ``_s``
+        (log2 size) shifts the offset into an index, exactly as
+        ``divmod`` by the size would."""
         emit = self.out
+        k = self.site
+        self.site += 1
         emit(f"addr = {self.operand(*ptr_spec)}")
-        emit(f"_m = _c{site}")
-        emit("if addr < _m[1] or addr >= _m[2]:")
+        emit(f"if addr < _b{k} or addr >= _e{k}:")
         emit("    _a = _alloc_at(addr)")
-        emit("    _m[0] = _a")
-        emit("    _m[1] = _a.base")
-        emit("    _m[2] = _a.end")
-        emit("    _m[3] = _a.element_size")
-        emit("    _m[4] = _a.data")
-        emit("_q, _r = divmod(addr - _m[1], _m[3])")
-        emit("if _r:")
+        emit(f"    _b{k} = _a.base")
+        emit(f"    _e{k} = _a.end")
+        emit(f"    _k{k} = _a.element_size - 1")
+        emit(f"    _s{k} = _k{k}.bit_length()")
+        emit(f"    _d{k} = _a.data")
+        emit(f"_o = addr - _b{k}")
+        emit(f"if _o & _k{k}:")
         emit(f"    raise _MF('misaligned {op_name} at %#x' % addr)")
+        return f"_d{k}[_o >> _s{k}]"
 
     def l1_probe(self, wait: bool) -> None:
-        """The L1 hit probe's lookup and guard: ``entry`` is read
+        """The L1 hit probe's lookup and guard: ``fill`` is read
         straight from the line's L1 set, and the guarded branch runs
         when the line is resident, its fill has completed (checked only
         when ``wait``: a prefetch that hits the L1 never waits) and its
@@ -355,26 +385,19 @@ class _Emitter:
         emit = self.out
         probe = self.probe
         emit(f"line = {probe['line']}")
-        emit(f"entry = (lines := _l1s[{probe['set']}]).get(line)")
-        fill = "entry[0] <= issue and " if wait else ""
-        emit(f"if entry is not None and {fill}{probe['page']} in _tp:")
+        emit(f"fill = (lines := _l1s[{probe['set']}]).get(line)")
+        done = f"fill <= {self.issue} and " if wait else ""
+        emit(f"if fill is not None and {done}{probe['page']} in _tp:")
 
-    def stat(self, target: str, local: str) -> str:
-        """One monotone counter bump, batched into the function local
-        ``local`` that the assembler adds to ``target`` at trace exit
-        (the counters are write-only during a run, so only the
-        ``MemoryFault`` caveat of the module docstring applies)."""
-        self.stat_locals.add((local, target))
-        return f"{local} += 1"
-
-    def hit_touch(self) -> None:
-        """LRU touches + hit counters of the replayed L1/TLB hit."""
+    def hit_touch(self, kind: str) -> None:
+        """LRU touches + hit count of the replayed L1/TLB hit."""
         emit = self.out
+        self.hits.add(kind)
         emit("    del _tp[page]")
         emit("    _tp[page] = None")
-        emit(f"    {self.stat('_tst.hits', '_nth')}")
         emit("    del lines[line]")
-        emit("    lines[line] = entry")
+        emit("    lines[line] = fill")
+        emit(f"    {_PROBE_HITS[kind][0]} += 1")
 
     def train(self, pc: int, indent: str) -> None:
         """The walk's prefetcher training, inlined: observe + rare fill
@@ -383,27 +406,28 @@ class _Emitter:
         emit(f"{indent}if line != _pf._last_line:")
         emit(f"{indent}    _fl = _observe({pc}, line)")
         emit(f"{indent}    if _fl:")
-        emit(f"{indent}        _hwfill(_fl, issue)")
+        emit(f"{indent}        _hwfill(_fl, {self.issue})")
 
-    def demand(self, pc: int, is_write: bool) -> None:
-        """``rdy = <memory system demand access at issue>``."""
+    def demand(self, pc: int, is_write: bool, ready: str | None) -> None:
+        """One demand access at the issue time; a load assigns its
+        data-ready time to ``ready``, a store (``None``) drops it."""
         emit = self.out
-        walk = f"rdy = _ms_demand({pc}, addr, issue, {is_write})"
+        walk = f"_ms_demand({pc}, addr, {self.issue}, {is_write})"
+        if ready is not None:
+            walk = f"{ready} = {walk}"
         if self.probe is None:
             emit(walk)
             return
         self.l1_probe(wait=True)
-        emit(f"    {self.stat('_mst.demand_accesses', '_nda')}")
-        self.hit_touch()
-        emit(f"    {self.stat('_l1st.hits', '_nl1')}")
+        self.hit_touch("demand")
         if is_write:
-            emit("    entry[1] = True")
-            for sets_name, set_expr in self.dirty:
-                emit(f"    _e = {sets_name}[{set_expr}].get(line)")
-                emit("    if _e is not None:")
-                emit("        _e[1] = True")
+            emit("    _l1d.add(line)")
+            for sets_name, set_expr, dirty_name in self.dirty:
+                emit(f"    if line in {sets_name}[{set_expr}]:")
+                emit(f"        {dirty_name}.add(line)")
         self.train(pc, "    ")
-        emit(f"    rdy = issue + {self.probe['lat']}")
+        if ready is not None:
+            emit(f"    {ready} = {self.issue} + {self.probe['lat']}")
         emit("else:")
         emit(f"    {walk}")
 
@@ -467,32 +491,23 @@ class _Emitter:
         elif kind == _LOAD:
             _, dst, pc, pc_const, p, cache = inst
             self.counts["loads"] += 1
-            self.env[f"_c{self.site}"] = [None, 0, -1, 1, None]
-            self.address((pc_const, p), self.site, "load")
-            self.site += 1
-            emit(f"{self.reg(dst)} = _m[4][_q]")
+            element = self.address((pc_const, p), "load")
+            emit(f"{self.reg(dst)} = {element}")
             self.issue_and([(pc_const, p)])
-            self.demand(pc, is_write=False)
+            ready = self.rdy(dst)
+            self.demand(pc, is_write=False, ready=ready)
             if self.mode == "inorder":
-                emit(f"if rdy - issue > {self.bt}:")
-                emit("    t = rdy")
-                emit("else:")
-                emit("    t = issue")
+                emit(f"if {ready} - t > {self.bt}: t = {ready}")
             else:
-                self.ooo_retire("rdy")
-            emit(f"{self.rdy(dst)} = rdy")
+                self.ooo_retire(ready)
         elif kind == _STORE:
             _, pc, vc, v, pc_const, p, cache = inst
             self.counts["stores"] += 1
-            self.env[f"_c{self.site}"] = [None, 0, -1, 1, None]
-            self.address((pc_const, p), self.site, "store")
-            self.site += 1
-            emit(f"_m[4][_q] = {self.operand(vc, v)}")
+            element = self.address((pc_const, p), "store")
+            emit(f"{element} = {self.operand(vc, v)}")
             self.issue_and([(vc, v), (pc_const, p)])
-            self.demand(pc, is_write=True)
-            if self.mode == "inorder":
-                emit("t = issue")
-            else:
+            self.demand(pc, is_write=True, ready=None)
+            if self.mode == "ooo":
                 emit("done = issue + 1.0")
                 self.ooo_retire("done")
         elif kind == _PREFETCH:
@@ -500,20 +515,24 @@ class _Emitter:
             self.counts["prefetches"] += 1
             emit(f"addr = {self.operand(pc_const, p)}")
             self.issue_and([(pc_const, p)])
-            walk = f"acc = _ms_prefetch({pc}, addr, issue)"
+            # The core resumes at the accept time the walk returns, the
+            # issue time on a probe hit: the in-order clock takes it,
+            # the OoO core retires the prefetch one cycle after it.
+            walk = f"_ms_prefetch({pc}, addr, {self.issue})"
+            if self.mode == "inorder":
+                walk, hit = f"t = {walk}", None
+            else:
+                walk, hit = f"done = {walk} + 1.0", "done = issue + 1.0"
             if self.probe is None:
                 emit(walk)
             else:
                 self.l1_probe(wait=False)
-                emit(f"    {self.stat('_mst.sw_prefetches', '_nsp')}")
-                self.hit_touch()
-                emit("    acc = issue")
+                self.hit_touch("prefetch")
+                if hit is not None:
+                    emit(f"    {hit}")
                 emit("else:")
                 emit(f"    {walk}")
-            if self.mode == "inorder":
-                emit("t = acc")
-            else:
-                emit("done = acc + 1.0")
+            if self.mode == "ooo":
                 self.ooo_retire("done")
         else:  # pragma: no cover - callers filter kinds
             raise RuntimeError(f"kind {kind} is not fusable")

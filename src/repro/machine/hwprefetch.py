@@ -47,6 +47,8 @@ class StridePrefetcher:
         self.table_size = table_size
         self._table: dict[int, list[list]] = {}
         self._last_line: int | None = None
+        #: Strides ahead of each issued fill.
+        self._ahead = tuple(range(distance, distance + degree))
 
     def observe(self, pc: int, line_addr: int) -> list[int]:
         """Train on a demand access; returns line addresses to prefetch.
@@ -62,30 +64,25 @@ class StridePrefetcher:
         self._last_line = line_addr
         region = line_addr >> REGION_BITS
         table = self._table
-        streams = table.get(region)
+        streams = table.pop(region, None)
         if streams is None:
             if len(table) >= self.table_size:
                 del table[next(iter(table))]
             table[region] = [[line_addr, 0, 0]]
             return []
-        # LRU touch.
-        del table[region]
-        table[region] = streams
+        table[region] = streams  # LRU touch
 
         # Match the stream whose last access is closest to this line
         # (first wins ties, matching min() over the insertion order).
         entry = streams[0]
-        if len(streams) > 1:
-            d0 = line_addr - entry[_LAST]
-            if d0 < 0:
-                d0 = -d0
-            other = streams[1]
-            d1 = line_addr - other[_LAST]
-            if d1 < 0:
-                d1 = -d1
-            if d1 < d0:
-                entry = other
         stride = line_addr - entry[_LAST]
+        if len(streams) > 1:
+            other = streams[1]
+            other_stride = line_addr - other[_LAST]
+            if (other_stride if other_stride >= 0 else -other_stride) < (
+                    stride if stride >= 0 else -stride):
+                entry = other
+                stride = other_stride
         if stride == 0:
             return []  # same line: no information
         if ((stride > 8 or stride < -8)
@@ -104,8 +101,7 @@ class StridePrefetcher:
         entry[_LAST] = line_addr
         if conf < self.train_threshold:
             return []
-        return [line_addr + stride * (self.distance + i)
-                for i in range(self.degree)]
+        return [line_addr + stride * k for k in self._ahead]
 
     def reset(self) -> None:
         """Forget all streams."""

@@ -103,8 +103,15 @@ class Memory:
 
     def allocate(self, element_size: int, count: int, name: str = "",
                  is_float: bool = False) -> Allocation:
-        """Reserve a new zero-initialised region and return it."""
-        if element_size <= 0 or count < 0:
+        """Reserve a new zero-initialised region and return it.
+
+        The element size must be a power of two (every IR type's size
+        is 1, 2, 4 or 8 bytes): compiled traces turn an address into an
+        element index with a mask and a shift."""
+        if element_size <= 0 or element_size & (element_size - 1):
+            raise ValueError(f"element size {element_size} is not a "
+                             f"positive power of two")
+        if count < 0:
             raise ValueError("bad allocation shape")
         base = self._next
         alloc = Allocation(base, element_size, count,

@@ -72,12 +72,13 @@ class MemorySystem:
     Both engines use this one walk.  The fast engine's only shortcut is
     the L1 hit probe :class:`~repro.machine.fastexec._Emitter` inlines
     into compiled traces when no collector is attached: it reads the
-    line's ``[fill_time, dirty]`` entry straight from its L1 set
-    (``caches[0]._sets``) and, when the fill has completed and the page
-    is in the L1 TLB, replays exactly the side effects the walk would
-    have had (LRU touches, hit counters, dirty marking, prefetcher
-    training); otherwise the generated code calls :meth:`_demand` or
-    :meth:`prefetch`.  The memory system holds no state for the probe.
+    line's fill time straight from its L1 set (``caches[0]._sets``)
+    and, when the fill has completed and the page is in the L1 TLB,
+    replays exactly the side effects the walk would have had (LRU
+    touches, hit counters, dirty marking in each level's
+    ``Cache._dirty``, prefetcher training); otherwise the generated code
+    calls :meth:`_demand` or :meth:`prefetch`.  The memory system holds
+    no state for the probe.
     """
 
     def __init__(self, config: MachineConfig,
@@ -163,7 +164,17 @@ class MemorySystem:
                 is_write: bool) -> float:
         self.stats.demand_accesses += 1
         line = addr // self.line_size
-        t = self.tlb.translate(addr, time)
+        # TLB.translate with its L1-TLB hit served here.
+        tlb = self.tlb
+        page = addr >> tlb.page_bits
+        pages = tlb._pages
+        if page in pages:
+            del pages[page]
+            pages[page] = None
+            tlb.stats.hits += 1
+            t = time
+        else:
+            t = tlb._miss(page, time)
         if self.telemetry is not None:
             self.telemetry.account_translation(t - time)
         ready = self._hierarchy_access(line, t, is_write)
@@ -175,24 +186,30 @@ class MemorySystem:
     def _hierarchy_access(self, line: int, t: float,
                           is_write: bool = False) -> float:
         tel = self.telemetry
-        llc = self.caches[-1]
-        for level, cache in enumerate(self.caches):
-            fill = cache.lookup(line)
+        caches = self.caches
+        for level, cache in enumerate(caches):
+            # Cache.lookup, inlined: one read of the set.
+            lines = cache._sets[line % cache.num_sets]
+            fill = lines.pop(line, None)
             if fill is not None:
+                lines[line] = fill
                 if fill <= t:
                     cache.stats.hits += 1
+                    ready = t + cache.latency
                 else:
                     # In-flight fill (e.g. a software prefetch that was
                     # issued too late): wait out the remainder.
                     cache.stats.prefetch_hits += 1
-                ready = max(t, fill) + cache.latency
+                    ready = fill + cache.latency
                 if tel is not None:
                     tel.demand_hit(line, cache.name, t, fill, ready)
-                for upper in self.caches[:level]:
-                    if upper.insert(line, ready) and upper is llc:
-                        self.dram.writeback(t)
+                if level:
+                    # The upper levels exclude the LLC, so none of these
+                    # evictions is charged a writeback.
+                    for upper in caches[:level]:
+                        upper.insert(line, ready)
                 if is_write:
-                    for c in self.caches:
+                    for c in caches:
                         c.mark_dirty(line)
                 return ready
             cache.stats.misses += 1
@@ -225,13 +242,15 @@ class MemorySystem:
         caches = self.caches
         llc = caches[-1]
         for fill_line in fills:
-            if any(c.contains(fill_line) for c in caches):
-                continue
-            done = self.dram.access(t)
-            for cache in caches[1:] or caches:
-                if cache.insert(fill_line, done) and cache is llc:
-                    self.dram.writeback(t)
-            self.stats.hw_prefetch_fills += 1
+            for c in caches:
+                if fill_line in c._sets[fill_line % c.num_sets]:
+                    break
+            else:
+                done = self.dram.access(t)
+                for cache in caches[1:] or caches:
+                    if cache.insert(fill_line, done) and cache is llc:
+                        self.dram.writeback(t)
+                self.stats.hw_prefetch_fills += 1
 
     # -- bookkeeping ---------------------------------------------------------
 

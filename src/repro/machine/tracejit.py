@@ -354,18 +354,18 @@ class TraceJIT:
         em = asm.em
         inner = em.body
         em.body = []
-        em.core_prologue()
-        core_pro = em.body
+        em.prologue()
+        em_pro = em.body
         em.body = []
-        em.core_epilogue()
-        core_epi = em.body
+        em.epilogue()
+        em_epi = em.body
 
         slots = sorted(em.slots)
         lines = ["def _trace(regs, ready, budget):"]
         for s in slots:
             lines.append(f"    r{s} = regs[{s}]")
             lines.append(f"    t{s} = ready[{s}]")
-        lines.extend(f"    {line}" for line in core_pro)
+        lines.extend(f"    {line}" for line in em_pro)
         lines.append("    _n = 0")
         lines.append("    _nb = 0")
         lines.append("    _it = 0")
@@ -373,24 +373,18 @@ class TraceJIT:
         for field, local in _COUNT_LOCALS:
             if asm.have[field]:
                 lines.append(f"    {local} = 0")
-        stat_locals = sorted(em.stat_locals)
-        for local, _target in stat_locals:
-            lines.append(f"    {local} = 0")
         lines.append("    while 1:")
         lines.extend(f"        {line}" for line in inner)
         for s in slots:
             lines.append(f"    regs[{s}] = r{s}")
             lines.append(f"    ready[{s}] = t{s}")
-        lines.extend(f"    {line}" for line in core_epi)
+        lines.extend(f"    {line}" for line in em_epi)
         lines.append("    _core.instructions += _n")
         lines.append("    _stats.instructions += _n")
         lines.append("    _stats.branches += _nb")
         for field, local in _COUNT_LOCALS:
             if asm.have[field]:
                 lines.append(f"    _stats.{field} += {local}")
-        for local, target in stat_locals:
-            lines.append(f"    if {local}:")
-            lines.append(f"        {target} += {local}")
         lines.append("    _tr.entries += 1")
         lines.append("    _tr.iters += _it")
         lines.append("    _tr.insts += _n")

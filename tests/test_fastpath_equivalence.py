@@ -269,6 +269,43 @@ def build_branchy_kernel(seed: int, n: int = 512) -> Module:
     return module
 
 
+def build_offset_kernel(store: bool) -> Module:
+    """``data`` addressed at a byte offset: iteration ``i`` loads the
+    element at ``data + offsets[i]`` and stores it back plus one, or
+    with ``store`` only stores ``i`` there (so a bad offset faults on
+    the store)."""
+    module = Module("offsets")
+    func = module.create_function(
+        "kernel", VOID,
+        [("offsets", pointer(INT64)), ("data", pointer(INT64)),
+         ("n", INT64)])
+    offsets, data, nval = func.args
+    b = IRBuilder()
+    entry = func.add_block("entry")
+    loop = func.add_block("loop")
+    exit_ = func.add_block("exit")
+    b.set_insert_point(entry)
+    base = b.cast("ptrtoint", data, INT64, "base")
+    b.br(b.cmp("sgt", nval, b.const(0), "guard"), loop, exit_)
+    b.set_insert_point(loop)
+    i = b.phi(INT64, "i")
+    offset = b.load(b.gep(offsets, i, "op"), "offset")
+    ptr = b.cast("inttoptr", b.add(base, offset, "addr"), pointer(INT64),
+                 "ptr")
+    if store:
+        b.store(i, ptr)
+    else:
+        b.store(b.add(b.load(ptr, "v"), b.const(1), "v1"), ptr)
+    i_next = b.add(i, b.const(1), "i.next")
+    b.br(b.cmp("slt", i_next, nval, "cond"), loop, exit_)
+    i.add_incoming(b.const(0), entry)
+    i.add_incoming(i_next, loop)
+    b.set_insert_point(exit_)
+    b.ret()
+    verify_module(module)
+    return module
+
+
 def run_engine(module: Module, machine, fastpath: bool, seed: int,
                n: int = 512, telemetry: bool = False,
                yield_every: int = 0):
@@ -420,6 +457,46 @@ class TestFaultEquivalence:
             snaps.append(snapshot(interp))
         assert snaps[1] == snaps[0]
         assert snaps[0]["run_stats"]["loads"] == 7
+
+    #: Byte offset ``offsets[FAULT_AT]`` is set to, per fault.
+    BAD_OFFSET = {"misaligned-load": 8 * 5 + 3,
+                  "misaligned-store": 8 * 5 + 3,
+                  "unmapped": 1 << 40}
+    FAULT_AT = 40
+
+    @pytest.mark.parametrize("fault", sorted(BAD_OFFSET))
+    @pytest.mark.parametrize("machine", (HASWELL, A53),
+                             ids=lambda m: m.name)
+    def test_fault_inside_trace_raises_same_error(self, machine, fault):
+        """Iteration 40 addresses ``data`` at a byte offset that is not
+        a multiple of its element size, or past every allocation: by
+        then the loop runs on a compiled trace, which must raise the
+        ``MemoryFault`` the dispatch loop raises, with the same message
+        (the counters it batches are lost: see ``fastexec``)."""
+        n = 64
+        messages = []
+        for fastpath in (False, True):
+            mem = Memory(machine.line_size)
+            offsets = mem.allocate(8, n, "offsets")
+            offsets.fill([8 * (i % 16) for i in range(n)])
+            offsets.data[self.FAULT_AT] = self.BAD_OFFSET[fault]
+            data = mem.allocate(8, 16, "data")
+            interp = Interpreter(
+                build_offset_kernel(store=fault == "misaligned-store"),
+                mem, machine=machine, fastpath=fastpath)
+            with pytest.raises(MemoryFault) as caught:
+                interp.run("kernel", [offsets.base, data.base, n])
+            messages.append(str(caught.value))
+            frames = {entry.frame.code.raw.co_filename
+                      for entry in caught.traceback}
+            assert ("<compiled-trace>" in frames) == fastpath
+            assert bool(interp.trace_report()) == fastpath
+        assert messages[1] == messages[0]
+        bad = data.base + self.BAD_OFFSET[fault]
+        want = {"misaligned-load": f"misaligned load at {bad:#x}",
+                "misaligned-store": f"misaligned store at {bad:#x}",
+                "unmapped": f"access to unmapped address {bad:#x}"}
+        assert messages[0] == want[fault]
 
 
 class TestWorkloadEquivalence:

@@ -100,6 +100,20 @@ class TestLexer:
         with pytest.raises(LexError):
             tokenize("/* never ends")
 
+    def test_slash_star_slash_opens_a_comment(self):
+        """As in C, ``/*/`` only opens a comment: it ends at the first
+        ``*/`` after the ``/*``.  It used to close itself, so the
+        ``return 2;`` below compiled and the ``*/`` was a syntax
+        error."""
+        module = compile_source(
+            "long f() { return 1; /*/ return 2; */ }")
+        assert Interpreter(module).run("f", []).value == 1
+
+    def test_lone_slash_star_slash_is_unterminated(self):
+        with pytest.raises(LexError,
+                           match=r"^line 1: unterminated comment$"):
+            tokenize("/*/")
+
     @pytest.mark.parametrize("text", ("08", "09", "0x"))
     def test_malformed_integer_constants(self, text):
         with pytest.raises(LexError):

@@ -64,6 +64,20 @@ class TestMemory:
         mem.store(a.base, 2.5)
         assert mem.load(a.base) == 2.5
 
+    @pytest.mark.parametrize("size", (0, 3, 12))
+    def test_element_size_must_be_a_power_of_two(self, size):
+        """Compiled traces index an allocation with a mask and a shift,
+        which read the wrong element for any other size."""
+        with pytest.raises(ValueError, match=f"element size {size} "):
+            Memory().allocate(size, 4, "a")
+
+    @pytest.mark.parametrize("size", (1, 2, 4, 8))
+    def test_power_of_two_element_sizes_allocate(self, size):
+        mem = Memory()
+        a = mem.allocate(size, 4, "a")
+        mem.store(a.base + 3 * size, 7)
+        assert a.data == [0, 0, 0, 7]
+
 
 class TestCache:
     def make(self, size=1024, ways=2, latency=4):

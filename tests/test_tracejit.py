@@ -496,8 +496,8 @@ class TestL1Probe:
             if sys._getframe(1).f_code.co_filename == "<compiled-trace>":
                 calls += 1
                 line = addr // ms.line_size
-                entry = l1._sets[line % l1.num_sets].get(line)
-                if entry is not None and entry[0] <= time and \
+                fill = l1._sets[line % l1.num_sets].get(line)
+                if fill is not None and fill <= time and \
                         addr >> ms.tlb.page_bits in ms.tlb._pages:
                     servable += 1
             return walk(pc, addr, time, is_write)
