@@ -1,16 +1,18 @@
 """Flat byte-addressed memory for the IR interpreter.
 
-Allocations are contiguous, line-aligned regions backed by numpy arrays,
-so workload drivers can bulk-initialise inputs without interpreting IR
-(matching the paper's methodology of timing "everything apart from data
-generation and initialisation").  Loads and stores are bounds-checked:
-an out-of-range access raises :class:`MemoryFault`, which the fault-
-avoidance tests rely on.
+Allocations are contiguous, line-aligned regions, each backed by one
+typed buffer (:class:`array.array`), so workload drivers can
+bulk-initialise inputs without interpreting IR (matching the paper's
+methodology of timing "everything apart from data generation and
+initialisation").  Loads and stores are bounds-checked: an out-of-range
+access raises :class:`MemoryFault`, which the fault-avoidance tests
+rely on.
 """
 
 from __future__ import annotations
 
 import bisect
+from array import array
 
 import numpy as np
 
@@ -19,15 +21,37 @@ class MemoryFault(Exception):
     """An access outside every live allocation (segfault analogue)."""
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _integer_problem(src: np.ndarray) -> str | None:
+    """Why ``src`` cannot fill an integer allocation, or ``None``."""
+    kind = src.dtype.kind
+    if kind in "bi":
+        return None
+    if kind not in "uO" or (kind == "O" and not all(
+            isinstance(v, (int, np.integer)) for v in src.flat)):
+        return "non-integer values into an integer allocation"
+    if src.size and (src.min() < _INT64.min or src.max() > _INT64.max):
+        return "integers outside int64"
+    return None
+
+
 class Allocation:
     """One contiguous allocated region.
 
     :ivar base: first byte address.
     :ivar element_size: bytes per element (addressing granularity).
     :ivar count: number of elements.
-    :ivar data: backing store, a Python list with one entry per element
-        (plain lists index faster than numpy scalars in the interpreter's
-        inner loop).  Use :meth:`fill` / :meth:`as_numpy` for bulk I/O.
+    :ivar data: backing store, one typed buffer with one entry per
+        element: ``array('q')`` for an integer allocation of any
+        element size (every value the IR stores is already wrapped to
+        at most 64 bits) and ``array('d')`` for a float one.  The
+        interpreter and compiled traces index it like a list; unlike a
+        list it holds no Python object per element, so the garbage
+        collector never walks a run's data.  Use :meth:`fill` /
+        :meth:`as_numpy` for bulk I/O: each is one copy through a
+        numpy view of the buffer.
     """
 
     __slots__ = ("base", "element_size", "count", "name", "is_float",
@@ -40,21 +64,35 @@ class Allocation:
         self.count = count
         self.name = name
         self.is_float = is_float
-        self.data = [0.0] * count if is_float else [0] * count
+        self.data = (array("d", [0.0]) if is_float
+                     else array("q", [0])) * count
+
+    def _view(self) -> np.ndarray:
+        return np.frombuffer(self.data,
+                             np.float64 if self.is_float else np.int64)
 
     def fill(self, values) -> None:
-        """Bulk-initialise from any sequence (numpy array, list, ...)."""
+        """Bulk-initialise from any sequence (numpy array, list, ...).
+
+        Raises :class:`ValueError` for values the allocation cannot
+        hold: non-integers into an integer allocation, or integers
+        outside int64.  Integers into a float allocation are accepted.
+        """
         if len(values) != self.count:
-            raise ValueError(
-                f"fill length {len(values)} != count {self.count}")
-        if hasattr(values, "tolist"):
-            values = values.tolist()
-        self.data[:] = values
+            raise ValueError(f"fill of {self.name}: length {len(values)} "
+                             f"!= count {self.count}")
+        # A sequence is checked element by element: numpy would turn
+        # [-1, 2**63] into floats and [2**64] into objects.
+        src = (values if isinstance(values, np.ndarray)
+               else np.array(values, dtype=object))
+        if not self.is_float and (problem := _integer_problem(src)):
+            raise ValueError(f"fill of {self.name}: {problem}")
+        self._view()[:] = src
 
     def as_numpy(self) -> np.ndarray:
-        """Snapshot the contents as a numpy array."""
-        dtype = np.float64 if self.is_float else np.int64
-        return np.asarray(self.data, dtype=dtype)
+        """Snapshot the contents as a numpy array (a copy: later stores
+        do not show in it, nor writes to it in memory)."""
+        return self._view().copy()
 
     @property
     def size_bytes(self) -> int:

@@ -35,7 +35,7 @@ class TestCountedLoop:
     def test_basic_iteration_space(self):
         m = build_with_counted_loop(0, None)
         data = self._run(m, 5)
-        assert data[:5] == [0, 1, 2, 3, 4]
+        assert data[:5].tolist() == [0, 1, 2, 3, 4]
 
     def test_zero_trip_guard(self):
         m = build_with_counted_loop(0, None)
@@ -45,7 +45,7 @@ class TestCountedLoop:
     def test_nonzero_start(self):
         m = build_with_counted_loop(2, None)
         data = self._run(m, 5)
-        assert data[:5] == [0, 0, 2, 3, 4]
+        assert data[:5].tolist() == [0, 0, 2, 3, 4]
 
     def test_produces_analyzable_iv(self):
         from repro.analysis import InductionAnalysis

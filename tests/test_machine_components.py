@@ -1,5 +1,9 @@
 """Unit tests for memory, caches, TLB, DRAM, and the HW prefetcher."""
 
+import gc
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -50,7 +54,6 @@ class TestMemory:
             mem.load(a.base + 3)
 
     def test_fill_and_as_numpy(self):
-        import numpy as np
         mem = Memory()
         a = mem.allocate(8, 4, "a")
         a.fill(np.array([1, 2, 3, 4]))
@@ -76,7 +79,73 @@ class TestMemory:
         mem = Memory()
         a = mem.allocate(size, 4, "a")
         mem.store(a.base + 3 * size, 7)
-        assert a.data == [0, 0, 0, 7]
+        assert a.data.tolist() == [0, 0, 0, 7]
+
+    def test_fill_rejects_floats_into_an_integer_allocation(self):
+        """Stored as they were, a kernel would read floats where it
+        expects integers; a plain numpy copy would truncate them."""
+        a = Memory().allocate(8, 3, "keys")
+        with pytest.raises(ValueError, match="keys: non-integer"):
+            a.fill(np.array([1.5, 2.5, 3.5]))
+        with pytest.raises(ValueError, match="keys: non-integer"):
+            a.fill([1, 2.0, 3])
+        assert a.data.tolist() == [0, 0, 0]
+
+    def test_fill_rejects_integers_outside_int64(self):
+        a = Memory().allocate(8, 2, "keys")
+        for values in ([1 << 70, 2], [-1, 1 << 63],
+                       np.array([1 << 63, 0], dtype=np.uint64)):
+            with pytest.raises(ValueError, match="keys: .*outside int64"):
+                a.fill(values)
+        assert a.data.tolist() == [0, 0]
+
+    def test_fill_accepts_integers_into_a_float_allocation(self):
+        a = Memory().allocate(8, 3, "x", is_float=True)
+        a.fill(np.array([1, 2, 3]))
+        assert a.data.tolist() == [1.0, 2.0, 3.0]
+        assert all(type(v) is float for v in a.data)
+
+    @pytest.mark.parametrize("is_float", (False, True))
+    def test_collector_sees_no_element(self, is_float):
+        """A run's data holds no Python object per element, so young
+        collections never walk it."""
+        a = Memory().allocate(8, 1000, "a", is_float=is_float)
+        a.fill(np.arange(1000))
+        assert gc.get_referents(a.data) == [type(a.data)]
+
+    def test_as_numpy_is_a_snapshot(self):
+        mem = Memory()
+        a = mem.allocate(8, 3, "a")
+        a.fill([1, 2, 3])
+        before = a.as_numpy()
+        before[0] = 99
+        assert mem.load(a.base) == 1
+        mem.store(a.base + 8, 42)
+        assert before.tolist() == [99, 2, 3]
+        assert a.as_numpy().tolist() == [1, 42, 3]
+
+    @pytest.mark.parametrize("is_float,values", (
+        (False, [-(1 << 63), (1 << 63) - 1, 0, -1]),
+        (True, [-0.0, math.inf, -math.inf, math.nan])))
+    def test_extreme_values_round_trip(self, is_float, values):
+        mem = Memory()
+        a = mem.allocate(8, len(values), "a", is_float=is_float)
+        a.fill(values)
+        loaded = [mem.load(a.base + 8 * i) for i in range(len(values))]
+        for got in (loaded, a.as_numpy().tolist()):
+            assert [type(v) for v in got] == [type(v) for v in values]
+            # repr tells -0.0 from 0.0 and matches nan with nan.
+            assert [repr(v) for v in got] == [repr(v) for v in values]
+
+    @pytest.mark.parametrize("size", (1, 2, 4, 8))
+    def test_fresh_allocation_loads_zero(self, size):
+        mem = Memory()
+        ints = mem.allocate(size, 4, "i")
+        floats = mem.allocate(size, 4, "f", is_float=True)
+        for a, zero in ((ints, 0), (floats, 0.0)):
+            for i in range(4):
+                got = mem.load(a.base + size * i)
+                assert got == zero and type(got) is type(zero)
 
 
 class TestCache:
