@@ -19,13 +19,13 @@ instance — and every later run key — ends where an uncached run leaves
 it.
 
 Cache layout: ``<root>/<key[:2]>/<key>.json``, one entry per file.  The
-disk layer is :class:`repro.serve.cas.ContentStore` — the
-content-addressed store shared with ``repro serve`` — so writes are
-atomic (same-directory temp file + rename), corrupt or truncated
-entries read as misses, and concurrent runner/server processes can
-share a root; ``repro cache gc`` garbage-collects it.
-:class:`RunCache` adds a per-process in-memory layer on top.  Which
-cache a run uses is the caller's choice (see
+store is :class:`repro.serve.cas.ContentStore` — the content-addressed
+store shared with ``repro serve`` — so writes are atomic
+(same-directory temp file + rename), corrupt or truncated entries read
+as misses, concurrent runner/server processes can share a root, and
+each instance remembers recent entries in a bounded per-process memory;
+``repro cache gc`` garbage-collects it.  :class:`RunCache` adds the
+``cache`` spans.  Which cache a run uses is the caller's choice (see
 :func:`repro.bench.runner.run_defaults`).
 """
 
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -126,35 +125,23 @@ def run_key(ir_text: str, machine, workload, validate: bool,
 
 
 class RunCache(ContentStore):
-    """Content-addressed store of run results with an in-memory layer.
+    """Content-addressed store of run results, probed and stored under
+    ``cache`` spans.
 
-    The disk behaviour — atomic writes, corrupt-entry tolerance under
-    concurrent writers — is inherited from :class:`ContentStore`; this
-    class adds the per-process memo and span instrumentation.
+    Atomic writes, corrupt-entry tolerance under concurrent writers and
+    the bounded memory of recent entries are inherited from
+    :class:`ContentStore`.
     """
-
-    def __init__(self, root: str | os.PathLike):
-        super().__init__(root)
-        self._mem: dict[str, dict] = {}
 
     def get(self, key: str) -> dict | None:
         """The entry stored under ``key``, or ``None`` (corrupt = miss).
-        The dict is the in-memory layer's own: read it, never change it."""
+        The dict is the store's memory's own: read it, never change it."""
         with span("cache", "probe", key=key[:12]) as s:
-            data = self._mem.get(key)
-            if data is None:
-                data = super().get(key)  # counts the hit or miss
-                if data is None:
-                    s["hit"] = False
-                    return None
-                self._mem[key] = data
-            else:
-                self.hits += 1
-            s["hit"] = True
+            data = super().get(key)
+            s["hit"] = data is not None
             return data
 
     def put(self, key: str, data: dict) -> None:
         """Store a result, atomically (safe under concurrent writers)."""
         with span("cache", "store", key=key[:12]):
-            self._mem[key] = data
             super().put(key, data)

@@ -1,19 +1,28 @@
 """Content-addressed store (CAS) of JSON results.
 
-Promoted from the disk layer of the bench run-cache (PR 1): one
-JSON-serialised result per file under ``<root>/<key[:2]>/<key>.json``,
-where ``key`` is a SHA-256 content hash of everything that determines
-the result.  The store is safe for many concurrent writers — every
-write goes through a same-directory temp file plus an atomic
-``os.replace`` — and *forgiving* readers: a corrupt, truncated, or
-concurrently-vanishing entry is a miss, never an exception.
+One JSON-serialised result per file under
+``<root>/<key[:2]>/<key>.json``, where ``key`` is a SHA-256 content
+hash of everything that determines the result.  The store is safe for
+many concurrent writers — every write goes through a same-directory
+temp file plus an atomic ``os.replace`` — and *forgiving* readers: a
+corrupt, truncated, or concurrently-vanishing entry is a miss, never an
+exception.
+
+Each store also remembers the entries it has read or written, decoded,
+up to :data:`MEMORY_BYTES` of their serialised JSON, evicting the least
+recently used first.  :meth:`ContentStore.get` answers from memory
+before the disk; :meth:`ContentStore.recall` answers from memory only
+and never touches the disk, so an event loop can call it directly.  A
+result is remembered only after its atomic write succeeded, and
+:meth:`ContentStore.gc` forgets what it deletes.  The memory is per
+process: a pickled store arrives empty and reads the disk.
 
 :class:`ContentStore` is the base used both by
-:class:`repro.bench.cache.RunCache` (which adds an in-memory layer and
-simulation-specific keying) and by the serve subsystem's result store.
-Garbage collection (:meth:`ContentStore.gc`) evicts least-recently-used
-entries by file mtime until the store fits a byte budget; ``repro
-cache gc`` exposes it on the command line.
+:class:`repro.bench.cache.RunCache` (which adds simulation-specific
+keying and spans) and by the serve subsystem's result store.  Garbage
+collection (:meth:`ContentStore.gc`) evicts least-recently-used entries
+by file mtime until the store fits a byte budget; ``repro cache gc``
+exposes it on the command line.
 """
 
 from __future__ import annotations
@@ -23,12 +32,18 @@ import json
 import os
 import re
 import tempfile
+import threading
+from collections import OrderedDict
 from pathlib import Path
 
 #: The only shape a content key can have: a full SHA-256 hexdigest.
 #: Everything else — in particular anything containing ``/`` or ``..``
 #: — must be rejected *before* it is joined into a filesystem path.
 KEY_RE = re.compile(r"[0-9a-f]{64}")
+
+#: Serialised JSON bytes of the entries one store keeps decoded in
+#: memory; the least recently used go first.
+MEMORY_BYTES = 64 << 20
 
 
 def valid_key(key) -> bool:
@@ -49,7 +64,11 @@ def store_key(value) -> str:
 
 
 class ContentStore:
-    """Content-addressed store of JSON dicts with atomic writes.
+    """Content-addressed store of JSON dicts with atomic writes and a
+    bounded, thread-safe memory of recent entries.
+
+    The dicts :meth:`get` and :meth:`recall` return are the memory's
+    own: read them, never change them.
 
     :param root: store directory (created lazily on first write).
     """
@@ -59,6 +78,56 @@ class ContentStore:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        self._empty_memory()
+
+    def _empty_memory(self) -> None:
+        # key -> (dict, serialised bytes), least recently used first.
+        self._memory: OrderedDict[str, tuple[dict, int]] = OrderedDict()
+        self._memory_bytes = 0
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        """Pickle without the lock or the memory: a copy in another
+        process starts empty and reads the disk."""
+        state = dict(self.__dict__)
+        for name in ("_memory", "_memory_bytes", "_lock"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._empty_memory()
+
+    def _forget(self, key: str) -> None:
+        """Drop ``key`` from memory.  Call with the lock held."""
+        old = self._memory.pop(key, None)
+        if old is not None:
+            self._memory_bytes -= old[1]
+
+    def _remember(self, key: str, data: dict, size: int) -> None:
+        """Keep ``data`` (``size`` serialised bytes) as the most recently
+        used entry, evicting the least recently used over the bound.
+        Call with the lock held."""
+        self._forget(key)
+        if size > MEMORY_BYTES:
+            return
+        self._memory[key] = (data, size)
+        self._memory_bytes += size
+        while self._memory_bytes > MEMORY_BYTES:
+            _, (_, evicted) = self._memory.popitem(last=False)
+            self._memory_bytes -= evicted
+
+    def recall(self, key: str) -> dict | None:
+        """The remembered dict for ``key``, or ``None``.  Never touches
+        the disk, and counts only a hit: a caller that goes on to
+        :meth:`get` on a miss counts that probe's miss once."""
+        with self._lock:
+            entry = self._memory.get(key)
+            if entry is None:
+                return None
+            self._memory.move_to_end(key)
+            self.hits += 1
+            return entry[0]
 
     def _path(self, key: str) -> Path:
         """Filesystem location of ``key`` — which must be a validated
@@ -69,22 +138,28 @@ class ContentStore:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> dict | None:
-        """The stored dict for ``key``, or ``None``.
+        """The stored dict for ``key``, from memory or else from disk,
+        or ``None``.
 
         Any unreadable entry — missing, truncated, non-JSON, non-dict,
         deleted between stat and read by a concurrent GC, or addressed
         by a malformed key — counts as a miss: readers never crash on
         another process's half-state (or a hostile key).
         """
+        data = self.recall(key)
+        if data is not None:
+            return data
         try:
-            data = json.loads(self._path(key).read_bytes())
+            raw = self._path(key).read_bytes()
+            data = json.loads(raw)
         except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if not isinstance(data, dict):
-            self.misses += 1
-            return None
-        self.hits += 1
+            data = None
+        with self._lock:
+            if not isinstance(data, dict):
+                self.misses += 1
+                return None
+            self._remember(key, data, len(raw))
+            self.hits += 1
         return data
 
     def contains(self, key: str) -> bool:
@@ -99,13 +174,15 @@ class ContentStore:
         see either the old entry or the new one, never a torn write.
         Racing writers of the same key are both writing the same
         content-addressed bytes, so the last rename wins harmlessly.
+        ``data`` is remembered only once the rename has succeeded.
         """
         path = self._path(key)
+        text = json.dumps(data)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(data, handle)
+                handle.write(text)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -113,7 +190,9 @@ class ContentStore:
             except OSError:
                 pass
             raise
-        self.stores += 1
+        with self._lock:
+            self._remember(key, data, len(text))
+            self.stores += 1
 
     def entries(self) -> list[dict]:
         """All entries as ``{key, path, bytes, mtime}`` rows.
@@ -151,7 +230,8 @@ class ContentStore:
 
         With ``dry_run`` nothing is deleted; the report shows what
         would go.  Missing files during deletion are ignored (another
-        process won the race).
+        process won the race).  A deleted entry is forgotten from memory
+        too, so it reads as a miss.
         """
         rows = sorted(self.entries(), key=lambda r: r["mtime"])
         total = sum(r["bytes"] for r in rows)
@@ -166,6 +246,8 @@ class ContentStore:
             report["removed_bytes"] += row["bytes"]
             excess -= row["bytes"]
             if not dry_run:
+                with self._lock:
+                    self._forget(row["key"])
                 try:
                     os.unlink(row["path"])
                 except OSError:

@@ -6,7 +6,8 @@ Request lifecycle (``POST /v1/jobs``):
    400 without touching a worker.
 2. **CAS probe** — the canonical request hashes to a content key
    (:func:`repro.serve.protocol.request_key`); a stored result answers
-   immediately (``cached: true``).
+   immediately (``cached: true``), from the store's memory on the event
+   loop, or else from disk on the I/O threads.
 3. **Coalesce** — if an identical request is already in flight, the
    handler awaits the *same* future (``coalesced: true``): N clients
    asking for one simulation cost one simulation.  The job is owned by
@@ -196,7 +197,7 @@ class ServeMetrics:
             "Requests answered from the content-addressed store.")
         self._cas_misses = r.counter(
             "repro_serve_cas_misses_total",
-            "Store probes that found nothing.")
+            "Job probes that found nothing in the store.")
         self._cas_stores = r.counter(
             "repro_serve_cas_stores_total",
             "Results written to the content-addressed store.")
@@ -252,6 +253,9 @@ class ServeMetrics:
     def cas_hit(self) -> None:
         self._cas_hits.inc()
 
+    def cas_miss(self) -> None:
+        self._cas_misses.inc()
+
     def job_executed(self) -> None:
         self._executed.inc()
 
@@ -287,6 +291,10 @@ class ServeMetrics:
         return int(self._cas_hits.value)
 
     @property
+    def cas_misses(self) -> int:
+        return int(self._cas_misses.value)
+
+    @property
     def jobs_executed(self) -> int:
         return int(self._executed.value)
 
@@ -315,7 +323,6 @@ class ServeMetrics:
         self.queue_limit.set(server.config.queue_limit)
         self.workers_gauge.set(server.pool.size if server.pool else 0)
         self.traces_gauge.set(len(server.traces))
-        self._cas_misses.labels().set_from(server.store.misses)
         self._cas_stores.labels().set_from(server.store.stores)
         if server.pool is not None:
             self._restarts.labels().set_from(server.pool.restarts)
@@ -346,7 +353,7 @@ class ServeMetrics:
                          "by_label": by_label},
             "coalesce_hits": self.coalesce_hits,
             "cas": {"hits": self.cas_hits,
-                    "misses": server.store.misses,
+                    "misses": self.cas_misses,
                     "stores": server.store.stores},
             "jobs": {"executed": self.jobs_executed,
                      "errors": self.job_errors,
@@ -402,6 +409,7 @@ class Server:
         self._inflight: dict[str, _Inflight] = {}
         # CAS disk I/O runs on these threads, never on the event loop:
         # a slow disk or a full-store GC scan must not stall /healthz.
+        # Only a probe the store's memory cannot answer comes here.
         self._io = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="repro-serve-cas")
 
@@ -434,6 +442,14 @@ class Server:
         """Run one blocking ContentStore call off the event loop."""
         return await asyncio.get_running_loop().run_in_executor(
             self._io, fn, *args)
+
+    async def _lookup(self, key: str) -> dict | None:
+        """The stored result for ``key``: from the store's memory on the
+        loop, or else from disk on an I/O thread.  Read only."""
+        data = self.store.recall(key)
+        if data is None:
+            data = await self._store_io(self.store.get, key)
+        return data
 
     # -- connection handling ------------------------------------------
 
@@ -538,10 +554,11 @@ class Server:
         if not valid_key(key):
             return 404, error_body(
                 404, f"not a content key: {key[:32]!r}")
-        data = await self._store_io(self.store.get, key)
+        data = await self._lookup(key)
         if data is None:
             return 404, error_body(404, f"no stored result {key[:16]}…")
-        return 200, data
+        # A copy: _route adds latency_ms and request_id to the body.
+        return 200, dict(data)
 
     # -- job submission -----------------------------------------------
 
@@ -593,9 +610,11 @@ class Server:
         storable = norm["kind"] != "sleep"
         if storable:
             with span("serve", "probe") as probe:
-                hit = await self._store_io(self.store.get, key)
+                hit = await self._lookup(key)
                 probe["hit"] = hit is not None
-            if hit is not None:
+            if hit is None:
+                self.metrics.cas_miss()
+            else:
                 self.metrics.cas_hit()
                 self._finish_submit(request_id, spans, norm, key,
                                     200, "cached", log_ctx)

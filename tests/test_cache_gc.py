@@ -1,6 +1,7 @@
 """Tests for the content-addressed store's GC and the ``repro cache
-gc`` CLI, plus the concurrent-writer hardening of the shared disk
-layer (two-process race test)."""
+gc`` CLI, its bounded memory of recent entries, plus the
+concurrent-writer hardening of the shared disk layer (two-process race
+test)."""
 
 from __future__ import annotations
 
@@ -8,10 +9,16 @@ import io
 import json
 import multiprocessing
 import os
+import pickle
+import sys
+import threading
 import time
+
+import pytest
 
 from repro.bench.cache import RunCache
 from repro.cli import main
+from repro.serve import cas
 from repro.serve.cas import ContentStore, store_key
 
 
@@ -50,7 +57,6 @@ class TestKeyValidation:
             assert not valid_key(key), key
 
     def test_path_refuses_bad_keys(self, tmp_path):
-        import pytest
         store = ContentStore(tmp_path)
         for key in self.BAD:
             with pytest.raises(ValueError):
@@ -109,6 +115,128 @@ class TestContentStoreGC:
         assert not stale.exists()
 
 
+class TestMemory:
+    """The store's bounded memory: ``get`` answers from it before the
+    disk, ``recall`` from it alone."""
+
+    KEY = store_key({"m": 1})
+
+    def test_answers_after_the_file_is_gone(self, tmp_path):
+        store = ContentStore(tmp_path)
+        store.put(self.KEY, {"m": 1})
+        os.unlink(store._path(self.KEY))
+        assert store.recall(self.KEY) == {"m": 1}
+        assert store.get(self.KEY) == {"m": 1}
+        assert (store.hits, store.misses) == (2, 0)
+
+    def test_recall_never_reads_the_disk(self, tmp_path):
+        ContentStore(tmp_path).put(self.KEY, {"m": 1})
+        store = ContentStore(tmp_path)
+        assert store.recall(self.KEY) is None
+        assert (store.hits, store.misses) == (0, 0)  # no miss booked
+        assert store.get(self.KEY) == {"m": 1}      # a disk read...
+        assert store._memory_bytes == store._path(self.KEY).stat().st_size
+        os.unlink(store._path(self.KEY))
+        assert store.recall(self.KEY) == {"m": 1}   # ...remembered
+        assert store.get(store_key({"absent": 1})) is None
+        assert (store.hits, store.misses) == (2, 1)
+
+    def test_bound_evicts_least_recently_used(self, tmp_path,
+                                              monkeypatch):
+        def entry(i):
+            return {"i": i, "pad": "x" * 100}
+
+        size = len(json.dumps(entry(0)))
+        monkeypatch.setattr(cas, "MEMORY_BYTES", 3 * size)
+        store = ContentStore(tmp_path)
+        keys = [store_key({"e": i}) for i in range(4)]
+        for i in range(3):
+            store.put(keys[i], entry(i))
+            assert store._memory_bytes <= cas.MEMORY_BYTES
+        assert store.recall(keys[0]) == entry(0)  # 1 is now the oldest
+        store.put(keys[3], entry(3))
+        assert store._memory_bytes == 3 * size
+        assert store.recall(keys[1]) is None
+        assert [store.recall(keys[i]) for i in (0, 2, 3)] == \
+            [entry(0), entry(2), entry(3)]
+        # An entry larger than the bound is stored, never remembered.
+        big = store_key({"big": 1})
+        store.put(big, {"pad": "x" * (3 * size)})
+        assert store.recall(big) is None
+        assert store.get(big) is not None
+        assert store.recall(big) is None
+        assert store._memory_bytes == 3 * size
+
+    def test_failed_write_is_not_remembered(self, tmp_path, monkeypatch):
+        store = ContentStore(tmp_path)
+
+        def full_disk(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(OSError):
+            store.put(self.KEY, {"m": 1})
+        monkeypatch.undo()
+        with pytest.raises(TypeError):
+            store.put(self.KEY, {"bad": object()})
+        assert store.recall(self.KEY) is None
+        assert (store.stores, store._memory_bytes) == (0, 0)
+        assert list(tmp_path.glob("??/*")) == []
+
+    def test_pickles_with_empty_memory(self, tmp_path):
+        store = RunCache(tmp_path)
+        store.put(self.KEY, {"m": 1})
+        clone = pickle.loads(pickle.dumps(store))
+        assert type(clone) is RunCache
+        assert (clone.root, clone.stores) == (store.root, 1)
+        assert clone.recall(self.KEY) is None
+        assert clone.get(self.KEY) == {"m": 1}      # from disk
+        os.unlink(store._path(self.KEY))
+        assert clone.recall(self.KEY) == {"m": 1}   # its own memory
+        assert store.recall(self.KEY) == {"m": 1}   # the original's
+        with clone._lock:                            # a working lock
+            assert clone._memory_bytes > 0
+
+    def test_threads_share_one_store(self, tmp_path, monkeypatch):
+        """Four threads putting, getting and recalling overlapping keys,
+        with a bound small enough to evict all the time."""
+        monkeypatch.setattr(cas, "MEMORY_BYTES", 1000)
+        store = ContentStore(tmp_path)
+        keys = [store_key({"t": i}) for i in range(12)]
+        errors = []
+
+        def work(seed):
+            try:
+                for n in range(300):
+                    i = (seed * 5 + n) % len(keys)
+                    if n % 3 == 0:
+                        store.put(keys[i], {"t": i, "pad": "z" * 100})
+                        continue
+                    data = (store.get if n % 3 == 1 else store.recall)(
+                        keys[i])
+                    assert data is None or data["t"] == i, (i, data)
+            except BaseException as exc:  # pragma: no cover - failure
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,))
+                       for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.stores == 4 * 100
+        assert store._memory_bytes == sum(
+            size for _, size in store._memory.values())
+        assert store._memory_bytes <= cas.MEMORY_BYTES
+
+
 class TestCacheGCCLI:
     def test_dry_run_then_real(self, tmp_path):
         store = ContentStore(tmp_path)
@@ -150,8 +278,8 @@ def _hammer(root: str, worker: int, iterations: int, out):
             key = store_key({"slot": i % 5})
             store.put(key, {"worker": worker, "i": i,
                             "pad": "y" * 500})
-            store._mem.clear()  # force disk reads
-            data = store.get(key)
+            # A fresh instance has nothing in memory: it reads the disk.
+            data = RunCache(root).get(key)
             # A concurrent GC may have evicted it; what's not allowed
             # is a torn/partial read.
             assert data is None or (isinstance(data, dict)
@@ -187,7 +315,9 @@ class TestConcurrentWriters:
         # Simulate a torn write from a non-atomic writer.
         path = store._path(key)
         path.write_bytes(path.read_bytes()[:5])
-        assert store.get(key) is None
+        # The writer remembers what it wrote; a reader with nothing in
+        # memory sees the torn file.
+        assert ContentStore(tmp_path).get(key) is None
 
     def test_schema_drifted_row_is_miss_for_runner(self, tmp_path):
         """A cached row whose keys no longer match VariantResult must
@@ -202,12 +332,11 @@ class TestConcurrentWriters:
         def wl():
             return IntegerSort(num_keys=1000, num_buckets=1 << 10)
 
-        cache = RunCache(tmp_path)
         key = run_key(print_module(wl().build_variant("plain")),
                       HASWELL, wl(), True, SimOptions())
-        cache.put(key, {"not_a_field": 1})
-        cache._mem.clear()
-        result = run_variant(wl(), "plain", HASWELL, cache=cache)
+        RunCache(tmp_path).put(key, {"not_a_field": 1})
+        result = run_variant(wl(), "plain", HASWELL,
+                             cache=RunCache(tmp_path))
         assert result.cycles > 0
 
     def test_crashed_writer_leaves_no_entry(self, tmp_path):

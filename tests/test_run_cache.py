@@ -125,10 +125,9 @@ class TestRunCacheStore:
         assert (rc.misses, rc.stores, rc2.hits) == (1, 1, 1)
 
     def test_corrupted_entry_is_a_miss(self, tmp_path):
-        rc = RunCache(tmp_path)
         key = "cd" * 32
-        rc.put(key, {"cycles": 2.0})
-        rc._mem.clear()
+        RunCache(tmp_path).put(key, {"cycles": 2.0})
+        rc = RunCache(tmp_path)  # nothing in memory: reads the disk
         rc._path(key).write_text("{not json")
         assert rc.get(key) is None
         rc._path(key).write_text(json.dumps([1, 2]))  # wrong shape

@@ -481,6 +481,108 @@ class TestServerFaults:
         serve_scenario(scenario)(tmp_path)
 
 
+class TestStoreMemory:
+    """Repeated requests answered from the store's memory, on the event
+    loop, and the probe counters behind ``/metrics``."""
+
+    COMPILE = {"kind": "compile", "source": VALID_KERNEL}
+
+    def test_remembered_hit_skips_the_io_pool(self, tmp_path):
+        """A sibling of test_slow_store_does_not_block_event_loop: once
+        a result is remembered, a repeat answers at once without a
+        thread-pool call, however slow a disk read would be."""
+        import time
+
+        async def scenario(server):
+            status, first = await roundtrip(server, self.COMPILE)
+            assert (status, first["cached"]) == (200, False)
+            calls = []
+            store_io = server._store_io
+
+            async def counting_io(fn, *args):
+                calls.append(fn)
+                return await store_io(fn, *args)
+
+            def slow_get(key):
+                time.sleep(1.5)
+                return None
+            server._store_io = counting_io
+            server.store.get = slow_get
+            t0 = time.monotonic()
+            status, second = await roundtrip(server, self.COMPILE)
+            assert (status, second["cached"]) == (200, True)
+            assert time.monotonic() - t0 < 1.0
+            assert calls == []
+            assert canonical(second["result"]) == \
+                canonical(first["result"])
+        serve_scenario(scenario)(tmp_path)
+
+    def test_memory_hit_body_matches_disk_hit_body(self, tmp_path):
+        """The same stored result answers alike from memory and, on a
+        second server over the same root, from disk."""
+        request = {"workload": "is", "small": True, "variant": "plain",
+                   "include": ["telemetry"]}
+        bodies = []
+
+        async def first_server(server):
+            await roundtrip(server, request)             # fresh
+            status, body = await roundtrip(server, request)
+            assert server.store.misses == 1              # only the fresh
+            bodies.append((status, body))
+
+        async def second_server(server):
+            key = bodies[0][1]["key"]
+            assert server.store.recall(key) is None      # empty memory
+            status, body = await roundtrip(server, request)
+            assert server.store.misses == 0              # read the disk
+            bodies.append((status, body))
+
+        serve_scenario(first_server)(tmp_path)
+        serve_scenario(second_server)(tmp_path)
+        for status, body in bodies:
+            assert (status, body["cached"]) == (200, True)
+            del body["latency_ms"], body["request_id"]
+        # Unsorted: key order is part of the bytes.
+        assert json.dumps(bodies[0][1]) == json.dumps(bodies[1][1])
+
+    def test_read_back_leaves_the_memory_alone(self, tmp_path):
+        """The server writes latency_ms and request_id into every ok
+        body; a read-back body must be a copy of the remembered one."""
+        async def scenario(server):
+            status, first = await roundtrip(server, self.COMPILE)
+            for _ in range(2):
+                status, stored = await roundtrip(
+                    server, None, "GET", f"/v1/store/{first['key']}")
+                assert status == 200
+                assert "latency_ms" in stored and "request_id" in stored
+            remembered = server.store.recall(first["key"])
+            assert "latency_ms" not in remembered
+            assert "request_id" not in remembered
+        serve_scenario(scenario)(tmp_path)
+
+    def test_cas_misses_count_job_probes_only(self, tmp_path):
+        """A read-back of an unknown key is not a job probe: /metrics
+        cas.misses moves only when a job finds nothing stored."""
+        async def scenario(server):
+            async def cas():
+                status, body = await roundtrip(server, None, "GET",
+                                               "/metrics")
+                return body["cas"]
+
+            status, _ = await roundtrip(server, None, "GET",
+                                        f"/v1/store/{'0' * 64}")
+            assert status == 404
+            assert await cas() == {"hits": 0, "misses": 0, "stores": 0}
+            for _ in range(2):
+                status, _ = await roundtrip(server, self.COMPILE)
+                assert status == 200
+            assert await cas() == {"hits": 1, "misses": 1, "stores": 1}
+            status, text = await roundtrip(
+                server, None, "GET", "/metrics?format=prometheus")
+            assert "repro_serve_cas_misses_total 1\n" in text["raw"]
+        serve_scenario(scenario)(tmp_path)
+
+
 class TestWorkerPoolUnit:
     def test_sigterm_takes_workers_down(self, tmp_path):
         """Terminating `repro serve` must not orphan the pool: forked
