@@ -27,13 +27,15 @@ from ..machine.configs import MachineConfig
 from ..machine.interpreter import Interpreter
 from ..machine.memory import Memory
 from ..passes.prefetch import PrefetchOptions
-from ..telemetry.spans import span
+from ..remarks.emitter import active_emitter
+from ..telemetry.spans import active_recorder, span
 from ..telemetry.timeline import TimelineRecorder
 from ..workloads.base import Workload
 from .cache import RunCache, run_key
 
-#: In-process telemetry: actual simulations vs. cache hits, and total
-#: simulated instructions — read by ``perf/`` and ``bench --hot-report``.
+#: Run telemetry: actual simulations vs. cache hits, and total
+#: simulated instructions, with :func:`run_specs` workers' counts
+#: merged back — read by ``perf/`` and ``bench --hot-report``.
 TELEMETRY = {"simulated_runs": 0, "cached_runs": 0,
              "simulated_instructions": 0}
 
@@ -87,10 +89,10 @@ def reset_telemetry() -> None:
 
 @contextmanager
 def collecting_traces():
-    """Collect per-trace rows from every run simulated in this process
-    inside the block, each tagged with the run's workload/variant/
-    machine — the raw material of ``repro bench --hot-report``.  Pooled
-    workers and cache hits contribute nothing."""
+    """Collect per-trace rows from every run simulated inside the
+    block, each tagged with the run's workload/variant/machine — the
+    raw material of ``repro bench --hot-report``.  Cache hits
+    contribute nothing."""
     rows: list[dict] = []
     token = _TRACE_ROWS.set(rows)
     try:
@@ -262,10 +264,37 @@ def resolve_jobs(jobs: int | None = None) -> int:
 
 def _run_group(payload) -> list:
     """Run one workload's specs serially, in order, under the
-    defaults the submitting process resolved (pool worker, or inline)."""
+    defaults the submitting process resolved."""
     specs, sim, cache = payload
     with run_defaults(sim, cache):
         return [spec.run() for spec in specs]
+
+
+def _sinks() -> list[list]:
+    """The lists this context's sinks append to — span records,
+    remarks, :func:`collecting_traces` rows — with a throwaway list for
+    each one not installed."""
+    recorder, emitter, rows = (active_recorder(), active_emitter(),
+                               _TRACE_ROWS.get())
+    return [[] if recorder is None else recorder.records,
+            [] if emitter is None else emitter.remarks,
+            [] if rows is None else rows]
+
+
+def _run_forked(payload) -> list:
+    """:func:`_run_group` in a forked worker, which holds copies of the
+    caller's sinks: each result comes back with what its run appended
+    to them and added to :data:`TELEMETRY`."""
+    specs, sim, cache = payload
+    sinks = _sinks()
+    out = []
+    with run_defaults(sim, cache):
+        for spec in specs:
+            marks, counts = [len(s) for s in sinks], dict(TELEMETRY)
+            result = spec.run()
+            out.append((result, [s[m:] for s, m in zip(sinks, marks)],
+                        {k: TELEMETRY[k] - n for k, n in counts.items()}))
+    return out
 
 
 def run_specs(specs: list[RunSpec], jobs: int | None = None,
@@ -276,7 +305,9 @@ def run_specs(specs: list[RunSpec], jobs: int | None = None,
     in submission order (``prepare`` draws from the instance's shared
     RNG, so order determines each run's inputs); distinct instances are
     independent and run in parallel.  Results come back in submission
-    order and are bit-identical to a serial :func:`run_variant` loop.
+    order and are bit-identical to a serial :func:`run_variant` loop;
+    so do the spans, remarks, trace rows and :data:`TELEMETRY` counts
+    the runs observe, merged spec by spec into the caller's sinks.
     ``cache`` and every spec's ``sim`` left ``None`` resolve against
     :func:`run_defaults` here, in the calling process.
     """
@@ -294,15 +325,21 @@ def run_specs(specs: list[RunSpec], jobs: int | None = None,
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - platforms without fork
         return _run_group((specs, sim, run_cache))
-    results: list = [None] * len(specs)
+    ran: list = [None] * len(specs)
     with ctx.Pool(min(jobs, len(payloads))) as pool:
         for idxs, group in zip(groups.values(),
-                               pool.map(_run_group, payloads)):
-            for i, result in zip(idxs, group):
-                results[i] = result
-    # Child-side telemetry and in-memory cache entries do not propagate
-    # back; disk entries do.
-    return results
+                               pool.map(_run_forked, payloads)):
+            for i, one in zip(idxs, group):
+                ran[i] = one
+    sinks = _sinks()
+    for _, tails, counts in ran:
+        for sink, tail in zip(sinks, tails):
+            sink.extend(tail)
+        for key, n in counts.items():
+            TELEMETRY[key] += n
+    # Workers' in-memory cache entries stay behind; disk entries are
+    # shared.
+    return [result for result, _, _ in ran]
 
 
 @dataclass

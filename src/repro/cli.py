@@ -41,9 +41,10 @@ def _version() -> str:
         return __version__
 
 
-def _lookahead(text: str) -> int:
-    """``--lookahead`` type: an integer >= 1, the precondition
-    :func:`repro.passes.prefetch.scheduling.schedule_chain` enforces."""
+def _at_least_one(text: str) -> int:
+    """Type of ``--lookahead`` and ``--jobs``: an integer >= 1 — the
+    precondition :func:`repro.passes.prefetch.scheduling.schedule_chain`
+    enforces, and a worker count."""
     try:
         if int(text) >= 1:
             return int(text)
@@ -65,8 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
     # Flags several commands share: one definition, checked at parse time.
     lookahead = argparse.ArgumentParser(add_help=False)
     lookahead.add_argument(
-        "--lookahead", type=_lookahead, default=64, metavar="C",
+        "--lookahead", type=_at_least_one, default=64, metavar="C",
         help="look-ahead constant c of eq. (1) (default 64)")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument(
+        "--jobs", type=_at_least_one, default=None, metavar="N",
+        help="worker processes for independent runs "
+             "(default: the available CPUs)")
     variant = argparse.ArgumentParser(add_help=False)
     variant.add_argument(
         "--variant", default="auto", choices=VARIANTS,
@@ -98,17 +104,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("systems", help="print the simulated machines")
 
     bench_cmd = sub.add_parser(
-        "bench", help="run one figure's experiment and print its table")
+        "bench", parents=[jobs],
+        help="run one figure's experiment and print its table")
     bench_cmd.add_argument(
         "figure",
         help="which figure to reproduce (fig2, fig4a-d, fig5-fig10)")
     bench_cmd.add_argument(
         "--small", action="store_true",
         help="scaled-down workloads (quick smoke sizes)")
-    bench_cmd.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for independent runs "
-             "(default: the available CPUs)")
     bench_cmd.add_argument(
         "--no-cache", action="store_true",
         help="disable the run-result disk cache")
@@ -117,9 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cache root (default: REPRO_SIM_CACHE_DIR or .sim-cache)")
     bench_cmd.add_argument(
         "--hot-report", action="store_true",
-        help="run the figure with the disk cache off in a single "
-             "process and print the hottest compiled traces and their "
-             "TraceCompiled/TraceDeopt remarks")
+        help="run the figure with the disk cache off and print the "
+             "hottest compiled traces and their TraceCompiled/TraceDeopt "
+             "remarks")
     bench_cmd.add_argument(
         "--hot-top", type=int, default=10, metavar="N",
         help="rows in the --hot-report table (default 10)")
@@ -130,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "Prometheus text exposition to FILE")
 
     stats_cmd = sub.add_parser(
-        "stats", parents=[variant, lookahead],
+        "stats", parents=[variant, lookahead, jobs],
         help="prefetch-telemetry report for a workload or figure")
     stats_cmd.add_argument(
         "target",
@@ -147,12 +150,9 @@ def _build_parser() -> argparse.ArgumentParser:
     stats_cmd.add_argument(
         "--json", action="store_true",
         help="emit the machine-readable JSON report instead of a table")
-    stats_cmd.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for independent runs")
 
     explain_cmd = sub.add_parser(
-        "explain", parents=[variant, lookahead],
+        "explain", parents=[variant, lookahead, jobs],
         help="join compile-time prefetch remarks with runtime outcomes")
     explain_cmd.add_argument(
         "target",
@@ -172,9 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     explain_cmd.add_argument(
         "--remarks-out", metavar="FILE",
         help="also write the per-workload remark streams as JSON")
-    explain_cmd.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for independent runs")
 
     timeline_cmd = sub.add_parser(
         "timeline", parents=[variant, lookahead],
@@ -484,7 +481,7 @@ _FIGURES = {
 }
 
 
-def _bench_hot_report(figure, args: argparse.Namespace, out) -> int:
+def _bench_hot_report(figure, args: argparse.Namespace, out) -> None:
     """Run one figure and print the hottest compiled traces: loop
     header, iteration count and share of the simulated instructions,
     under a title giving the share that ran on traces; then
@@ -496,10 +493,9 @@ def _bench_hot_report(figure, args: argparse.Namespace, out) -> int:
     from .remarks import RemarkEmitter, collecting, render_remarks
     reset_telemetry()
     emitter = RemarkEmitter()
-    # jobs=1: pooled workers keep their trace rows.  (_run_cache
-    # installs no cache here: cached runs execute nothing.)
+    # _run_cache installs no cache here: cached runs execute nothing.
     with collecting(emitter), collecting_traces() as rows:
-        table = figure(args.small, 1)
+        table = figure(args.small, args.jobs)
     print(table, file=out)
     total = TELEMETRY["simulated_instructions"]
     rows.sort(key=lambda r: r["instructions"], reverse=True)
@@ -527,7 +523,6 @@ def _bench_hot_report(figure, args: argparse.Namespace, out) -> int:
     print(render_remarks(trace_remarks,
                          title="Trace-JIT remarks (repro-remarks-v1):"),
           file=out)
-    return 0
 
 
 def _cmd_bench(args: argparse.Namespace, out) -> int:
@@ -536,18 +531,20 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
         return _unknown_target(
             "bench", args.figure,
             "a figure (" + ", ".join(sorted(_FIGURES)) + ")")
-    if args.hot_report:
-        return _bench_hot_report(figure, args, out)
-    if not args.obs_out:
-        print(figure(args.small, args.jobs), file=out)
-        return 0
+    from contextlib import nullcontext
+
     from .telemetry.spans import SpanRecorder, recording
-    with recording(SpanRecorder()) as recorder:
-        print(figure(args.small, args.jobs), file=out)
-    with open(args.obs_out, "w") as handle:
-        handle.write(_bench_metrics(recorder).render_prometheus())
-    print(f"wrote bench metrics exposition to {args.obs_out}",
-          file=sys.stderr)
+    recorder = SpanRecorder()
+    with recording(recorder) if args.obs_out else nullcontext():
+        if args.hot_report:
+            _bench_hot_report(figure, args, out)
+        else:
+            print(figure(args.small, args.jobs), file=out)
+    if args.obs_out:
+        with open(args.obs_out, "w") as handle:
+            handle.write(_bench_metrics(recorder).render_prometheus())
+        print(f"wrote bench metrics exposition to {args.obs_out}",
+              file=sys.stderr)
     return 0
 
 
@@ -701,8 +698,8 @@ def _cmd_timeline(args: argparse.Namespace, out) -> int:
         print(f"error: --window must be positive (got {args.window})",
               file=sys.stderr)
         return 2
-    # Runs are serial and span-traced: the recorder is in-process, so
-    # no worker pool (see repro.telemetry.spans).
+    # Runs are serial: the Perfetto pipeline track puts each span
+    # category on one thread, where parallel runs' spans would overlap.
     recorder = SpanRecorder()
     with recording(recorder):
         rows = timeline_rows(workloads, machine, variant=args.variant,

@@ -8,8 +8,9 @@ The ``repro explain`` pipeline, per workload:
    cache and PC assignment line up;
 2. predict each prefetch's runtime PC from its stable ``remark_id``
    (:func:`repro.machine.interpreter.static_prefetch_pcs`);
-3. run ``plain`` and the variant with telemetry on (same order as the
-   effectiveness report, so inputs are identical to those runs);
+3. run ``plain`` and the variant with telemetry on — the runs of the
+   effectiveness report (:func:`repro.telemetry.report.paired_runs`),
+   on identical inputs;
 4. join every ``PrefetchInserted`` / ``PrefetchHoisted`` /
    ``BaselinePrefetchInserted`` remark to the run's per-PC outcome bins.
 
@@ -19,13 +20,11 @@ depends on :mod:`repro.bench`, which imports back into telemetry.
 
 from __future__ import annotations
 
-import dataclasses
-
 from ..bench.reporting import format_table
-from ..bench.runner import RunSpec, current_sim, run_specs
 from ..machine.configs import ALL_SYSTEMS, MachineConfig
 from ..machine.interpreter import static_prefetch_pcs
 from ..telemetry.outcomes import OUTCOMES
+from ..telemetry.report import paired_runs
 from ..workloads.base import Workload
 from .emitter import RemarkEmitter, collecting
 from .serialize import dumps_stream, remark_to_dict
@@ -102,31 +101,15 @@ def explain_rows(workloads: list[Workload],
                  variant: str = "auto", lookahead: int = 64,
                  options=None, jobs: int | None = None,
                  cache=None) -> list[dict]:
-    """One join row per (workload, machine).
-
-    Runs ``plain`` and ``variant`` with telemetry on, in the exact spec
-    order of :func:`repro.telemetry.report.effectiveness_rows`, so both
-    reports see identical inputs (``prepare`` draws from each workload
-    instance's RNG in submission order).
-    """
-    sim = dataclasses.replace(current_sim(), telemetry=True)
-    specs = []
-    for workload in workloads:
-        for machine in machines:
-            specs.append(RunSpec(workload, "plain", machine,
-                                 lookahead=lookahead, sim=sim))
-            specs.append(RunSpec(workload, variant, machine,
-                                 lookahead=lookahead, options=options,
-                                 sim=sim))
-    results = iter(run_specs(specs, jobs=jobs, cache=cache))
-    rows = []
-    for workload in workloads:
-        for machine in machines:
-            plain, pref = next(results), next(results)
-            rows.append(explain_workload(
-                workload, machine, plain, pref, variant=variant,
-                lookahead=lookahead, options=options))
-    return rows
+    """One join row per (workload, machine), over the runs of
+    :func:`repro.telemetry.report.paired_runs` — the same runs, on the
+    same inputs, as ``repro stats``."""
+    return [explain_workload(workload, machine, plain, pref,
+                             variant=variant, lookahead=lookahead,
+                             options=options)
+            for (workload, machine), plain, pref in paired_runs(
+                workloads, machines, variant, lookahead, options,
+                jobs=jobs, cache=cache)]
 
 
 def render_explain(rows: list[dict]) -> str:

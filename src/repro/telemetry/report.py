@@ -31,6 +31,32 @@ COLUMNS = ["Benchmark", "Machine", "Speedup", "Issued", "Timely",
            "Accuracy", "Timeliness", "Stall Δ%"]
 
 
+def paired_runs(workloads: list[Workload],
+                machines: tuple[MachineConfig, ...] = ALL_SYSTEMS,
+                variant: str = "auto", lookahead: int = 64,
+                options=None, jobs: int | None = None,
+                cache=None) -> list[tuple]:
+    """Run ``plain`` and ``variant`` with telemetry on, for every
+    (workload, machine) in that order; returns ``((workload,
+    machine), plain, prefetched)`` per pair.
+
+    ``repro stats`` and ``repro explain`` both run these specs, so both
+    see identical inputs (``prepare`` draws from each workload
+    instance's RNG in submission order).
+    """
+    sim = dataclasses.replace(current_sim(), telemetry=True)
+    pairs = [(w, m) for w in workloads for m in machines]
+    specs = []
+    for workload, machine in pairs:
+        specs.append(RunSpec(workload, "plain", machine,
+                             lookahead=lookahead, sim=sim))
+        specs.append(RunSpec(workload, variant, machine,
+                             lookahead=lookahead, options=options,
+                             sim=sim))
+    results = run_specs(specs, jobs=jobs, cache=cache)
+    return list(zip(pairs, results[::2], results[1::2]))
+
+
 def effectiveness_rows(workloads: list[Workload],
                        machines: tuple[MachineConfig, ...] = ALL_SYSTEMS,
                        variant: str = "auto",
@@ -44,47 +70,35 @@ def effectiveness_rows(workloads: list[Workload],
     issue_cost``) from plain to the prefetched variant — negative means
     the prefetches removed stall time.
     """
-    sim = dataclasses.replace(current_sim(), telemetry=True)
-    specs = []
-    for workload in workloads:
-        for machine in machines:
-            specs.append(RunSpec(workload, "plain", machine,
-                                 lookahead=lookahead, sim=sim))
-            specs.append(RunSpec(workload, variant, machine,
-                                 lookahead=lookahead, sim=sim))
-    results = iter(run_specs(specs, jobs=jobs, cache=cache))
     rows = []
-    for workload in workloads:
-        for machine in machines:
-            plain, pref = next(results), next(results)
-            tel = pref.telemetry or {}
-            prefetch = tel.get("prefetch", {})
-            outcomes = prefetch.get("outcomes", {})
-            plain_core = ((plain.telemetry or {}).get("cycles", {})
-                          .get("core") or {})
-            pref_core = (tel.get("cycles", {}).get("core") or {})
-            plain_stall = plain_core.get("stall_cycles", 0.0)
-            pref_stall = pref_core.get("stall_cycles", 0.0)
-            rows.append({
-                "workload": workload.name,
-                "machine": machine.name,
-                "variant": variant,
-                "speedup": (plain.cycles / pref.cycles
-                            if pref.cycles else 0.0),
-                "issued": prefetch.get("issued", 0),
-                "outcomes": dict(outcomes),
-                "accuracy": prefetch.get("accuracy", 0.0),
-                "timeliness": prefetch.get("timeliness", 0.0),
-                "late_wait_cycles": prefetch.get("late_wait_cycles",
-                                                 0.0),
-                "cycles_by_source": dict(tel.get("cycles", {})
-                                         .get("by_source", {})),
-                "stall_cycles_plain": plain_stall,
-                "stall_cycles_prefetched": pref_stall,
-                "stall_delta_pct": (100.0 * (pref_stall / plain_stall
-                                             - 1.0)
-                                    if plain_stall else 0.0),
-            })
+    for (workload, machine), plain, pref in paired_runs(
+            workloads, machines, variant, lookahead, jobs=jobs,
+            cache=cache):
+        tel = pref.telemetry or {}
+        prefetch = tel.get("prefetch", {})
+        outcomes = prefetch.get("outcomes", {})
+        plain_core = ((plain.telemetry or {}).get("cycles", {})
+                      .get("core") or {})
+        pref_core = (tel.get("cycles", {}).get("core") or {})
+        plain_stall = plain_core.get("stall_cycles", 0.0)
+        pref_stall = pref_core.get("stall_cycles", 0.0)
+        rows.append({
+            "workload": workload.name,
+            "machine": machine.name,
+            "variant": variant,
+            "speedup": plain.cycles / pref.cycles if pref.cycles else 0.0,
+            "issued": prefetch.get("issued", 0),
+            "outcomes": dict(outcomes),
+            "accuracy": prefetch.get("accuracy", 0.0),
+            "timeliness": prefetch.get("timeliness", 0.0),
+            "late_wait_cycles": prefetch.get("late_wait_cycles", 0.0),
+            "cycles_by_source": dict(tel.get("cycles", {})
+                                     .get("by_source", {})),
+            "stall_cycles_plain": plain_stall,
+            "stall_cycles_prefetched": pref_stall,
+            "stall_delta_pct": (100.0 * (pref_stall / plain_stall - 1.0)
+                                if plain_stall else 0.0),
+        })
     return rows
 
 
@@ -120,11 +134,12 @@ def timeline_rows(workloads: list[Workload],
                   cache=None) -> list[dict]:
     """Run each workload with telemetry + timeline sampling enabled.
 
-    Runs are **serial** (no worker pool): the flight recorder's span
-    records live in-process, and forked workers would drop them.  The
-    resulting ``repro-timeline-v1`` snapshot rides the row (from the
-    live run or from the disk cache — the snapshot is cached with the
-    result, keyed by the window among the other engine options).
+    Runs are **serial** (no worker pool): the Perfetto export's
+    pipeline track puts each span category on one thread, where
+    parallel runs' spans would overlap.  The resulting
+    ``repro-timeline-v1`` snapshot rides the row (from the live run or
+    from the disk cache — the snapshot is cached with the result, keyed
+    by the window among the other engine options).
     """
     sim = dataclasses.replace(current_sim(), telemetry=True,
                               timeline_window=window)

@@ -19,11 +19,9 @@ closes after its children), which is deterministic for a deterministic
 pipeline; only the wall-clock timestamps vary run to run, and the
 export's canonical form zeroes them.
 
-Process scope: the recorder is in-process only.  Forked bench workers
-(``run_specs`` with ``jobs > 1``) do not propagate their spans back,
-like the trace report — drive runs serially when tracing.  (Serve
-workers ship theirs back over the pool pipe; see
-:mod:`repro.obs.trace`.)
+A forked worker's records come back to the recorder its caller
+installed: ``run_specs`` merges them spec by spec, and serve workers
+ship theirs over the pool pipe (:mod:`repro.obs.trace`).
 """
 
 from __future__ import annotations

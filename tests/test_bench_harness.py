@@ -6,7 +6,7 @@ from repro.bench import (fig2_prefetch_schemes, format_series,
                          format_table, geometric_mean, manual_knobs_for,
                          run_variant, speedup_row, table1_rows)
 from repro.machine import A53, HASWELL
-from repro.workloads import Graph500, IntegerSort, hj2
+from repro.workloads import Graph500, IntegerSort, RandomAccess, hj2
 
 
 class TestFormatting:
@@ -78,6 +78,50 @@ class TestRunner:
         rows = table1_rows()
         assert len(rows) == 4
         assert all("Caches" in r for r in rows)
+
+
+class TestRunSpecsObservations:
+    """Forked ``run_specs`` workers hand back what their runs observed:
+    at ``jobs=2`` every sink the caller installed reads as the serial
+    loop leaves it, even with two instances' specs interleaved."""
+
+    @staticmethod
+    def observe(jobs):
+        from repro.bench.runner import (TELEMETRY, RunSpec,
+                                        collecting_traces, run_specs)
+        from repro.remarks import (RemarkEmitter, canonical_stream,
+                                   collecting, dumps_stream)
+        from repro.telemetry.spans import SpanRecorder, recording
+        keys = IntegerSort(num_keys=800, num_buckets=1 << 12)
+        table = RandomAccess(nblocks=15, table_size=1 << 12)
+        specs = [RunSpec(wl, variant, HASWELL)
+                 for variant in ("plain", "auto") for wl in (keys, table)]
+        before = dict(TELEMETRY)
+        recorder, emitter = SpanRecorder(), RemarkEmitter()
+        with recording(recorder), collecting(emitter), \
+                collecting_traces() as rows:
+            results = run_specs(specs, jobs=jobs, cache=False)
+        return {
+            "results": results,
+            # PassExecuted's wall_us zeroed.
+            "remarks": canonical_stream(dumps_stream(emitter.remarks)),
+            "rows": rows,
+            "telemetry": {k: TELEMETRY[k] - n for k, n in before.items()},
+            # Everything but the wall-clock timestamps.
+            "spans": [(r["type"], r["category"], r["name"], r["args"])
+                      for r in recorder.records],
+        }
+
+    def test_jobs_2_observes_what_jobs_1_does(self):
+        serial, forked = self.observe(1), self.observe(2)
+        assert serial["telemetry"] == {
+            "simulated_runs": 4, "cached_runs": 0,
+            "simulated_instructions": sum(
+                r.instructions for r in serial["results"])}
+        assert serial["rows"] and serial["remarks"].count("\n") > 4
+        assert [s[2] for s in serial["spans"]].count("run_variant") == 4
+        for sink in serial:
+            assert forked[sink] == serial[sink], sink
 
 
 class TestDeterminism:

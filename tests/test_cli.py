@@ -147,8 +147,9 @@ class TestUniformUnknownTargets:
 
 
 class TestBadRunFlags:
-    """A bad ``--lookahead`` or ``--variant`` is a usage error: argparse
-    exits 2 with one error line, before anything compiles or runs."""
+    """A bad ``--lookahead``, ``--variant`` or ``--jobs`` is a usage
+    error: argparse exits 2 with one error line, before anything
+    compiles or runs."""
 
     @staticmethod
     def assert_usage_error(argv, flag, capsys):
@@ -166,11 +167,14 @@ class TestBadRunFlags:
             ["compile", source_file, "--prefetch", "--lookahead", value],
             "--lookahead", capsys)
 
-    @pytest.mark.parametrize("flag,value", (("--lookahead", "0"),
-                                            ("--lookahead", "-5"),
-                                            ("--variant", "nope")))
-    @pytest.mark.parametrize("command",
-                             ("stats", "explain", "timeline", "submit"))
+    @pytest.mark.parametrize("command,flag,value", [
+        (command, flag, value)
+        for command in ("stats", "explain", "timeline", "submit")
+        for flag, value in (("--lookahead", "0"), ("--lookahead", "-5"),
+                            ("--variant", "nope"))] + [
+        (command, "--jobs", value)
+        for command in ("bench", "stats", "explain")
+        for value in ("0", "-3")])
     def test_run_commands(self, command, flag, value, capsys):
         self.assert_usage_error([command, "is", "--small", flag, value],
                                 flag, capsys)
@@ -205,6 +209,17 @@ class TestBenchHotReport:
         assert share and float(share.group(1)) >= 97.0
         (deopts,) = re.findall(r"TraceDeopt by stage/reason: (.*)", out)
         assert "low-yield" not in deopts
+
+    def test_hot_report_same_at_jobs_2(self):
+        """Forked workers hand back their trace rows, remarks and
+        instruction counts: the report reads the same at any
+        ``--jobs``."""
+        serial = run_cli("bench", "fig5", "--small", "--hot-report",
+                         "--jobs", "1")
+        forked = run_cli("bench", "fig5", "--small", "--hot-report",
+                         "--jobs", "2")
+        assert serial[0] == 0 and "top 10 of" in serial[1]
+        assert forked == serial
 
     def test_trace_rows_kept_only_while_collecting(self):
         """Runs outside ``collecting_traces`` (every run but a hot
@@ -305,6 +320,49 @@ class TestBenchObsOut:
         assert sum(value for _, value in runs) == 5
         assert {labels["cached"] for labels, _ in runs} == {"true"}
         assert counts == {"build": 5}
+
+    def test_fig5_samples_same_at_jobs_2(self, tmp_path):
+        """fig5 runs seven workload instances through ``run_specs``,
+        which forks at ``--jobs 2``; the workers hand their spans back,
+        so both expositions hold the same samples."""
+        seen = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"fig5-{jobs}.prom"
+            table = self._bench("fig5", "--small", "--no-cache", "--jobs",
+                                jobs, "--obs-out", str(path))
+            seen.append((table, *self._samples(path)))
+        assert seen[1] == seen[0]
+        _, runs, counts = seen[0]
+        assert sum(value for _, value in runs) == 21
+        assert counts == {"build": 21, "prepare": 21, "simulate": 21,
+                          "validate": 21}
+
+    def test_warm_fig5_rerun_at_jobs_2(self, tmp_path):
+        """The warm re-run's hits, made in forked workers, reach the
+        exposition as only ``cached="true"`` build work."""
+        store, path = str(tmp_path / "cache"), tmp_path / "warm.prom"
+        cold = self._bench("fig5", "--small", "--jobs", "2",
+                           "--cache-dir", store)
+        warm = self._bench("fig5", "--small", "--jobs", "2",
+                           "--cache-dir", store, "--obs-out", str(path))
+        assert warm == cold
+        runs, counts = self._samples(path)
+        assert sum(value for _, value in runs) == 21
+        assert {labels["cached"] for labels, _ in runs} == {"true"}
+        assert counts == {"build": 21}
+
+    def test_hot_report_writes_obs_out(self, tmp_path):
+        """``--hot-report`` with ``--obs-out`` prints the report and
+        writes the exposition of its uncached runs."""
+        path = tmp_path / "hot.prom"
+        out = self._bench("fig2", "--small", "--hot-report", "--obs-out",
+                          str(path))
+        assert "Hottest traces" in out
+        runs, counts = self._samples(path)
+        assert sum(value for _, value in runs) == 5
+        assert {labels["cached"] for labels, _ in runs} == {"false"}
+        assert counts == {"build": 5, "prepare": 5, "simulate": 5,
+                          "validate": 5}
 
 
 class TestBenchOptionScope:
