@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..obs.sinks import span
 from ..serve.cas import ContentStore
-from ..telemetry.spans import span
 
 #: Bump when cached-result semantics change without a source change
 #: of :data:`_SIM_SOURCES` (``bench/``, which writes the entries, is not
@@ -49,7 +49,9 @@ _CODE_HASH: str | None = None
 
 #: Package subtrees whose source determines simulation results.
 #: ``telemetry`` is included because telemetry snapshots ride inside
-#: cached results: a classification change must invalidate them.
+#: cached results: a classification change must invalidate them.  It
+#: holds simulated-time code only; the wall-clock span recorder lives
+#: in ``obs``, so editing it keeps every stored result.
 _SIM_SOURCES = ("ir", "frontend", "passes", "machine", "workloads",
                 "telemetry")
 

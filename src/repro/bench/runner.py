@@ -26,9 +26,8 @@ from ..ir import print_module
 from ..machine.configs import MachineConfig
 from ..machine.interpreter import Interpreter
 from ..machine.memory import Memory
+from ..obs.sinks import active, installed, span
 from ..passes.prefetch import PrefetchOptions
-from ..remarks.emitter import active_emitter
-from ..telemetry.spans import active_recorder, span
 from ..telemetry.timeline import TimelineRecorder
 from ..workloads.base import Workload
 from .cache import RunCache, run_key
@@ -38,13 +37,6 @@ from .cache import RunCache, run_key
 #: merged back — read by ``perf/`` and ``bench --hot-report``.
 TELEMETRY = {"simulated_runs": 0, "cached_runs": 0,
              "simulated_instructions": 0}
-
-
-#: Where simulated runs append their compiled-trace rows while
-#: :func:`collecting_traces` is active; ``None`` the rest of the time,
-#: so long-lived processes keep nothing.
-_TRACE_ROWS: ContextVar[list[dict] | None] = ContextVar(
-    "repro_trace_rows", default=None)
 
 
 #: ``(sim, cache)`` that ``None`` arguments of :func:`run_variant` and
@@ -87,18 +79,15 @@ def reset_telemetry() -> None:
         TELEMETRY[key] = 0
 
 
-@contextmanager
-def collecting_traces():
-    """Collect per-trace rows from every run simulated inside the
-    block, each tagged with the run's workload/variant/machine — the
-    raw material of ``repro bench --hot-report``.  Cache hits
-    contribute nothing."""
-    rows: list[dict] = []
-    token = _TRACE_ROWS.set(rows)
-    try:
-        yield rows
-    finally:
-        _TRACE_ROWS.reset(token)
+class TraceRows:
+    """Sink of per-trace rows from every run simulated while it is
+    installed (:func:`repro.obs.sinks.collecting`), each tagged with
+    the run's workload/variant/machine — the raw material of ``repro
+    bench --hot-report``.  Cache hits contribute nothing, and with no
+    sink installed runs keep no rows."""
+
+    def __init__(self):
+        self.records: list[dict] = []
 
 
 @dataclass
@@ -204,12 +193,12 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
             timeline=result.timeline)
         TELEMETRY["simulated_runs"] += 1
         TELEMETRY["simulated_instructions"] += out.instructions
-        trace_rows = _TRACE_ROWS.get()
+        trace_rows = active(TraceRows)
         if trace_rows is not None:
             for row in interp.trace_report():
                 row.update(workload=workload.name, variant=variant,
                            machine=machine.name)
-                trace_rows.append(row)
+                trace_rows.records.append(row)
         if run_cache is not None:
             run_cache.put(key, {"row": dataclasses.asdict(out),
                                 "rng": workload.rng.bit_generator.state})
@@ -270,31 +259,24 @@ def _run_group(payload) -> list:
         return [spec.run() for spec in specs]
 
 
-def _sinks() -> list[list]:
-    """The lists this context's sinks append to — span records,
-    remarks, :func:`collecting_traces` rows — with a throwaway list for
-    each one not installed."""
-    recorder, emitter, rows = (active_recorder(), active_emitter(),
-                               _TRACE_ROWS.get())
-    return [[] if recorder is None else recorder.records,
-            [] if emitter is None else emitter.remarks,
-            [] if rows is None else rows]
-
-
-def _run_forked(payload) -> list:
+def _run_forked(payload) -> tuple[list, dict]:
     """:func:`_run_group` in a forked worker, which holds copies of the
-    caller's sinks: each result comes back with what its run appended
-    to them and added to :data:`TELEMETRY`."""
+    caller's sinks and workload instance: each result comes back with
+    what its run appended to each sink and added to :data:`TELEMETRY`,
+    and the group with its instance's RNG state after the last run."""
     specs, sim, cache = payload
-    sinks = _sinks()
+    sinks = installed()
     out = []
     with run_defaults(sim, cache):
         for spec in specs:
-            marks, counts = [len(s) for s in sinks], dict(TELEMETRY)
+            marks = {kind: len(sink.records) for kind, sink in sinks.items()}
+            counts = dict(TELEMETRY)
             result = spec.run()
-            out.append((result, [s[m:] for s, m in zip(sinks, marks)],
+            out.append((result,
+                        {kind: sink.records[marks[kind]:]
+                         for kind, sink in sinks.items()},
                         {k: TELEMETRY[k] - n for k, n in counts.items()}))
-    return out
+    return out, specs[0].workload.rng.bit_generator.state
 
 
 def run_specs(specs: list[RunSpec], jobs: int | None = None,
@@ -306,8 +288,9 @@ def run_specs(specs: list[RunSpec], jobs: int | None = None,
     RNG, so order determines each run's inputs); distinct instances are
     independent and run in parallel.  Results come back in submission
     order and are bit-identical to a serial :func:`run_variant` loop;
-    so do the spans, remarks, trace rows and :data:`TELEMETRY` counts
-    the runs observe, merged spec by spec into the caller's sinks.
+    so do the records the runs append to the caller's sinks and the
+    :data:`TELEMETRY` counts they add, merged spec by spec, and the
+    state each instance's RNG is left in.
     ``cache`` and every spec's ``sim`` left ``None`` resolve against
     :func:`run_defaults` here, in the calling process.
     """
@@ -327,14 +310,17 @@ def run_specs(specs: list[RunSpec], jobs: int | None = None,
         return _run_group((specs, sim, run_cache))
     ran: list = [None] * len(specs)
     with ctx.Pool(min(jobs, len(payloads))) as pool:
-        for idxs, group in zip(groups.values(),
-                               pool.map(_run_forked, payloads)):
+        for idxs, (group, rng) in zip(groups.values(),
+                                      pool.map(_run_forked, payloads)):
+            # As a cache hit does (see _replay): exact under the
+            # prepare contract.
+            specs[idxs[0]].workload.rng.bit_generator.state = rng
             for i, one in zip(idxs, group):
                 ran[i] = one
-    sinks = _sinks()
+    sinks = installed()
     for _, tails, counts in ran:
-        for sink, tail in zip(sinks, tails):
-            sink.extend(tail)
+        for kind, tail in tails.items():
+            sinks[kind].records.extend(tail)
         for key, n in counts.items():
             TELEMETRY[key] += n
     # Workers' in-memory cache entries stay behind; disk entries are

@@ -21,11 +21,8 @@ import traceback
 from .bench.reporting import format_table
 from .envcfg import SimOptions, cache_dir_from_env, cache_from_env
 from .frontend import SOURCE_ERRORS, compile_source
-from .ir import print_module, verify_module
-from .passes import (CommonSubexpressionEliminationPass,
-                     DeadCodeEliminationPass, IndirectPrefetchPass,
-                     LoopInvariantCodeMotionPass, PassManager,
-                     PrefetchOptions, SimplifyCFGPass)
+from .ir import print_module
+from .passes import compile_pipeline
 from .serve.protocol import TIERS
 from .telemetry.timeline import DEFAULT_WINDOW_CYCLES
 from .workloads import VARIANTS
@@ -41,7 +38,7 @@ def _version() -> str:
         return __version__
 
 
-def _at_least_one(text: str) -> int:
+def at_least_one(text: str) -> int:
     """Type of ``--lookahead`` and ``--jobs``: an integer >= 1 — the
     precondition :func:`repro.passes.prefetch.scheduling.schedule_chain`
     enforces, and a worker count."""
@@ -66,11 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
     # Flags several commands share: one definition, checked at parse time.
     lookahead = argparse.ArgumentParser(add_help=False)
     lookahead.add_argument(
-        "--lookahead", type=_at_least_one, default=64, metavar="C",
+        "--lookahead", type=at_least_one, default=64, metavar="C",
         help="look-ahead constant c of eq. (1) (default 64)")
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument(
-        "--jobs", type=_at_least_one, default=None, metavar="N",
+        "--jobs", type=at_least_one, default=None, metavar="N",
         help="worker processes for independent runs "
              "(default: the available CPUs)")
     variant = argparse.ArgumentParser(add_help=False)
@@ -334,21 +331,12 @@ def _cmd_compile(args: argparse.Namespace, out) -> int:
         return 1
     try:
         module = compile_source(source, name=args.source)
-        if args.prefetch:
-            options = PrefetchOptions(
-                lookahead=args.lookahead,
-                emit_stride_prefetch=not args.no_stride,
-                enable_hoisting=args.hoist)
-            report = IndirectPrefetchPass(options).run(module)
+        report = compile_pipeline(
+            module, prefetch=args.prefetch, optimize=args.optimize,
+            lookahead=args.lookahead, stride=not args.no_stride,
+            hoist=args.hoist)
+        if report is not None:
             print(report.summary(), file=out)
-        if args.optimize:
-            pipeline = PassManager()
-            pipeline.add(SimplifyCFGPass())
-            pipeline.add(LoopInvariantCodeMotionPass())
-            pipeline.add(CommonSubexpressionEliminationPass())
-            pipeline.add(DeadCodeEliminationPass())
-            pipeline.run(module)
-        verify_module(module)
         text = print_module(module)
     except SOURCE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -489,15 +477,17 @@ def _bench_hot_report(figure, args: argparse.Namespace, out) -> None:
     remark stream."""
     from collections import Counter
 
-    from .bench.runner import TELEMETRY, collecting_traces, reset_telemetry
-    from .remarks import RemarkEmitter, collecting, render_remarks
+    from .bench.runner import TELEMETRY, TraceRows, reset_telemetry
+    from .obs.sinks import collecting
+    from .remarks import RemarkEmitter, render_remarks
     reset_telemetry()
-    emitter = RemarkEmitter()
+    emitter, traces = RemarkEmitter(), TraceRows()
     # _run_cache installs no cache here: cached runs execute nothing.
-    with collecting(emitter), collecting_traces() as rows:
+    with collecting(emitter, traces):
         table = figure(args.small, args.jobs)
     print(table, file=out)
     total = TELEMETRY["simulated_instructions"]
+    rows = traces.records
     rows.sort(key=lambda r: r["instructions"], reverse=True)
     top = rows[:max(args.hot_top, 0)]
     headers = ["workload", "variant", "machine", "function", "loop",
@@ -533,9 +523,9 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
             "a figure (" + ", ".join(sorted(_FIGURES)) + ")")
     from contextlib import nullcontext
 
-    from .telemetry.spans import SpanRecorder, recording
+    from .obs.sinks import SpanRecorder, collecting
     recorder = SpanRecorder()
-    with recording(recorder) if args.obs_out else nullcontext():
+    with collecting(recorder) if args.obs_out else nullcontext():
         if args.hot_report:
             _bench_hot_report(figure, args, out)
         else:
@@ -689,7 +679,7 @@ def _cmd_timeline(args: argparse.Namespace, out) -> int:
     from .telemetry.perfetto import build_trace
     from .telemetry.report import (render_timeline, timeline_report_dict,
                                    timeline_rows)
-    from .telemetry.spans import SpanRecorder, recording
+    from .obs.sinks import SpanRecorder, collecting
     resolved = _resolve_target("timeline", args)
     if resolved is None:
         return 2
@@ -701,7 +691,7 @@ def _cmd_timeline(args: argparse.Namespace, out) -> int:
     # Runs are serial: the Perfetto pipeline track puts each span
     # category on one thread, where parallel runs' spans would overlap.
     recorder = SpanRecorder()
-    with recording(recorder):
+    with collecting(recorder):
         rows = timeline_rows(workloads, machine, variant=args.variant,
                              lookahead=args.lookahead,
                              window=args.window)

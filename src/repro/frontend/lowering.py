@@ -411,7 +411,7 @@ def lower_program(program: ast.Program, name: str = "module",
 def compile_source(source: str, name: str = "module",
                    optimize: bool = True) -> Module:
     """Parse and lower C-like source to a verified IR module."""
-    from ..telemetry.spans import span
+    from ..obs.sinks import span
     with span("frontend", "compile_source", module=name,
               optimize=optimize):
         return lower_program(parse_source(source), name, optimize)

@@ -88,8 +88,8 @@ never trace.
 from __future__ import annotations
 
 from ..analysis.loops import LoopInfo
+from ..obs.sinks import instant, span
 from ..remarks import emit as remark_emit
-from ..telemetry.spans import instant, span
 from .fastexec import _Emitter, _FUSABLE, compile_source
 
 #: Budget passed to traces when the run never yields.

@@ -1,8 +1,12 @@
-"""Unified request observability (obs): metrics, traces, logs.
+"""Wall-clock observability (obs): sinks, metrics, traces, logs.
 
-The obs package is the shared observability substrate of the serving
-path (and, more lightly, the bench runner):
+The obs package is the shared observability substrate of the pipeline,
+the bench runner and the serving path (simulated time is
+:mod:`repro.telemetry`'s):
 
+* :mod:`repro.obs.sinks` — observation sinks (span recorders, remark
+  emitters, trace rows), :func:`~repro.obs.sinks.collecting`, which
+  installs them, and wall-clock :func:`~repro.obs.sinks.span`;
 * :mod:`repro.obs.metrics` — a labeled metrics registry (counters,
   gauges, fixed-bucket histograms) with dual exposition: the JSON
   snapshot ``repro serve`` has always answered on ``GET /metrics``,
@@ -10,8 +14,8 @@ path (and, more lightly, the bench runner):
   Also home of the shared ceil-based nearest-rank percentile.
 * :mod:`repro.obs.trace` — request IDs minted at admission and the
   bounded per-request trace buffer, whose records merge the server's
-  and the pool worker's :class:`~repro.telemetry.spans.SpanRecorder`
-  spans into one cross-process span tree.
+  and the pool worker's span records into one cross-process span
+  tree.
 * :mod:`repro.obs.logs` — structured access/event logging
   (``repro-serve-log-v1``), one line per request, ``json`` or
   ``text``.

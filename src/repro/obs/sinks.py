@@ -1,27 +1,28 @@
-"""Span-based tracing of the pipeline and the service.
+"""Observation sinks: the one way a span, a remark or a trace row
+reaches whoever asked for it.
 
-Where :mod:`repro.telemetry.timeline` watches *simulated* time, the
-span recorder watches *wall-clock* time: frontend compiles, each
-optimization pass (the same measurement the ``PassExecuted`` remark
-reports), trace-JIT compiles, run-cache probes, bench-runner jobs, and
-every stage of a ``repro serve`` request.  The records feed the Chrome
-trace-event export (:mod:`repro.telemetry.perfetto`), the serve stage
-histograms and the ``repro bench --obs-out`` metrics.
+A sink is any object with an append-only ``records`` list: the
+wall-clock :class:`SpanRecorder` below,
+:class:`~repro.remarks.RemarkEmitter` and
+:class:`~repro.bench.runner.TraceRows`.  One context variable maps each
+sink type to its sink: :func:`collecting` installs sinks for a block
+(scopes nest), :func:`active` reads one, and :func:`installed` all of
+them — what a forked ``run_specs`` worker hands back, keyed by class
+(so sink classes live at module level, where they pickle by
+reference).  Each thread and asyncio task sees only the sinks its own
+context installed.  Instrumentation sites call :func:`span`,
+:func:`instant` or :func:`repro.remarks.emit` unconditionally and pay
+one lookup when no sink of their type is installed.
 
-The active recorder lives in a :class:`~contextvars.ContextVar`, like
-the remark emitter's (:mod:`repro.remarks.emitter`): instrumentation
-sites call :func:`span` / :func:`instant` unconditionally and pay
-nothing unless :func:`recording` installed a recorder.  Scopes nest,
-and each thread and asyncio task sees only the recorder its own
-context installed, so concurrent requests never record into each
-other's trees.  Spans are recorded in completion order (a parent
-closes after its children), which is deterministic for a deterministic
-pipeline; only the wall-clock timestamps vary run to run, and the
-export's canonical form zeroes them.
-
-A forked worker's records come back to the recorder its caller
-installed: ``run_specs`` merges them spec by spec, and serve workers
-ship theirs over the pool pipe (:mod:`repro.obs.trace`).
+Spans watch *wall-clock* time (:mod:`repro.telemetry` watches
+simulated time): frontend compiles, each optimization pass (the
+``PassExecuted`` remark's measurement), trace-JIT compiles, run-cache
+probes, bench jobs, and every stage of a ``repro serve`` request.  They
+are recorded in completion order (a parent closes after its children),
+which is deterministic; only the timestamps vary, and the canonical
+form of the Perfetto export (:mod:`repro.telemetry.perfetto`) zeroes
+them.  Serve workers ship their records over the pool pipe
+(:mod:`repro.obs.trace`).
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-_RECORDER: ContextVar["SpanRecorder | None"] = ContextVar(
-    "repro_span_recorder", default=None)
+#: Sink type -> the innermost sink of that type this context
+#: installed.  Never mutated: :func:`collecting` sets a new dict.
+_SINKS: ContextVar[dict[type, object]] = ContextVar("repro_sinks",
+                                                    default={})
 
 
 class SpanRecorder:
@@ -90,19 +93,27 @@ class SpanRecorder:
         return {"schema": "repro-spans-v1", "records": records}
 
 
-def active_recorder() -> SpanRecorder | None:
-    """The innermost recorder this context installed, or ``None``."""
-    return _RECORDER.get()
+def active(kind: type):
+    """The innermost sink of type ``kind`` this context installed, or
+    ``None``."""
+    return _SINKS.get().get(kind)
+
+
+def installed() -> dict[type, object]:
+    """Every sink this context installed, keyed by type (read only)."""
+    return _SINKS.get()
 
 
 @contextmanager
-def recording(recorder: SpanRecorder):
-    """Install ``recorder`` as the active span sink for the block."""
-    token = _RECORDER.set(recorder)
+def collecting(*sinks):
+    """Install ``sinks`` for the block, each for its own type; yields
+    the first (``None`` for none)."""
+    token = _SINKS.set({**_SINKS.get(),
+                        **{type(sink): sink for sink in sinks}})
     try:
-        yield recorder
+        yield sinks[0] if sinks else None
     finally:
-        _RECORDER.reset(token)
+        _SINKS.reset(token)
 
 
 @contextmanager
@@ -114,7 +125,7 @@ def span(category: str, name: str, **args):
     cache probe setting ``hit``); they merge into ``args`` at close.
     """
     extra: dict = {}
-    recorder = _RECORDER.get()
+    recorder = _SINKS.get().get(SpanRecorder)
     if recorder is None:
         yield extra
         return
@@ -129,6 +140,6 @@ def span(category: str, name: str, **args):
 
 def instant(category: str, name: str, **args) -> None:
     """Record an instant event (no-op when no recorder is active)."""
-    recorder = _RECORDER.get()
+    recorder = _SINKS.get().get(SpanRecorder)
     if recorder is not None:
         recorder.add_instant(category, name, args)

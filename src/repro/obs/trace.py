@@ -4,11 +4,11 @@ Every HTTP exchange gets a **request ID** minted at admission
 (:func:`new_request_id`, 16 hex chars from the OS entropy pool).  For
 job submissions the ID keys a bounded :class:`TraceBuffer` entry — a
 ``repro-request-trace-v1`` record merging three
-:class:`~repro.telemetry.spans.SpanRecorder` record lists:
+:class:`~repro.obs.sinks.SpanRecorder` record lists:
 
 * the *waiter's* server-side stage spans (admission, CAS probe, the
-  wait for the shared job), recorded under :func:`~repro.telemetry.
-  spans.recording` in the waiter's own task;
+  wait for the shared job), recorded under
+  :func:`~repro.obs.sinks.collecting` in the waiter's own task;
 * the *job's* spans, shared by every coalesced waiter: queue wait,
   worker round-trip and CAS store on the server side; and
 * the worker process's spans (frontend compile, per-pass,

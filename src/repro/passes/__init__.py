@@ -9,7 +9,9 @@ The star of the package is :class:`repro.passes.prefetch.IndirectPrefetchPass`
   :class:`LoopInvariantCodeMotionPass`, :class:`SimplifyCFGPass` — generic
   cleanups;
 * :class:`Mem2RegPass` — promotes frontend scalar slots to SSA registers;
-* :class:`PassManager` — sequential pass driver.
+* :class:`PassManager` — runs passes in sequence, and
+  :func:`compile_pipeline` — the prefetch pass plus the ``-O`` cleanup
+  pipeline, as ``repro compile`` and ``repro serve`` run them.
 """
 
 from .analysis_bundle import FunctionAnalyses
@@ -18,7 +20,7 @@ from .cse import CommonSubexpressionEliminationPass
 from .dce import DeadCodeEliminationPass
 from .licm import LoopInvariantCodeMotionPass
 from .mem2reg import Mem2RegPass
-from .pass_manager import PassManager
+from .pass_manager import PassManager, compile_pipeline
 from .simplifycfg import SimplifyCFGPass
 from .prefetch import (IndirectPrefetchPass, PrefetchOptions, PrefetchReport,
                        RejectReason)
@@ -32,7 +34,7 @@ __all__ = [
     "DeadCodeEliminationPass",
     "LoopInvariantCodeMotionPass",
     "Mem2RegPass",
-    "PassManager",
+    "PassManager", "compile_pipeline",
     "SimplifyCFGPass",
     "IndirectPrefetchPass", "PrefetchOptions", "PrefetchReport",
     "RejectReason",

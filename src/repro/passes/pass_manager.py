@@ -1,17 +1,15 @@
-"""An instrumented sequential pass manager.
+"""An instrumented sequential pass manager, and the one pipeline that
+``repro compile`` and a served compile job run on it.
 
-Runs a list of passes over a module, optionally verifying the IR between
-passes, and collects each pass's report keyed by pass name.  When a
-remark emitter is installed — either passed to the constructor or
-already active via :func:`repro.remarks.collecting` — the manager also
-records per-pass instrumentation: wall time and IR-size deltas
+Runs a list of passes over a module, verifying the IR after each one,
+and collects each pass's report keyed by pass name.  When a remark
+emitter is installed (:func:`repro.obs.sinks.collecting`), the manager
+also records per-pass instrumentation: wall time and IR-size deltas
 (instructions and blocks before → after), emitted as ``PassExecuted``
-analysis remarks.  An active span recorder
-(:func:`repro.telemetry.spans.recording`) likewise turns the
+analysis remarks.  An installed span recorder likewise turns the
 instrumentation on and receives one ``pass`` span per pass, reusing the
-same wall-time measurement.  With no emitter or recorder anywhere, the
-run loop is exactly the uninstrumented original: no timing calls, no
-IR walks.
+same wall-time measurement.  With neither installed, the run loop is
+exactly the uninstrumented original: no timing calls, no IR walks.
 """
 
 from __future__ import annotations
@@ -20,8 +18,13 @@ import time
 
 from ..ir.module import Module
 from ..ir.verifier import verify_module
-from ..remarks import (RemarkEmitter, active_emitter, collecting, emit)
-from ..telemetry.spans import active_recorder
+from ..obs.sinks import SpanRecorder, active
+from ..remarks import RemarkEmitter, emit
+from .cse import CommonSubexpressionEliminationPass
+from .dce import DeadCodeEliminationPass
+from .licm import LoopInvariantCodeMotionPass
+from .prefetch import IndirectPrefetchPass, PrefetchOptions, PrefetchReport
+from .simplifycfg import SimplifyCFGPass
 
 
 def _ir_size(module: Module) -> tuple[int, int]:
@@ -38,22 +41,16 @@ def _ir_size(module: Module) -> tuple[int, int]:
 class PassManager:
     """Runs passes in order over a module.
 
-    :param verify_between: run the IR verifier after each pass, which
-        catches pass bugs early.  Its cost is linear in instructions plus
-        CFG edges: on the ``perf/`` compile corpus (functions of about 67
-        instructions in 11 blocks) one verification takes about 0.09 ms,
-        and the eight a kernel's compile path runs are 18% of its traced
-        time on a 2-vCPU VM.
-    :param emitter: a :class:`~repro.remarks.RemarkEmitter` to collect
-        optimization remarks and per-pass instrumentation.  ``None``
-        (the default) uses whatever emitter is already active, if any.
+    The IR verifier runs after each pass, which catches pass bugs
+    early.  Its cost is linear in instructions plus CFG edges: on the
+    ``perf/`` compile corpus (functions of about 67 instructions in 11
+    blocks) one verification takes about 0.09 ms, and the eight a
+    kernel's compile path runs are 18% of its traced time on a 2-vCPU
+    VM.
     """
 
-    def __init__(self, verify_between: bool = True,
-                 emitter: RemarkEmitter | None = None):
+    def __init__(self):
         self._passes: list = []
-        self.verify_between = verify_between
-        self.emitter = emitter
 
     def add(self, pass_) -> "PassManager":
         """Append a pass; returns self for chaining."""
@@ -70,16 +67,10 @@ class PassManager:
 
     def run(self, module: Module) -> dict[str, object]:
         """Run all passes; returns {pass name: report} in run order."""
-        if self.emitter is not None:
-            with collecting(self.emitter):
-                return self._run(module, instrumented=True)
-        instrumented = (active_emitter() is not None
-                        or active_recorder() is not None)
-        return self._run(module, instrumented=instrumented)
-
-    def _run(self, module: Module, instrumented: bool) -> dict[str, object]:
         reports: dict[str, object] = {}
-        recorder = active_recorder() if instrumented else None
+        recorder = active(SpanRecorder)
+        instrumented = (recorder is not None
+                        or active(RemarkEmitter) is not None)
         for pass_ in self._passes:
             if instrumented:
                 insts_before, blocks_before = _ir_size(module)
@@ -104,6 +95,31 @@ class PassManager:
                          "insts_after": insts_after,
                          "blocks_before": blocks_before,
                          "blocks_after": blocks_after})
-            if self.verify_between:
-                verify_module(module)
+            verify_module(module)
         return reports
+
+
+def compile_pipeline(module: Module, *, prefetch: bool, optimize: bool,
+                     lookahead: int = 64, stride: bool = True,
+                     hoist: bool = False) -> PrefetchReport | None:
+    """What ``repro compile`` and a served compile job do to a freshly
+    lowered module: with ``prefetch``, the indirect-prefetch pass at
+    look-ahead ``lookahead`` (``stride``: also emit the staggered
+    stride prefetch; ``hoist``: prefetch loop hoisting, §4.6); with
+    ``optimize``, the ``-O`` cleanup pipeline (SimplifyCFG, LICM, CSE,
+    DCE); then one verification.  Returns the prefetch report, or
+    ``None`` when the pass did not run."""
+    report = None
+    if prefetch:
+        report = IndirectPrefetchPass(PrefetchOptions(
+            lookahead=lookahead, emit_stride_prefetch=stride,
+            enable_hoisting=hoist)).run(module)
+    if optimize:
+        pipeline = PassManager()
+        for pass_ in (SimplifyCFGPass(), LoopInvariantCodeMotionPass(),
+                      CommonSubexpressionEliminationPass(),
+                      DeadCodeEliminationPass()):
+            pipeline.add(pass_)
+        pipeline.run(module)
+    verify_module(module)
+    return report

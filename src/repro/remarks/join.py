@@ -23,10 +23,11 @@ from __future__ import annotations
 from ..bench.reporting import format_table
 from ..machine.configs import ALL_SYSTEMS, MachineConfig
 from ..machine.interpreter import static_prefetch_pcs
+from ..obs.sinks import collecting
 from ..telemetry.outcomes import OUTCOMES
 from ..telemetry.report import paired_runs
 from ..workloads.base import Workload
-from .emitter import RemarkEmitter, collecting
+from .emitter import RemarkEmitter
 from .serialize import dumps_stream, remark_to_dict
 
 #: Remark names that announce an inserted prefetch (carry a
@@ -66,7 +67,7 @@ def explain_workload(workload: Workload, machine: MachineConfig,
     telemetry = variant_result.telemetry or {}
     per_pc = telemetry.get("prefetch", {}).get("per_pc", {})
     prefetches = []
-    for remark in emitter.remarks:
+    for remark in emitter.records:
         if remark.name not in INSERTION_REMARKS:
             continue
         pc = pcs.get(remark.prefetch_id)
@@ -91,7 +92,7 @@ def explain_workload(workload: Workload, machine: MachineConfig,
                     if variant_result.cycles else 0.0),
         "issued": telemetry.get("prefetch", {}).get("issued", 0),
         "num_remarks": len(emitter),
-        "remarks_stream": dumps_stream(emitter.remarks),
+        "remarks_stream": dumps_stream(emitter.records),
         "prefetches": prefetches,
     }
 

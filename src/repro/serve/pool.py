@@ -17,10 +17,9 @@ does the blocking ``send``/``poll(timeout)``/``recv`` for exactly one
 worker at a time, so ``await pool.run(...)`` composes with the event
 loop while the pipe I/O stays simple and portable.
 
-The multiprocessing start method defaults to ``fork`` where available
-(workers inherit the loaded interpreter — startup and respawn are
-milliseconds); ``REPRO_SERVE_MP_CONTEXT=spawn`` switches to clean
-re-imported children.
+Workers are forked where the platform can fork (they inherit the
+loaded interpreter, so startup and respawn take milliseconds) and
+spawned as clean re-imported children elsewhere.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ def _worker_main(conn, index: int) -> None:
         pass
     # Import here, not at module top: under the spawn start method the
     # child imports this module before repro's heavyweight packages.
-    from ..telemetry.spans import SpanRecorder, recording
+    from ..obs.sinks import SpanRecorder, collecting
     from .protocol import execute_request
     parent = os.getppid()
     while True:
@@ -74,7 +73,7 @@ def _worker_main(conn, index: int) -> None:
         # strips before the payload reaches the CAS or any client.
         recorder = SpanRecorder()
         try:
-            with recording(recorder):
+            with collecting(recorder):
                 out = execute_request(job)
         except BaseException as exc:
             out = {"schema": "repro-serve-result-v1", "status": "error",
@@ -88,16 +87,6 @@ def _worker_main(conn, index: int) -> None:
         except (BrokenPipeError, OSError):
             break
     conn.close()
-
-
-def _default_context() -> multiprocessing.context.BaseContext:
-    name = os.environ.get("REPRO_SERVE_MP_CONTEXT") or None
-    if name is None:
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platforms without fork
-            return multiprocessing.get_context("spawn")
-    return multiprocessing.get_context(name)
 
 
 class _Worker:
@@ -139,10 +128,11 @@ class _Worker:
 class WorkerPool:
     """Fixed-size pool of simulation workers with deadline enforcement."""
 
-    def __init__(self, workers: int, context: str | None = None,
-                 on_event=None):
-        ctx = (multiprocessing.get_context(context) if context
-               else _default_context())
+    def __init__(self, workers: int, on_event=None):
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - platforms without fork
+            ctx = multiprocessing.get_context("spawn")
         self.size = max(1, workers)
         #: Optional lifecycle callback ``on_event(event, **fields)``
         #: (worker_start / worker_restart / pool_close).  Called from

@@ -51,7 +51,7 @@ SCHEMA_REQUEST = "repro-serve-request-v1"
 SCHEMA_RESULT = "repro-serve-result-v1"
 
 KINDS = ("simulate", "compile", "sleep")
-TIERS = ("auto", "reference", "fastpath")
+TIERS = ("auto", "reference")
 INCLUDES = ("telemetry", "remarks", "timeline", "spans")
 WORKLOADS = ("is", "cg", "ra", "hj2", "hj8", "g500s16", "g500s21")
 MACHINES = ("Haswell", "A57", "A53", "Xeon Phi")
@@ -219,7 +219,6 @@ def _execute_simulate(norm: dict, include: list[str]) -> dict:
         lookahead=norm["lookahead"],
         emit_stride_prefetch=norm["options"]["stride"],
         enable_hoisting=norm["options"]["hoist"])
-    # "auto" and "fastpath" both run the fast engine.
     sim = SimOptions(
         fastpath=norm["tier"] != "reference",
         telemetry="telemetry" in include,
@@ -234,29 +233,15 @@ def _execute_simulate(norm: dict, include: list[str]) -> dict:
 
 def _execute_compile(norm: dict) -> dict:
     from ..frontend import compile_source
-    from ..ir import print_module, verify_module
-    from ..passes import (CommonSubexpressionEliminationPass,
-                          DeadCodeEliminationPass, IndirectPrefetchPass,
-                          LoopInvariantCodeMotionPass, PassManager,
-                          PrefetchOptions, SimplifyCFGPass)
+    from ..ir import print_module
+    from ..passes import compile_pipeline
 
     module = compile_source(norm["source"], name="<request>")
-    out: dict = {}
-    if norm["prefetch"]:
-        options = PrefetchOptions(
-            lookahead=norm["lookahead"],
-            emit_stride_prefetch=norm["options"]["stride"],
-            enable_hoisting=norm["options"]["hoist"])
-        report = IndirectPrefetchPass(options).run(module)
-        out["prefetch_report"] = report.summary()
-    if norm["optimize"]:
-        pipeline = PassManager()
-        pipeline.add(SimplifyCFGPass())
-        pipeline.add(LoopInvariantCodeMotionPass())
-        pipeline.add(CommonSubexpressionEliminationPass())
-        pipeline.add(DeadCodeEliminationPass())
-        pipeline.run(module)
-    verify_module(module)
+    report = compile_pipeline(
+        module, prefetch=norm["prefetch"], optimize=norm["optimize"],
+        lookahead=norm["lookahead"], stride=norm["options"]["stride"],
+        hoist=norm["options"]["hoist"])
+    out = {} if report is None else {"prefetch_report": report.summary()}
     out["ir"] = print_module(module)
     return out
 
@@ -270,19 +255,16 @@ def execute_request(norm: dict) -> dict:
     other exception, a compiler bug included, is the caller's job to
     catch (the pool answers it with a 500).
 
-    Spans go to the active :class:`~repro.telemetry.spans.SpanRecorder`
+    Spans go to the installed :class:`~repro.obs.sinks.SpanRecorder`
     (the pool worker installs one per job) under a top-level
     ``execute`` span.  Only ``include: ["spans"]`` puts them in the
-    payload, recording into a fresh recorder when none is active, so
+    payload, recording into a fresh recorder when none is installed, so
     the client-visible result is the same with and without tracing.
     """
-    from contextlib import ExitStack
-
     from ..frontend import SOURCE_ERRORS
-    from ..remarks import RemarkEmitter, collecting
+    from ..obs.sinks import SpanRecorder, active, collecting, span
+    from ..remarks import RemarkEmitter
     from ..remarks.serialize import remark_to_dict
-    from ..telemetry.spans import (SpanRecorder, active_recorder,
-                                   recording, span)
 
     include = norm.get("include", [])
     want_spans = "spans" in include
@@ -290,7 +272,7 @@ def execute_request(norm: dict) -> dict:
     payload: dict = {"schema": SCHEMA_RESULT, "status": "ok",
                      "kind": norm["kind"]}
     emitter = RemarkEmitter() if "remarks" in include else None
-    recorder = active_recorder()
+    recorder = active(SpanRecorder)
     if recorder is None and want_spans:
         recorder = SpanRecorder()
 
@@ -303,15 +285,12 @@ def execute_request(norm: dict) -> dict:
         return _execute_simulate(norm, include)
 
     try:
-        with ExitStack() as stack:
-            if emitter is not None:
-                stack.enter_context(collecting(emitter))
-            if recorder is not None:
-                stack.enter_context(recording(recorder))
-            # A top-level span guarantees every traced job shows at
-            # least one worker-side record (sleep jobs have no
-            # instrumented interior).
-            stack.enter_context(span("serve", "execute", kind=norm["kind"]))
+        # The top-level span guarantees every traced job shows at
+        # least one worker-side record (sleep jobs have no
+        # instrumented interior).
+        with collecting(*(sink for sink in (emitter, recorder)
+                          if sink is not None)), \
+                span("serve", "execute", kind=norm["kind"]):
             payload["result"] = body()
     except SOURCE_ERRORS as exc:
         # Lexer/parser/lowering errors are the client's source; any

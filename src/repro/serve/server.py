@@ -52,9 +52,9 @@ from dataclasses import dataclass, field
 from ..envcfg import env_int
 from ..obs.logs import AccessLogger
 from ..obs.metrics import LATENCY_BUCKETS_MS, Registry
+from ..obs.sinks import SpanRecorder, collecting, span
 from ..obs.trace import (DEFAULT_CAPACITY, TraceBuffer, make_record,
                          new_request_id)
-from ..telemetry.spans import SpanRecorder, recording, span
 from .cas import ContentStore, valid_key
 from .http import (ProtocolError, error_body, read_request,
                    render_response, wants_close)
@@ -92,8 +92,6 @@ class ServeConfig:
     cache_dir: str | None = None
     #: CAS byte budget; GC runs opportunistically after stores.
     cas_max_bytes: int | None = None
-    #: Multiprocessing start method override for the pool.
-    mp_context: str | None = None
     #: Accept debug 'sleep' jobs (tests only).
     debug: bool = False
     #: Access/event log format: ``text`` | ``json`` | ``off``.
@@ -417,8 +415,7 @@ class Server:
 
     async def start(self) -> None:
         workers = self.config.workers or default_workers()
-        self.pool = WorkerPool(workers, context=self.config.mp_context,
-                               on_event=self.log.emit)
+        self.pool = WorkerPool(workers, on_event=self.log.emit)
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -511,7 +508,7 @@ class Server:
             elif path == "/v1/jobs" and method == "POST":
                 # Each connection is its own task, so each waiter's
                 # recorder receives its own spans only.
-                with recording(SpanRecorder()) as spans:
+                with collecting(SpanRecorder()) as spans:
                     status, body, headers = await self._submit(
                         request, request_id, spans, log_ctx)
             elif path in ("/healthz", "/metrics", "/v1/jobs") or \
@@ -688,7 +685,7 @@ class Server:
         queue_end = 0
         # The task inherited the admitting waiter's context; the job
         # records into its own recorder (zero = job creation).
-        with recording(entry.recorder) as spans:
+        with collecting(entry.recorder) as spans:
             try:
                 queue_start = spans.now_us()
                 try:

@@ -1,4 +1,5 @@
-"""Simulation observability: prefetch outcomes and cycle accounting.
+"""Simulated-time observability: prefetch outcomes, cycle accounting
+and the flight recorder.
 
 The telemetry subsystem classifies every software prefetch the compiler
 pass emits — from the cycle it is issued to the first demand access that
@@ -14,6 +15,9 @@ hierarchy walk; enabling it keeps compiled traces from inlining their
 L1 hit probe for that run and routes every access through the
 instrumented walk, which the equivalence suite proves bit-identical.
 
+Everything here is simulated time; wall-clock spans live in
+:mod:`repro.obs.sinks`.
+
 Layout:
 
 * :mod:`repro.telemetry.outcomes` — the outcome taxonomy;
@@ -21,9 +25,8 @@ Layout:
   bounded event ring and aggregation tables;
 * :mod:`repro.telemetry.timeline` — the flight recorder's windowed
   time-series sampler;
-* :mod:`repro.telemetry.spans` — wall-clock pipeline spans (frontend,
-  passes, JIT compiles, cache probes, bench jobs);
-* :mod:`repro.telemetry.perfetto` — Chrome trace-event export of both;
+* :mod:`repro.telemetry.perfetto` — Chrome trace-event export of
+  timelines and spans;
 * :mod:`repro.telemetry.report` — prefetch-effectiveness and timeline
   reports over the benchmark suite (imported on demand; it pulls in
   the bench harness).
@@ -33,8 +36,6 @@ from .collector import (DEFAULT_RING_CAPACITY, TelemetryCollector,
                         resolve_collector)
 from .outcomes import (DROPPED, EARLY, LATE, OUTCOMES, REDUNDANT, TIMELY,
                        UNUSED)
-from .spans import (SpanRecorder, active_recorder, instant, recording,
-                    span)
 from .timeline import (DEFAULT_SAMPLE_EVERY, DEFAULT_WINDOW_CYCLES,
                        TimelineRecorder, resolve_timeline)
 
@@ -44,5 +45,4 @@ __all__ = [
     "UNUSED",
     "TimelineRecorder", "resolve_timeline", "DEFAULT_WINDOW_CYCLES",
     "DEFAULT_SAMPLE_EVERY",
-    "SpanRecorder", "recording", "span", "instant", "active_recorder",
 ]

@@ -9,7 +9,7 @@ Serialises flight-recorder data as the Trace Event Format JSON that
   per workload whose ``X`` events are the windows themselves, so the
   phase structure is visible at a glance.
 * **pid 2 — "pipeline"**: wall-clock ``X`` spans from the
-  :class:`~repro.telemetry.spans.SpanRecorder` (frontend, passes,
+  :class:`~repro.obs.sinks.SpanRecorder` (frontend, passes,
   trace-JIT compiles, cache probes, bench jobs) on one thread per
   span category, and trace-JIT ``TraceCompiled``/``TraceDeopt``
   events as instants (``ph: "i"``).
@@ -113,7 +113,7 @@ def timeline_events(label: str, timeline: dict, tid: int) -> list[dict]:
 
 def record_events(records: list[dict], pid: int, tid: int | None = None,
                   offset_us: int = 0) -> list[dict]:
-    """Trace events for :class:`~repro.telemetry.spans.SpanRecorder`
+    """Trace events for :class:`~repro.obs.sinks.SpanRecorder`
     records (spans as ``X``, instants as ``i``) on process ``pid``,
     shifted by ``offset_us``: all on thread ``tid``, or, when ``tid`` is
     ``None``, on one named thread per span category."""

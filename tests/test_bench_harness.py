@@ -87,25 +87,24 @@ class TestRunSpecsObservations:
 
     @staticmethod
     def observe(jobs):
-        from repro.bench.runner import (TELEMETRY, RunSpec,
-                                        collecting_traces, run_specs)
+        from repro.bench.runner import (TELEMETRY, RunSpec, TraceRows,
+                                        run_specs)
+        from repro.obs.sinks import SpanRecorder, collecting
         from repro.remarks import (RemarkEmitter, canonical_stream,
-                                   collecting, dumps_stream)
-        from repro.telemetry.spans import SpanRecorder, recording
+                                   dumps_stream)
         keys = IntegerSort(num_keys=800, num_buckets=1 << 12)
         table = RandomAccess(nblocks=15, table_size=1 << 12)
         specs = [RunSpec(wl, variant, HASWELL)
                  for variant in ("plain", "auto") for wl in (keys, table)]
         before = dict(TELEMETRY)
-        recorder, emitter = SpanRecorder(), RemarkEmitter()
-        with recording(recorder), collecting(emitter), \
-                collecting_traces() as rows:
+        recorder, emitter, rows = SpanRecorder(), RemarkEmitter(), TraceRows()
+        with collecting(recorder, emitter, rows):
             results = run_specs(specs, jobs=jobs, cache=False)
         return {
             "results": results,
             # PassExecuted's wall_us zeroed.
-            "remarks": canonical_stream(dumps_stream(emitter.remarks)),
-            "rows": rows,
+            "remarks": canonical_stream(dumps_stream(emitter.records)),
+            "rows": rows.records,
             "telemetry": {k: TELEMETRY[k] - n for k, n in before.items()},
             # Everything but the wall-clock timestamps.
             "spans": [(r["type"], r["category"], r["name"], r["args"])
@@ -122,6 +121,24 @@ class TestRunSpecsObservations:
         assert [s[2] for s in serial["spans"]].count("run_variant") == 4
         for sink in serial:
             assert forked[sink] == serial[sink], sink
+
+    def test_jobs_2_leaves_instance_rngs_where_jobs_1_does(self):
+        """Forked groups hand back their instance's RNG state, so a
+        later run on the instance draws the inputs it would after a
+        serial loop."""
+        from repro.bench.runner import RunSpec, run_specs
+
+        def later(jobs):
+            keys = IntegerSort(num_keys=800, num_buckets=1 << 12)
+            table = RandomAccess(nblocks=4, table_size=1 << 12)
+            run_specs([RunSpec(keys, "plain", HASWELL),
+                       RunSpec(table, "plain", HASWELL)],
+                      jobs=jobs, cache=False)
+            return (run_variant(keys, "plain", HASWELL,
+                                cache=False).cycles,
+                    table.rng.bit_generator.state)
+
+        assert later(2) == later(1)
 
 
 class TestDeterminism:

@@ -152,9 +152,9 @@ class TestBadRunFlags:
     compiles or runs."""
 
     @staticmethod
-    def assert_usage_error(argv, flag, capsys):
+    def assert_usage_error(argv, flag, capsys, entry=main):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            entry(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -178,6 +178,30 @@ class TestBadRunFlags:
     def test_run_commands(self, command, flag, value, capsys):
         self.assert_usage_error([command, "is", "--small", flag, value],
                                 flag, capsys)
+
+    @pytest.mark.parametrize("value", ("0", "-3"))
+    def test_telemetry_report_jobs(self, value, monkeypatch, tmp_path,
+                                   capsys):
+        """``tools/telemetry_report.py`` takes the CLI's ``--jobs``."""
+        import importlib.util
+        from pathlib import Path
+
+        from repro.bench import runner
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(runner, "run_variant", no_run)
+        path = (Path(__file__).resolve().parent.parent / "tools"
+                / "telemetry_report.py")
+        spec = importlib.util.spec_from_file_location("telemetry_report",
+                                                      path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        self.assert_usage_error(
+            ["--quick", "--jobs", value, "--output-dir", str(tmp_path)],
+            "--jobs", capsys, entry=tool.main)
+        assert not any(tmp_path.iterdir())
 
 
 class TestBenchHotReport:
@@ -222,19 +246,20 @@ class TestBenchHotReport:
         assert forked == serial
 
     def test_trace_rows_kept_only_while_collecting(self):
-        """Runs outside ``collecting_traces`` (every run but a hot
+        """Runs outside a ``TraceRows`` sink (every run but a hot
         report's) keep no trace rows, so long-lived processes do not
         accumulate them."""
         from repro.bench import runner
         from repro.machine import HASWELL
+        from repro.obs.sinks import active, collecting
         from repro.workloads import IntegerSort
-        with runner.collecting_traces() as rows:
+        with collecting(runner.TraceRows()) as rows:
             runner.run_variant(IntegerSort(num_keys=2000,
                                            num_buckets=1 << 14),
                                "auto", HASWELL, cache=False)
-        assert rows
-        assert rows[0]["workload"] == "IS"
-        assert runner._TRACE_ROWS.get() is None
+        assert rows.records
+        assert rows.records[0]["workload"] == "IS"
+        assert active(runner.TraceRows) is None
 
 
 class TestBenchObsOut:

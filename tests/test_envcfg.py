@@ -9,7 +9,8 @@ import warnings
 import pytest
 
 from repro.envcfg import SimOptions, cache_from_env, env_int
-from repro.remarks import RemarkEmitter, collecting
+from repro.obs.sinks import collecting
+from repro.remarks import RemarkEmitter
 
 
 class TestEnvInt:

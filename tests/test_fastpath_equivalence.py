@@ -22,10 +22,11 @@ import pytest
 from repro.ir import INT64, IRBuilder, Module, VOID, pointer,\
     verify_module
 from repro.ir.values import Constant
-from repro.bench.runner import collecting_traces, run_defaults, run_variant
+from repro.bench.runner import TraceRows, run_defaults, run_variant
 from repro.envcfg import SimOptions
 from repro.machine import A53, A57, HASWELL, XEON_PHI, Interpreter
 from repro.machine.memory import Memory, MemoryFault
+from repro.obs.sinks import collecting
 from tests.conftest import SIMPLE, SIMPLE_OOO, build_indirect_kernel
 
 ALL_MACHINES = (HASWELL, A57, A53, XEON_PHI)
@@ -614,10 +615,10 @@ def traced_rows(**kwargs) -> list:
     """Compiled-trace rows of one small run; the reference engine
     compiles none."""
     from repro.workloads import IntegerSort
-    with collecting_traces() as rows:
+    with collecting(TraceRows()) as rows:
         run_variant(IntegerSort(num_keys=2000, num_buckets=1 << 14),
                     "auto", HASWELL, cache=False, **kwargs)
-    return rows
+    return rows.records
 
 
 class TestFastpathFlag:

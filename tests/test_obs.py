@@ -22,13 +22,13 @@ from repro.obs.logs import (LogFormatError, AccessLogger, format_json,
                             format_text, make_record, parse_json_line)
 from repro.obs.metrics import (Counter, Gauge, Histogram, Registry,
                                escape_label_value, nearest_rank)
+from repro.obs.sinks import SpanRecorder, collecting
 from repro.obs.trace import TraceBuffer, new_request_id
 from repro.obs.top import render as render_top
 from repro.serve.client import AsyncClient
 from repro.serve.protocol import execute_request, normalize_request
 from repro.serve.server import Server, ServeConfig, stage_ms
 from repro.telemetry.perfetto import build_request_trace
-from repro.telemetry.spans import SpanRecorder, recording
 
 
 def canonical(value) -> str:
@@ -353,7 +353,7 @@ class TestObservabilityEquivalence:
         norm = normalize_request({"workload": "is", "small": True,
                                   "variant": "plain"})
         plain = execute_request(dict(norm))
-        with recording(SpanRecorder()) as recorder:
+        with collecting(SpanRecorder()) as recorder:
             traced = execute_request(dict(norm))
         assert recorder.spans("bench")       # the run was traced…
         # wall_ms is a measurement; everything else must be identical,
@@ -366,7 +366,7 @@ class TestObservabilityEquivalence:
         norm = normalize_request({"workload": "is", "small": True,
                                   "variant": "plain",
                                   "include": ["spans"]})
-        with recording(SpanRecorder()) as recorder:
+        with collecting(SpanRecorder()) as recorder:
             payload = execute_request(dict(norm))
         assert payload["spans"]["schema"] == "repro-spans-v1"
         names = {r["name"] for r in payload["spans"]["records"]}

@@ -13,6 +13,7 @@ from repro.ir import (Constant, INT64, IRBuilder, Load, Module, Namer,
                       verify_module)
 from repro.machine import Interpreter, Memory
 from repro.machine.interpreter import static_prefetch_pcs
+from repro.obs.sinks import collecting
 from repro.passes import (CommonSubexpressionEliminationPass,
                           ConstantFoldingPass, DeadCodeEliminationPass,
                           IndirectPrefetchPass,
@@ -20,10 +21,10 @@ from repro.passes import (CommonSubexpressionEliminationPass,
                           PassManager, PrefetchOptions, SimplifyCFGPass,
                           StrideIndirectBaselinePass)
 from repro.remarks import (KNOWN_REMARKS, Remark, RemarkEmitter,
-                           active_emitter, canonical_stream, collecting,
-                           dumps_stream, emit, parse_stream,
-                           remark_from_dict, remark_to_dict,
-                           render_remarks, validate_remark_dict)
+                           active_emitter, canonical_stream, dumps_stream,
+                           emit, parse_stream, remark_from_dict,
+                           remark_to_dict, render_remarks,
+                           validate_remark_dict)
 from tests.conftest import build_indirect_kernel
 
 
@@ -65,7 +66,7 @@ class TestEmitterScoping:
             recorded = emit("analysis", "p", "PassExecuted", wall_us=3)
         assert active_emitter() is None
         assert recorded is not None
-        assert emitter.remarks == [recorded]
+        assert emitter.records == [recorded]
         assert recorded.arg("wall_us") == 3
 
     def test_scopes_nest_innermost_wins(self):
@@ -103,7 +104,7 @@ class TestSerialization:
             emit("missed", "indirect-prefetch", "PrefetchRejected",
                  function="kernel", load="%k", reason="NOT_INDIRECT",
                  detail="", path=["%p", "%k"])
-        return emitter.remarks
+        return emitter.records
 
     def test_round_trip_is_byte_identical(self):
         stream = dumps_stream(self._sample_remarks())
@@ -152,9 +153,10 @@ class TestSerialization:
 class TestPassManagerInstrumentation:
     def test_pass_executed_remarks_with_deltas(self):
         emitter = RemarkEmitter()
-        pm = PassManager(emitter=emitter)
+        pm = PassManager()
         pm.add(ConstantFoldingPass()).add(DeadCodeEliminationPass())
-        pm.run(build_indirect_kernel())
+        with collecting(emitter):
+            pm.run(build_indirect_kernel())
         executed = emitter.by_name("PassExecuted")
         assert [r.pass_name for r in executed] == ["constfold", "dce"]
         for remark in executed:
@@ -173,9 +175,10 @@ class TestPassManagerInstrumentation:
     def test_no_emitter_no_remarks_same_result(self):
         with_, without = build_indirect_kernel(), build_indirect_kernel()
         emitter = RemarkEmitter()
-        pm = PassManager(emitter=emitter)
+        pm = PassManager()
         pm.add(ConstantFoldingPass()).add(DeadCodeEliminationPass())
-        pm.run(with_)
+        with collecting(emitter):
+            pm.run(with_)
         pm2 = PassManager()
         pm2.add(ConstantFoldingPass()).add(DeadCodeEliminationPass())
         pm2.run(without)

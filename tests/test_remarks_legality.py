@@ -8,9 +8,10 @@ import pytest
 
 from repro.ir import (Constant, INT64, IRBuilder, Module, VOID, pointer,
                       verify_module)
+from repro.obs.sinks import collecting
 from repro.passes import (IndirectPrefetchPass, PrefetchOptions,
                           RejectReason)
-from repro.remarks import RemarkEmitter, collecting
+from repro.remarks import RemarkEmitter
 from tests.conftest import build_indirect_kernel
 
 

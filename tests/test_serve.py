@@ -109,6 +109,7 @@ class TestNormalizeRequest:
         {"workload": "is", "tier": "gpu"},
         {"workload": "is", "tier": "tracejit"},    # retired tiers
         {"workload": "is", "tier": "vector"},
+        {"workload": "is", "tier": "fastpath"},
         {"kind": "compile"},                       # missing source
         {"kind": "compile", "source": "   "},
         {"kind": "sleep", "seconds": 1},           # debug only
@@ -431,7 +432,7 @@ class TestServerFaults:
                 server, {"kind": "compile", "source": VALID_KERNEL})
             assert status == 500
             assert "RuntimeError: injected pass failure" in body["error"]
-        serve_scenario(scenario, mp_context="fork")(tmp_path)
+        serve_scenario(scenario)(tmp_path)
 
     def test_store_failure_never_wedges_the_key(self, tmp_path):
         """A store.put that raises (full disk, unserialisable payload

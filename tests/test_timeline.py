@@ -21,10 +21,10 @@ import pytest
 from repro.envcfg import SimOptions
 from repro.machine import A53, HASWELL, Interpreter
 from repro.machine.memory import Memory
+from repro.obs.sinks import (SpanRecorder, active, collecting, instant,
+                             span)
 from repro.telemetry.perfetto import (PIPELINE_PID, SIM_PID,
                                       build_trace, canonical_json)
-from repro.telemetry.spans import (SpanRecorder, active_recorder,
-                                   instant, recording, span)
 from repro.telemetry.timeline import TimelineRecorder, resolve_timeline
 
 def snapshot(interp: Interpreter) -> dict:
@@ -259,19 +259,19 @@ class TestTimelineTierIdentity:
 
 class TestSpans:
     def test_no_recorder_is_a_noop(self):
-        assert active_recorder() is None
+        assert active(SpanRecorder) is None
         with span("bench", "x", a=1) as extra:
             extra["b"] = 2            # accepted, goes nowhere
         instant("bench", "y")         # no crash
 
     def test_span_records_with_merged_args(self):
         rec = SpanRecorder()
-        with recording(rec):
-            assert active_recorder() is rec
+        with collecting(rec):
+            assert active(SpanRecorder) is rec
             with span("cache", "probe", key="abc") as s:
                 s["hit"] = True
             instant("tracejit", "TraceCompiled", ops=7)
-        assert active_recorder() is None
+        assert active(SpanRecorder) is None
         (sp,) = rec.spans()
         assert sp["category"] == "cache"
         assert sp["name"] == "probe"
@@ -283,7 +283,7 @@ class TestSpans:
 
     def test_nested_spans_record_in_completion_order(self):
         rec = SpanRecorder()
-        with recording(rec):
+        with collecting(rec):
             with span("bench", "outer"):
                 with span("bench", "inner"):
                     pass
@@ -295,11 +295,11 @@ class TestSpans:
         emitter its own context installed, across its awaits."""
         import asyncio
 
-        from repro.remarks import RemarkEmitter, collecting, emit
+        from repro.remarks import RemarkEmitter, emit
 
         async def request(name):
             recorder, emitter = SpanRecorder(), RemarkEmitter()
-            with recording(recorder), collecting(emitter):
+            with collecting(recorder, emitter):
                 await asyncio.sleep(0)
                 with span("serve", f"{name}.probe"):
                     emit("analysis", name, "PassExecuted")
@@ -318,7 +318,7 @@ class TestSpans:
         assert b_spans == ["b.probe", "b.wait"]
         assert a_remarks == ["a", "a"]
         assert b_remarks == ["b", "b"]
-        assert active_recorder() is None
+        assert active(SpanRecorder) is None
 
     def test_pass_manager_records_pass_spans(self):
         from repro.frontend import compile_source
@@ -326,7 +326,7 @@ class TestSpans:
         src = ("void f(long* restrict a, long n) {"
                " for (long i = 0; i < n; i++) a[i] = i; }")
         rec = SpanRecorder()
-        with recording(rec):
+        with collecting(rec):
             module = compile_source(src)
             pm = PassManager().add(DeadCodeEliminationPass())
             pm.run(module)
@@ -343,7 +343,7 @@ class TestSpans:
         from repro.workloads import IntegerSort
         cache = RunCache(tmp_path / "cache")
         rec = SpanRecorder()
-        with recording(rec):
+        with collecting(rec):
             wl = IntegerSort(num_keys=500, num_buckets=1 << 10)
             run_variant(wl, "plain", HASWELL, cache=cache)
         names = [s["name"] for s in rec.spans("bench")]
@@ -425,7 +425,7 @@ class TestPerfettoExport:
 
     def test_trace_structure(self):
         rec = SpanRecorder()
-        with recording(rec):
+        with collecting(rec):
             rows = self._rows()
         trace = build_trace(rows, rec, meta={"machine": "Haswell"})
         assert trace["otherData"]["schema"] == "repro-timeline-trace-v1"
@@ -444,7 +444,7 @@ class TestPerfettoExport:
 
     def test_canonical_json_zeroes_only_wall_clock(self):
         rec = SpanRecorder()
-        with recording(rec):
+        with collecting(rec):
             rows = self._rows()
         trace = build_trace(rows, rec)
         canon = json.loads(canonical_json(trace))

@@ -22,7 +22,8 @@ from repro.ir.values import Constant
 from repro.machine import A53, HASWELL, XEON_PHI, Interpreter
 from repro.machine.memory import Memory
 from repro.machine.tracejit import DEFAULT_THRESHOLD
-from repro.remarks import RemarkEmitter, collecting
+from repro.obs.sinks import collecting
+from repro.remarks import RemarkEmitter
 
 from .conftest import SIMPLE, SIMPLE_OOO
 from .test_fastpath_equivalence import (build_branchy_kernel,

@@ -41,7 +41,7 @@ def collect_streams(small: bool = True) -> dict[str, str]:
     streams = {}
     for workload in paper_benchmarks(small=small):
         _module, emitter = collect_remarks(workload, "auto")
-        streams[workload.name] = dumps_stream(emitter.remarks)
+        streams[workload.name] = dumps_stream(emitter.records)
     return streams
 
 

@@ -43,14 +43,14 @@ def collect_trace(small: bool = True, window: int = 5_000) -> dict:
     """One full timeline pass over the quick suite: rows + spans →
     trace document (run cache off, serial, spans recorded)."""
     from repro.machine import HASWELL
+    from repro.obs.sinks import SpanRecorder, collecting
     from repro.telemetry.perfetto import build_trace
     from repro.telemetry.report import timeline_rows
-    from repro.telemetry.spans import SpanRecorder, recording
     from repro.workloads import paper_benchmarks
 
     workloads = paper_benchmarks(small=small)
     recorder = SpanRecorder()
-    with recording(recorder):
+    with collecting(recorder):
         rows = timeline_rows(workloads, HASWELL, variant="auto",
                              window=window, cache=False)
     for row in rows:

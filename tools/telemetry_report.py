@@ -66,11 +66,14 @@ def check_identity(small: bool) -> None:
 
 
 def main(argv=None) -> int:
+    from repro.cli import at_least_one
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="scaled-down workloads (CI smoke mode)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for independent runs")
+    parser.add_argument("--jobs", type=at_least_one, default=None,
+                        help="worker processes for independent runs "
+                             "(>= 1; default: the available CPUs)")
     parser.add_argument("--check-identity", action="store_true",
                         help="assert telemetry-on cycles == telemetry-off")
     parser.add_argument("--output-dir", default=str(RESULTS_DIR),
