@@ -1,11 +1,12 @@
 """Shared helpers for the figure-regeneration benchmarks.
 
-Each benchmark runs its experiment exactly once (simulations are
-deterministic), archives the resulting table under
-``benchmarks/results/``, and asserts the qualitative shape the paper
-reports.  Set ``REPRO_BENCH_SMALL=1`` to run scaled-down experiments
-(used by CI smoke runs); the default sizes reproduce the shapes
-described in EXPERIMENTS.md.
+Each benchmark runs one entry of :data:`repro.bench.figures.FIGURES`
+exactly once (simulations are deterministic), archives the table the
+entry renders under ``benchmarks/results/`` — the text ``repro bench``
+prints — and asserts the qualitative shape the paper reports.  Set
+``REPRO_BENCH_SMALL=1`` to run scaled-down experiments (used by CI
+smoke runs); the default sizes reproduce the shapes described in
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pathlib
 import pytest
 
 from repro.bench.cache import RunCache
+from repro.bench.figures import FIGURES
 from repro.bench.runner import run_defaults
 from repro.envcfg import SimOptions, cache_from_env
 
@@ -47,14 +49,17 @@ def results_dir() -> pathlib.Path:
     return RESULTS_DIR
 
 
-def archive(results_dir: pathlib.Path, name: str, text: str) -> None:
-    """Write one figure's table (and echo it for -s runs)."""
-    path = results_dir / name
-    path.write_text(text)
+def run_once(benchmark, name: str, small: bool = SMALL):
+    """Run catalogue entry ``name``'s experiment exactly once under
+    pytest-benchmark timing; returns its data."""
+    return benchmark.pedantic(FIGURES[name].run, args=(small, None),
+                              rounds=1, iterations=1)
+
+
+def archive(results_dir: pathlib.Path, name: str, data) -> None:
+    """Write catalogue entry ``name``'s table of ``data`` to its
+    archive file (and echo it for -s runs)."""
+    figure = FIGURES[name]
+    text = figure.render(data)
+    (results_dir / figure.archive).write_text(text)
     print(f"\n{text}")
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1,
-                              iterations=1)

@@ -6,19 +6,12 @@
   unclamped manual code that relies on allocation slack).
 """
 
-from repro.bench import (ablation_guard_cost, ablation_scheduling,
-                         format_table)
-
 from conftest import SMALL, archive, run_once
 
 
 def test_ablation_scheduling(benchmark, results_dir):
-    results = run_once(benchmark, ablation_scheduling, small=SMALL)
-    table = format_table(
-        ["Schedule", "HJ-8 speedup"],
-        [[k, v] for k, v in results.items()],
-        "Ablation: eq. (1) staggering vs uniform offsets (Haswell)")
-    archive(results_dir, "ablation_scheduling.txt", table)
+    results = run_once(benchmark, "ablation_scheduling")
+    archive(results_dir, "ablation_scheduling", results)
     if SMALL:
         return
     # Staggering is the point of eq. (1): with uniform offsets every
@@ -28,12 +21,8 @@ def test_ablation_scheduling(benchmark, results_dir):
 
 
 def test_ablation_guard_cost(benchmark, results_dir):
-    results = run_once(benchmark, ablation_guard_cost, small=SMALL)
-    table = format_table(
-        ["Variant", "IS speedup"],
-        [[k, v] for k, v in results.items()],
-        "Ablation: cost of the min-clamp fault guard (Haswell)")
-    archive(results_dir, "ablation_guard_cost.txt", table)
+    results = run_once(benchmark, "ablation_guard_cost")
+    archive(results_dir, "ablation_guard_cost", results)
     # The clamp costs a couple of instructions per prefetch; the guarded
     # code must stay within a few percent of the unguarded manual code.
     clamped = results["with clamp (auto)"]

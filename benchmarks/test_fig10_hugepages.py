@@ -7,19 +7,12 @@ The paper: huge pages slightly shrink the prefetch win for IS and RA
 consistent, and gains remain positive everywhere.
 """
 
-from repro.bench import fig10_huge_pages, format_table
-
 from conftest import SMALL, archive, run_once
 
 
 def test_fig10_hugepages(benchmark, results_dir):
-    results = run_once(benchmark, fig10_huge_pages, small=SMALL)
-    table = format_table(
-        ["Benchmark", "Small Pages", "Huge Pages"],
-        [[name, row["Small Pages"], row["Huge Pages"]]
-         for name, row in results.items()],
-        "Fig. 10: prefetch speedup vs page size (Haswell)")
-    archive(results_dir, "fig10_hugepages.txt", table)
+    results = run_once(benchmark, "fig10")
+    archive(results_dir, "fig10", results)
 
     for name, row in results.items():
         # Prefetching helps under both page policies.

@@ -5,18 +5,14 @@ the table; too-small and too-large offsets also underperform; the
 optimal scheme staggers both prefetches at c = 64.
 """
 
-from repro.bench import fig2_prefetch_schemes, format_table
-
 from conftest import archive, run_once
 
 
 def test_fig2_prefetch_schemes(benchmark, results_dir):
-    speedups = run_once(benchmark, fig2_prefetch_schemes)
-    table = format_table(
-        ["Scheme", "Speedup"],
-        [[name, value] for name, value in speedups.items()],
-        "Fig. 2: IS prefetching schemes on Haswell")
-    archive(results_dir, "fig2_prefetch_schemes.txt", table)
+    # Full size in small mode too: the shape needs IS's full working
+    # set.
+    speedups = run_once(benchmark, "fig2", small=False)
+    archive(results_dir, "fig2", speedups)
 
     # Shape: optimal wins; every scheme is ordered below it as in the
     # paper's bars.

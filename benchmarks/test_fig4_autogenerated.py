@@ -5,42 +5,18 @@ headline geometric means.
 
 import pytest
 
-from repro.bench import (fig4_geomeans, fig4_system, format_table,
-                         geometric_mean)
+from repro.bench import fig4_geomeans
 from repro.machine import A53, A57, HASWELL, XEON_PHI
 
 from conftest import SMALL, archive, run_once
 
 
-def _render(rows, title, include_icc):
-    headers = ["Benchmark", "Autogenerated", "Manual"]
-    if include_icc:
-        headers.append("ICC-generated")
-    table_rows = []
-    for r in rows:
-        cells = [r.benchmark, r.auto, r.manual]
-        if include_icc:
-            cells.append(r.icc)
-        table_rows.append(cells)
-    gm = fig4_geomeans(rows)
-    cells = ["Geomean", gm["auto"], gm["manual"]]
-    if include_icc:
-        cells.append(gm["icc"])
-    table_rows.append(cells)
-    return format_table(headers, table_rows, title), gm
-
-
 @pytest.mark.parametrize("machine,letter", [
     (HASWELL, "a"), (A57, "b"), (A53, "c"), (XEON_PHI, "d")])
 def test_fig4(benchmark, results_dir, machine, letter):
-    include_icc = machine is XEON_PHI
-    rows = run_once(benchmark, fig4_system, machine,
-                    include_icc=include_icc, small=SMALL)
-    table, gm = _render(
-        rows, f"Fig. 4({letter}): speedups on {machine.name}",
-        include_icc)
-    machine_slug = machine.name.lower().replace(" ", "_")
-    archive(results_dir, f"fig4{letter}_{machine_slug}.txt", table)
+    rows = run_once(benchmark, f"fig4{letter}")
+    archive(results_dir, f"fig4{letter}", rows)
+    gm = fig4_geomeans(rows)
 
     by_name = {r.benchmark: r for r in rows}
 

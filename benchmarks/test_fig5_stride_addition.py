@@ -1,20 +1,14 @@
 """Fig. 5: staggered stride prefetches added to the indirect prefetch,
 for the automated scheme on Haswell."""
 
-from repro.bench import fig5_stride_contribution, format_table, \
-    geometric_mean
+from repro.bench import geometric_mean
 
 from conftest import SMALL, archive, run_once
 
 
 def test_fig5_stride_addition(benchmark, results_dir):
-    rows = run_once(benchmark, fig5_stride_contribution, small=SMALL)
-    table = format_table(
-        ["Benchmark", "Indirect Only", "Indirect + Stride"],
-        [[r["benchmark"], r["indirect_only"],
-          r["indirect_plus_stride"]] for r in rows],
-        "Fig. 5: adding the stride prefetch (Haswell, automated scheme)")
-    archive(results_dir, "fig5_stride_addition.txt", table)
+    rows = run_once(benchmark, "fig5")
+    archive(results_dir, "fig5", rows)
 
     if SMALL:
         return

@@ -6,26 +6,12 @@ is close to optimal everywhere, and being generous (too early) costs far
 less than being late.
 """
 
-from repro.bench import LOOKAHEAD_SWEEP, fig6_lookahead_sweep, \
-    format_series
-from repro.machine import ALL_SYSTEMS
-
 from conftest import SMALL, archive, run_once
 
 
 def test_fig6_lookahead(benchmark, results_dir):
-    results = run_once(benchmark, fig6_lookahead_sweep, small=SMALL)
-
-    benchmarks = sorted({b for b, _ in results})
-    chunks = []
-    for bench in benchmarks:
-        series = {machine.name: results[(bench, machine.name)]
-                  for machine in ALL_SYSTEMS}
-        chunks.append(format_series(
-            f"Fig. 6: {bench} speedup vs look-ahead distance c",
-            "c", LOOKAHEAD_SWEEP, series))
-    text = "\n".join(chunks)
-    archive(results_dir, "fig6_lookahead.txt", text)
+    results = run_once(benchmark, "fig6")
+    archive(results_dir, "fig6", results)
 
     if SMALL:
         return

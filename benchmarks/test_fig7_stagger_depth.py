@@ -10,19 +10,12 @@ instructions stay cheaper than the serial miss they remove — see
 EXPERIMENTS.md).
 """
 
-from repro.bench import fig7_stagger_depth, format_series
-
 from conftest import SMALL, archive, run_once
-
-DEPTHS = (1, 2, 3, 4)
 
 
 def test_fig7_stagger_depth(benchmark, results_dir):
-    results = run_once(benchmark, fig7_stagger_depth, small=SMALL)
-    text = format_series(
-        "Fig. 7: HJ-8 speedup vs number of dependent loads prefetched",
-        "depth", DEPTHS, results)
-    archive(results_dir, "fig7_stagger_depth.txt", text)
+    results = run_once(benchmark, "fig7")
+    archive(results_dir, "fig7", results)
 
     if SMALL:
         return

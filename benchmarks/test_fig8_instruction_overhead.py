@@ -6,19 +6,12 @@ only small ones for Graph500, whose best Haswell scheme keeps prefetches
 out of the innermost loop.
 """
 
-from repro.bench import fig8_instruction_overhead, format_table
-
 from conftest import SMALL, archive, run_once
 
 
 def test_fig8_instruction_overhead(benchmark, results_dir):
-    overheads = run_once(benchmark, fig8_instruction_overhead,
-                         small=SMALL)
-    table = format_table(
-        ["Benchmark", "% extra instructions"],
-        [[name, pct] for name, pct in overheads.items()],
-        "Fig. 8: dynamic instruction overhead on Haswell (best scheme)")
-    archive(results_dir, "fig8_instruction_overhead.txt", table)
+    overheads = run_once(benchmark, "fig8")
+    archive(results_dir, "fig8", overheads)
 
     if SMALL:
         return

@@ -6,27 +6,17 @@ one core running them back-to-back (normalised throughput below 1), yet
 software prefetching still helps at every core count.
 """
 
-from repro.bench import fig9_bandwidth, format_series
-
 from conftest import SMALL, archive, run_once
 
 CORES = (1, 2, 4)
 
 
 def test_fig9_bandwidth(benchmark, results_dir):
-    results = run_once(benchmark, fig9_bandwidth, small=SMALL)
-    series = {
-        "No Prefetching": {n: results[(n, "No Prefetching")]
-                           for n in CORES},
-        "Prefetching": {n: results[(n, "Prefetching")] for n in CORES},
-    }
-    text = format_series(
-        "Fig. 9: IS normalised throughput vs core count (Haswell)",
-        "cores", CORES, series)
-    archive(results_dir, "fig9_bandwidth.txt", text)
+    results = run_once(benchmark, "fig9")
+    archive(results_dir, "fig9", results)
 
-    no_pf = series["No Prefetching"]
-    pf = series["Prefetching"]
+    no_pf = {n: results[(n, "No Prefetching")] for n in CORES}
+    pf = {n: results[(n, "Prefetching")] for n in CORES}
     # Single-core without prefetching is the normalisation baseline.
     assert abs(no_pf[1] - 1.0) < 0.01
     # Prefetching helps at every core count.

@@ -1,16 +1,11 @@
 """Table 1: the four simulated systems and their model parameters."""
 
-from repro.bench import format_table, table1_rows
-
 from conftest import archive, run_once
 
 
 def test_table1_systems(benchmark, results_dir):
-    rows = run_once(benchmark, table1_rows)
-    headers = list(rows[0])
-    table = format_table(headers, [[r[h] for h in headers] for r in rows],
-                         "Table 1: simulated systems")
-    archive(results_dir, "table1_systems.txt", table)
+    rows = run_once(benchmark, "table1")
+    archive(results_dir, "table1", rows)
 
     names = [r["System"] for r in rows]
     assert names == ["Haswell", "A57", "A53", "Xeon Phi"]

@@ -1,9 +1,9 @@
 """Static analyses over the repro IR.
 
 Provides CFG orderings and dominators, natural-loop detection, induction
-variable discovery, data-dependence walking, allocation-size discovery,
-loop memory-dependence checks, and call-graph purity — everything the
-prefetch pass of :mod:`repro.passes.prefetch` consumes.
+variable discovery, allocation-size discovery, loop memory-dependence
+checks, and call-graph purity — everything the prefetch pass of
+:mod:`repro.passes.prefetch` consumes.
 """
 
 from .allocsize import (ArrayBound, known_array_bound, static_array_bound,
@@ -11,8 +11,6 @@ from .allocsize import (ArrayBound, known_array_bound, static_array_bound,
 from .cfg import (dominance_frontiers, dominates, dominators,
                   instruction_dominates, predecessor_map, reverse_postorder,
                   successor_map)
-from .ddg import (depends_on, iter_loads, loads_in_closure, operands_of,
-                  phis_in_closure, transitive_inputs)
 from .induction import (InductionAnalysis, InductionVariable, IVBound)
 from .loops import Loop, LoopInfo
 from .memdep import (loads_clobbered_in_loop, loop_may_clobber, may_alias,
@@ -25,8 +23,6 @@ __all__ = [
     "dominance_frontiers", "dominates", "dominators",
     "instruction_dominates", "predecessor_map", "reverse_postorder",
     "successor_map",
-    "depends_on", "iter_loads", "loads_in_closure", "operands_of",
-    "phis_in_closure", "transitive_inputs",
     "InductionAnalysis", "InductionVariable", "IVBound",
     "Loop", "LoopInfo",
     "loads_clobbered_in_loop", "loop_may_clobber", "may_alias",

@@ -1,6 +1,8 @@
 """Experiment harness regenerating every table and figure of §6.
 
-See :mod:`repro.bench.experiments` for one entry point per figure and
+See :mod:`repro.bench.experiments` for one entry point per figure,
+:mod:`repro.bench.figures` for the catalogue that renders each table
+(imported on its own: importing this package does not load it), and
 ``benchmarks/`` for the pytest-benchmark drivers that archive results.
 """
 
@@ -12,8 +14,7 @@ from .experiments import (ablation_guard_cost, ablation_scheduling,
                           fig10_huge_pages, manual_knobs_for, table1_rows,
                           LOOKAHEAD_SWEEP)
 from .reporting import format_series, format_table
-from .runner import (SpeedupRow, VariantResult, geometric_mean,
-                     run_variant, speedup_row)
+from .runner import VariantResult, geometric_mean, run_variant
 
 __all__ = [
     "ablation_guard_cost", "ablation_scheduling",
@@ -23,6 +24,5 @@ __all__ = [
     "fig10_huge_pages", "manual_knobs_for", "table1_rows",
     "LOOKAHEAD_SWEEP",
     "format_series", "format_table",
-    "SpeedupRow", "VariantResult", "geometric_mean", "run_variant",
-    "speedup_row",
+    "VariantResult", "geometric_mean", "run_variant",
 ]

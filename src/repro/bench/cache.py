@@ -41,19 +41,21 @@ from ..obs.sinks import span
 from ..serve.cas import ContentStore
 
 #: Bump when cached-result semantics change without a source change
-#: of :data:`_SIM_SOURCES` (``bench/``, which writes the entries, is not
-#: hashed).
+#: of :data:`_SIM_SOURCES` (``bench/`` and ``serve/``, which write the
+#: entries, are not hashed).
 ENGINE_VERSION = "2"
 
 _CODE_HASH: str | None = None
 
-#: Package subtrees whose source determines simulation results.
-#: ``telemetry`` is included because telemetry snapshots ride inside
-#: cached results: a classification change must invalidate them.  It
-#: holds simulated-time code only; the wall-clock span recorder lives
-#: in ``obs``, so editing it keeps every stored result.
-_SIM_SOURCES = ("ir", "frontend", "passes", "machine", "workloads",
-                "telemetry")
+#: Package subtrees whose source determines a stored result — a run
+#: cache entry, or a served answer keyed by request and this hash.
+#: ``analysis`` feeds the prefetch pass, so it shapes the built IR;
+#: ``remarks`` shapes a served result's remark list; ``telemetry``
+#: snapshots ride inside cached results, so a classification change
+#: must invalidate them.  ``obs`` holds wall-clock code only (spans,
+#: metrics), so editing it keeps every stored result.
+_SIM_SOURCES = ("ir", "frontend", "analysis", "passes", "machine",
+                "workloads", "telemetry", "remarks")
 
 
 def simulator_code_hash() -> str:

@@ -1,8 +1,9 @@
 """One function per table/figure of the paper's evaluation (§6).
 
 Each function runs the required simulations and returns plain data
-structures; :mod:`repro.bench.reporting` renders them as the text tables
-the benchmark harness archives under ``benchmarks/results/``.
+structures; the catalogue :mod:`repro.bench.figures` renders them as
+the text tables ``repro bench`` prints and the benchmark harness
+archives under ``benchmarks/results/``.
 """
 
 from __future__ import annotations

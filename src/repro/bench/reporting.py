@@ -48,6 +48,16 @@ def format_series(title: str, x_label: str, xs: Iterable,
     return format_table(headers, rows, title)
 
 
+def headings(text: str) -> list[tuple[str, list[str]]]:
+    """The title and column names of each titled table in ``text``:
+    the layout of a table, which its small and full-size runs share."""
+    lines = text.splitlines()
+    return [(lines[i - 1], [name.strip() for name in
+                            lines[i + 1].split(" | ")])
+            for i, line in enumerate(lines)
+            if i and line and set(line) == {"="}]
+
+
 def telemetry_summary(snapshot: dict | None) -> dict:
     """Compact telemetry columns for figure tables.
 

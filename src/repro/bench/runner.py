@@ -1,9 +1,9 @@
 """Experiment runner: workload × variant × machine → cycles and stats.
 
-Every figure's harness funnels through :func:`run_variant` /
-:func:`speedup_table`, so results are produced identically everywhere:
-fresh memory, fresh module, functional validation of the architectural
-results, and cycle counts from the timed interpreter.
+Every figure's harness funnels through :func:`run_variant` (directly
+or through :func:`run_specs`), so results are produced identically
+everywhere: fresh memory, fresh module, functional validation of the
+architectural results, and cycle counts from the timed interpreter.
 
 The engine options (:class:`~repro.envcfg.SimOptions`) and the run
 cache are arguments; a caller that leaves them ``None`` gets the pair
@@ -82,9 +82,10 @@ def reset_telemetry() -> None:
 class TraceRows:
     """Sink of per-trace rows from every run simulated while it is
     installed (:func:`repro.obs.sinks.collecting`), each tagged with
-    the run's workload/variant/machine — the raw material of ``repro
-    bench --hot-report``.  Cache hits contribute nothing, and with no
-    sink installed runs keep no rows."""
+    the run's workload, variant, machine, ``lookahead`` and ``knobs``
+    (see :func:`_knobs`) — the raw material of ``repro bench
+    --hot-report``.  Cache hits contribute nothing, and with no sink
+    installed runs keep no rows."""
 
     def __init__(self):
         self.records: list[dict] = []
@@ -195,14 +196,28 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
         TELEMETRY["simulated_instructions"] += out.instructions
         trace_rows = active(TraceRows)
         if trace_rows is not None:
+            knobs = _knobs(options, manual_knobs)
             for row in interp.trace_report():
                 row.update(workload=workload.name, variant=variant,
-                           machine=machine.name)
+                           machine=machine.name, lookahead=lookahead,
+                           knobs=knobs)
                 trace_rows.records.append(row)
         if run_cache is not None:
             run_cache.put(key, {"row": dataclasses.asdict(out),
                                 "rng": workload.rng.bit_generator.state})
         return out
+
+
+def _knobs(options: PrefetchOptions | None, manual_knobs: dict) -> str:
+    """A run's manual knobs and the pass options that differ from
+    their defaults, as ``name=value`` text; ``-`` for none."""
+    knobs = dict(manual_knobs)
+    if options is not None:
+        default = PrefetchOptions()
+        for f in dataclasses.fields(options):
+            if getattr(options, f.name) != getattr(default, f.name):
+                knobs[f.name] = getattr(options, f.name)
+    return ", ".join(f"{k}={v}" for k, v in knobs.items()) or "-"
 
 
 def _replay(entry: dict | None, workload: Workload) -> VariantResult | None:
@@ -326,35 +341,6 @@ def run_specs(specs: list[RunSpec], jobs: int | None = None,
     # Workers' in-memory cache entries stay behind; disk entries are
     # shared.
     return [result for result, _, _ in ran]
-
-
-@dataclass
-class SpeedupRow:
-    """Speedups of the prefetched variants over plain, for one
-    (workload, machine) pair."""
-
-    workload: str
-    machine: str
-    baseline_cycles: float
-    speedups: dict[str, float] = field(default_factory=dict)
-    results: dict[str, VariantResult] = field(default_factory=dict)
-
-
-def speedup_row(workload: Workload, machine: MachineConfig,
-                variants: tuple[str, ...] = ("auto", "manual"),
-                lookahead: int = 64, **kwargs) -> SpeedupRow:
-    """Run plain + the requested variants; returns speedups over plain."""
-    plain = run_variant(workload, "plain", machine, lookahead, **kwargs)
-    row = SpeedupRow(workload=workload.name, machine=machine.name,
-                     baseline_cycles=plain.cycles)
-    row.results["plain"] = plain
-    for variant in variants:
-        result = run_variant(workload, variant, machine, lookahead,
-                             **kwargs)
-        row.results[variant] = result
-        row.speedups[variant] = (plain.cycles / result.cycles
-                                 if result.cycles else 0.0)
-    return row
 
 
 def geometric_mean(values: list[float]) -> float:

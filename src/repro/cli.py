@@ -74,6 +74,19 @@ def _build_parser() -> argparse.ArgumentParser:
     variant.add_argument(
         "--variant", default="auto", choices=VARIANTS,
         help="variant to run (default auto)")
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument(
+        "target",
+        help="workload name (is, cg, ra, hj2, hj8, g500-s16, g500-s21), "
+             "'quick' for the whole suite, or fig4a-d for one machine's "
+             "suite")
+    target.add_argument(
+        "--machine", default=None, metavar="NAME",
+        help="machine to simulate (default Haswell; ignored for "
+             "fig4a-d targets, which pin their machine)")
+    target.add_argument(
+        "--small", action="store_true",
+        help="scaled-down workloads (quick smoke sizes)")
 
     compile_cmd = sub.add_parser(
         "compile", parents=[lookahead],
@@ -105,7 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one figure's experiment and print its table")
     bench_cmd.add_argument(
         "figure",
-        help="which figure to reproduce (fig2, fig4a-d, fig5-fig10)")
+        help="which table to print (table1, fig2, fig4a-d, fig5-fig10, "
+             "ablation_scheduling, ablation_guard_cost)")
     bench_cmd.add_argument(
         "--small", action="store_true",
         help="scaled-down workloads (quick smoke sizes)")
@@ -130,39 +144,15 @@ def _build_parser() -> argparse.ArgumentParser:
              "Prometheus text exposition to FILE")
 
     stats_cmd = sub.add_parser(
-        "stats", parents=[variant, lookahead, jobs],
+        "stats", parents=[variant, lookahead, jobs, target],
         help="prefetch-telemetry report for a workload or figure")
-    stats_cmd.add_argument(
-        "target",
-        help="workload name (is, cg, ra, hj2, hj8, g500-s16, g500-s21), "
-             "'quick' for the whole suite, or fig4a-d for one machine's "
-             "suite")
-    stats_cmd.add_argument(
-        "--machine", default=None, metavar="NAME",
-        help="machine to simulate (default Haswell; ignored for "
-             "fig4a-d targets, which pin their machine)")
-    stats_cmd.add_argument(
-        "--small", action="store_true",
-        help="scaled-down workloads (quick smoke sizes)")
     stats_cmd.add_argument(
         "--json", action="store_true",
         help="emit the machine-readable JSON report instead of a table")
 
     explain_cmd = sub.add_parser(
-        "explain", parents=[variant, lookahead, jobs],
+        "explain", parents=[variant, lookahead, jobs, target],
         help="join compile-time prefetch remarks with runtime outcomes")
-    explain_cmd.add_argument(
-        "target",
-        help="workload name (is, cg, ra, hj2, hj8, g500-s16, g500-s21), "
-             "'quick' for the whole suite, or fig4a-d for one machine's "
-             "suite")
-    explain_cmd.add_argument(
-        "--machine", default=None, metavar="NAME",
-        help="machine to simulate (default Haswell; ignored for "
-             "fig4a-d targets, which pin their machine)")
-    explain_cmd.add_argument(
-        "--small", action="store_true",
-        help="scaled-down workloads (quick smoke sizes)")
     explain_cmd.add_argument(
         "--json", action="store_true",
         help="emit the machine-readable JSON report instead of tables")
@@ -171,21 +161,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the per-workload remark streams as JSON")
 
     timeline_cmd = sub.add_parser(
-        "timeline", parents=[variant, lookahead],
+        "timeline", parents=[variant, lookahead, target],
         help="flight-recorder phase report (windowed time series) for "
              "a workload or figure")
-    timeline_cmd.add_argument(
-        "target",
-        help="workload name (is, cg, ra, hj2, hj8, g500-s16, g500-s21), "
-             "'quick' for the whole suite, or fig4a-d for one machine's "
-             "suite")
-    timeline_cmd.add_argument(
-        "--machine", default=None, metavar="NAME",
-        help="machine to simulate (default Haswell; ignored for "
-             "fig4a-d targets, which pin their machine)")
-    timeline_cmd.add_argument(
-        "--small", action="store_true",
-        help="scaled-down workloads (quick smoke sizes)")
     timeline_cmd.add_argument(
         "--window", type=int, default=DEFAULT_WINDOW_CYCLES,
         metavar="CYCLES",
@@ -354,125 +332,12 @@ def _cmd_compile(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _fig2(small, jobs):
-    from .bench.experiments import fig2_prefetch_schemes
-    result = fig2_prefetch_schemes(small=small)
-    return format_table(["Scheme", "Speedup"], list(result.items()),
-                        "Fig. 2: prefetch schemes (IS, Haswell)")
-
-
-def _fig4(letter, small, jobs):
-    from .bench.experiments import fig4_geomeans, fig4_system
-    from .bench.reporting import telemetry_summary
-    from .machine import A53, A57, HASWELL, XEON_PHI
-    machine = {"a": HASWELL, "b": A57, "c": A53, "d": XEON_PHI}[letter]
-    include_icc = letter == "d"
-    rows = fig4_system(machine, include_icc=include_icc, small=small,
-                       jobs=jobs)
-    gm = fig4_geomeans(rows)
-    headers = ["Benchmark", "Autogenerated", "Manual"]
-    body = [[r.benchmark, r.auto, r.manual] for r in rows]
-    tail = ["Geomean", gm["auto"], gm["manual"]]
-    if include_icc:
-        headers.append("ICC-generated")
-        for row, r in zip(body, rows):
-            row.append(r.icc)
-        tail.append(gm["icc"])
-    # With telemetry on, each auto run carries a snapshot: surface its
-    # prefetch-outcome summary alongside the speedups.
-    summaries = [telemetry_summary(r.auto_result.telemetry
-                                   if r.auto_result else None)
-                 for r in rows]
-    if any(summaries):
-        extra = list(next(s for s in summaries if s))
-        headers += [f"{h} (auto)" for h in extra]
-        for row, summary in zip(body, summaries):
-            row += [summary.get(h, "") for h in extra]
-        tail += ["" for _ in extra]
-    return format_table(headers, body + [tail],
-                        f"Fig. 4({letter}): speedups on {machine.name}")
-
-
-def _fig5(small, jobs):
-    from .bench.experiments import fig5_stride_contribution
-    rows = fig5_stride_contribution(small=small, jobs=jobs)
-    return format_table(
-        ["Benchmark", "Indirect only", "Indirect + stride"],
-        [[r["benchmark"], r["indirect_only"], r["indirect_plus_stride"]]
-         for r in rows],
-        "Fig. 5: stride-prefetch contribution (Haswell)")
-
-
-def _fig6(small, jobs):
-    from .bench.reporting import format_series
-    from .bench.experiments import (LOOKAHEAD_SWEEP,
-                                    fig6_lookahead_sweep)
-    results = fig6_lookahead_sweep(small=small, jobs=jobs)
-    out = []
-    workloads = sorted({wl for wl, _ in results})
-    for wl in workloads:
-        series = {machine: data for (w, machine), data in
-                  results.items() if w == wl}
-        out.append(format_series(
-            f"Fig. 6: look-ahead sweep — {wl}", "c",
-            LOOKAHEAD_SWEEP, series))
-    return "\n".join(out)
-
-
-def _fig7(small, jobs):
-    from .bench.reporting import format_series
-    from .bench.experiments import fig7_stagger_depth
-    results = fig7_stagger_depth(small=small, jobs=jobs)
-    return format_series("Fig. 7: HJ-8 stagger depth", "depth",
-                         (1, 2, 3, 4), results)
-
-
-def _fig8(small, jobs):
-    from .bench.experiments import fig8_instruction_overhead
-    result = fig8_instruction_overhead(small=small)
-    return format_table(
-        ["Benchmark", "Extra instructions (%)"], list(result.items()),
-        "Fig. 8: dynamic instruction overhead (Haswell)")
-
-
-def _fig9(small, jobs):
-    from .bench.experiments import fig9_bandwidth
-    result = fig9_bandwidth(small=small)
-    return format_table(
-        ["Cores", "Scheme", "Normalised throughput"],
-        [[n, label, v] for (n, label), v in result.items()],
-        "Fig. 9: multicore bandwidth (IS, Haswell)")
-
-
-def _fig10(small, jobs):
-    from .bench.experiments import fig10_huge_pages
-    results = fig10_huge_pages(small=small)
-    return format_table(
-        ["Benchmark", "Small Pages", "Huge Pages"],
-        [[wl, row["Small Pages"], row["Huge Pages"]]
-         for wl, row in results.items()],
-        "Fig. 10: transparent huge pages (Haswell)")
-
-
-_FIGURES = {
-    "fig2": _fig2,
-    "fig4a": lambda s, j: _fig4("a", s, j),
-    "fig4b": lambda s, j: _fig4("b", s, j),
-    "fig4c": lambda s, j: _fig4("c", s, j),
-    "fig4d": lambda s, j: _fig4("d", s, j),
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "fig10": _fig10,
-}
-
-
 def _bench_hot_report(figure, args: argparse.Namespace, out) -> None:
-    """Run one figure and print the hottest compiled traces: loop
-    header, iteration count and share of the simulated instructions,
-    under a title giving the share that ran on traces; then
+    """Run one table's experiment and print the hottest compiled
+    traces: the run they came from (its look-ahead ``c`` and the knobs
+    that differ from their defaults included), loop header, iteration
+    count and share of the simulated instructions, under a title
+    giving the share that ran on traces; then
     ``TraceDeopt`` counts by stage and reason, and the trace JIT's
     remark stream."""
     from collections import Counter
@@ -484,16 +349,17 @@ def _bench_hot_report(figure, args: argparse.Namespace, out) -> None:
     emitter, traces = RemarkEmitter(), TraceRows()
     # _run_cache installs no cache here: cached runs execute nothing.
     with collecting(emitter, traces):
-        table = figure(args.small, args.jobs)
+        table = figure.table(args.small, args.jobs)
     print(table, file=out)
     total = TELEMETRY["simulated_instructions"]
     rows = traces.records
     rows.sort(key=lambda r: r["instructions"], reverse=True)
     top = rows[:max(args.hot_top, 0)]
-    headers = ["workload", "variant", "machine", "function", "loop",
-               "iterations", "instructions", "% sim"]
-    body = [[r["workload"], r["variant"], r["machine"], r["function"],
-             r["header"], r["iterations"], r["instructions"],
+    headers = ["workload", "variant", "c", "knobs", "machine",
+               "function", "loop", "iterations", "instructions", "% sim"]
+    body = [[r["workload"], r["variant"], r["lookahead"], r["knobs"],
+             r["machine"], r["function"], r["header"], r["iterations"],
+             r["instructions"],
              (f"{100.0 * r['instructions'] / total:.1f}%"
               if total else "-")]
             for r in top]
@@ -516,11 +382,11 @@ def _bench_hot_report(figure, args: argparse.Namespace, out) -> None:
 
 
 def _cmd_bench(args: argparse.Namespace, out) -> int:
-    figure = _FIGURES.get(args.figure.lower())
+    from .bench.figures import FIGURES
+    figure = FIGURES.get(args.figure.lower())
     if figure is None:
         return _unknown_target(
-            "bench", args.figure,
-            "a figure (" + ", ".join(sorted(_FIGURES)) + ")")
+            "bench", args.figure, "a table (" + ", ".join(FIGURES) + ")")
     from contextlib import nullcontext
 
     from .obs.sinks import SpanRecorder, collecting
@@ -529,7 +395,7 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
         if args.hot_report:
             _bench_hot_report(figure, args, out)
         else:
-            print(figure(args.small, args.jobs), file=out)
+            print(figure.table(args.small, args.jobs), file=out)
     if args.obs_out:
         with open(args.obs_out, "w") as handle:
             handle.write(_bench_metrics(recorder).render_prometheus())
@@ -827,12 +693,8 @@ def _cmd_cache(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_systems(out) -> int:
-    from .bench.experiments import table1_rows
-    rows = table1_rows()
-    headers = list(rows[0])
-    print(format_table(headers,
-                       [[r[h] for h in headers] for r in rows],
-                       "Simulated systems (paper Table 1)"), file=out)
+    from .bench.figures import FIGURES
+    print(FIGURES["table1"].table(), file=out)
     return 0
 
 

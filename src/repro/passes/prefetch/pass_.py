@@ -41,23 +41,20 @@ class PrefetchOptions:
     :ivar emit_stride_prefetch: emit the staggered stride prefetch for the
         look-ahead array itself (Fig. 5's "Indirect + Stride"; on by
         default, as in the paper's pass).
-    :ivar max_stagger_depth: prefetch at most this many dependent indirect
-        loads per chain (Fig. 7); ``None`` = all.
     :ivar allow_pure_calls: permit side-effect-free calls in prefetch
         address code (the extension sketched in §4.1).
     :ivar enable_hoisting: enable prefetch loop hoisting (§4.6).
     :ivar require_canonical_iv: restrict to canonical induction variables
         (the prototype restriction mentioned in §4.2).
-    :ivar verify: run the IR verifier after transforming each function.
+
+    The pass runs the IR verifier on every function it transforms.
     """
 
     lookahead: int = DEFAULT_LOOKAHEAD
     emit_stride_prefetch: bool = True
-    max_stagger_depth: int | None = None
     allow_pure_calls: bool = False
     enable_hoisting: bool = False
     require_canonical_iv: bool = False
-    verify: bool = True
 
 
 @dataclass
@@ -215,7 +212,6 @@ class IndirectPrefetchPass:
             loads_in_chain = chain_loads(chain)
             schedules = schedule_chain(
                 len(loads_in_chain), self.options.lookahead,
-                max_depth=self.options.max_stagger_depth,
                 include_stride=self.options.emit_stride_prefetch)
             schedules = [
                 s for s in schedules
@@ -250,8 +246,7 @@ class IndirectPrefetchPass:
         if active_emitter() is not None:
             self._emit_remarks(func, report, rejected_chains)
 
-        if self.options.verify:
-            verify_function(func)
+        verify_function(func)
         return report
 
     def _emit_remarks(self, func: Function, report: FunctionReport,

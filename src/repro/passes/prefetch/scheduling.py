@@ -34,16 +34,11 @@ class ScheduledPrefetch:
 
 
 def schedule_chain(num_loads: int, lookahead: int = DEFAULT_LOOKAHEAD,
-                   *, max_depth: int | None = None,
-                   include_stride: bool = True) -> list[ScheduledPrefetch]:
+                   *, include_stride: bool = True) -> list[ScheduledPrefetch]:
     """Compute the prefetches for a chain of ``num_loads`` dependent loads.
 
     :param num_loads: ``t`` in eq. (1); must be >= 1.
     :param lookahead: the constant ``c``.
-    :param max_depth: prefetch only the first ``max_depth`` *indirect*
-        loads of the chain (the stagger-depth knob of Fig. 7); the
-        position-0 stride prefetch does not count against the depth.
-        ``None`` prefetches the whole chain.
     :param include_stride: also emit the position-0 prefetch covering the
         sequentially accessed look-ahead array (Fig. 5 compares this
         against indirect-only prefetching).
@@ -53,13 +48,9 @@ def schedule_chain(num_loads: int, lookahead: int = DEFAULT_LOOKAHEAD,
         raise ValueError("a chain must contain at least one load")
     if lookahead < 1:
         raise ValueError("look-ahead constant must be positive")
-    depth = (num_loads - 1) if max_depth is None else max_depth
     schedules = []
     for position in range(num_loads):
         if position == 0 and not include_stride:
-            continue
-        if position > depth:
-            # Stagger depth exhausted: deeper loads are not prefetched.
             continue
         offset = offset_for(position, num_loads, lookahead)
         schedules.append(ScheduledPrefetch(position=position, offset=offset))

@@ -5,8 +5,7 @@ import pytest
 from repro.analysis import (InductionAnalysis, LoopInfo,
                             SideEffectAnalysis, known_array_bound,
                             loop_may_clobber, may_alias, static_array_bound,
-                            stores_in_loop, transitive_inputs,
-                            underlying_object)
+                            stores_in_loop, underlying_object)
 from repro.ir import (Constant, INT64, IRBuilder, Load, Module, VOID,
                       pointer, verify_module)
 from tests.conftest import build_indirect_kernel
@@ -237,21 +236,6 @@ class TestAliasing:
         loop = LoopInfo(f).loops[0]
         loads = [i for i in f.instructions() if isinstance(i, Load)]
         assert not loop_may_clobber(loop, loads[0])
-
-
-class TestTransitiveInputs:
-    def test_closure_contents(self, indirect_module):
-        f = indirect_module.function("kernel")
-        loads = [i for i in f.instructions() if isinstance(i, Load)]
-        closure = transitive_inputs(loads[1])
-        opcodes = sorted(i.opcode for i in closure)
-        assert "load" in opcodes and "gep" in opcodes and "phi" in opcodes
-
-    def test_cycle_through_phi_terminates(self, indirect_module):
-        f = indirect_module.function("kernel")
-        phi = f.block("loop").phis[0]
-        closure = transitive_inputs(phi)
-        assert any(i.opcode == "add" for i in closure)
 
 
 class TestSideEffects:

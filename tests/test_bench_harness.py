@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench import (fig2_prefetch_schemes, format_series,
                          format_table, geometric_mean, manual_knobs_for,
-                         run_variant, speedup_row, table1_rows)
+                         run_variant, table1_rows)
 from repro.machine import A53, HASWELL
 from repro.workloads import Graph500, IntegerSort, RandomAccess, hj2
 
@@ -58,13 +58,6 @@ class TestRunner:
         assert result.iterations == 800
         assert result.cycles_per_iteration == pytest.approx(
             result.cycles / 800)
-
-    def test_speedup_row(self):
-        workload = IntegerSort(num_keys=800, num_buckets=1 << 16)
-        row = speedup_row(workload, A53, variants=("auto",))
-        assert "auto" in row.speedups
-        assert row.speedups["auto"] > 0.5
-        assert row.results["plain"].prefetches == 0
 
     def test_manual_knobs_for_graph500(self):
         g = Graph500(scale=5, edge_factor=4)

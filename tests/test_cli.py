@@ -209,7 +209,7 @@ class TestBenchHotReport:
         code, out = run_cli("bench", "fig2", "--small", "--hot-report",
                             "--hot-top", "5")
         assert code == 0
-        assert "Fig. 2: prefetch schemes" in out
+        assert "Fig. 2: IS prefetching schemes" in out
         assert "Hottest traces" in out
         # The trace table carries per-trace provenance columns…
         for column in ("workload", "function", "iterations",
@@ -233,6 +233,23 @@ class TestBenchHotReport:
         assert share and float(share.group(1)) >= 97.0
         (deopts,) = re.findall(r"TraceDeopt by stage/reason: (.*)", out)
         assert "low-yield" not in deopts
+
+    def test_hot_report_rows_name_their_run(self):
+        """fig2 runs one IS instance five times, four of them manual
+        schemes that differ only in ``c`` or ``include_stride``: each
+        trace row names its run's look-ahead and knobs, so no two rows
+        read the same."""
+        code, out = run_cli("bench", "fig2", "--small", "--no-cache",
+                            "--hot-report", "--jobs", "1",
+                            "--hot-top", "100")
+        assert code == 0
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines)
+                     if line.startswith("Hottest traces")) + 4
+        rows = lines[start:lines.index("", start)]
+        assert len(rows) >= 5
+        assert len(set(rows)) == len(rows), rows
+        assert any("| include_stride=False |" in row for row in rows)
 
     def test_hot_report_same_at_jobs_2(self):
         """Forked workers hand back their trace rows, remarks and
@@ -260,6 +277,33 @@ class TestBenchHotReport:
         assert rows.records
         assert rows.records[0]["workload"] == "IS"
         assert active(runner.TraceRows) is None
+
+
+class TestBenchPrintsTheArchive:
+    """``repro bench`` and ``repro systems`` print each table in the
+    layout its ``benchmarks/results/`` file holds: the same text for
+    Table 1, and the same titles and columns at ``--small``."""
+
+    @staticmethod
+    def archived(name):
+        from pathlib import Path
+
+        from repro.bench.figures import FIGURES
+        return (Path(__file__).resolve().parent.parent / "benchmarks"
+                / "results" / FIGURES[name].archive).read_text()
+
+    def test_table1_text(self):
+        for argv in (("systems",), ("bench", "table1")):
+            code, out = run_cli(*argv)
+            assert code == 0
+            assert out == self.archived("table1") + "\n"
+
+    @pytest.mark.parametrize("name", ("fig2", "fig9"))
+    def test_titles_and_columns(self, name):
+        from repro.bench.reporting import headings
+        code, out = run_cli("bench", name, "--small", "--no-cache")
+        assert code == 0
+        assert headings(out) == headings(self.archived(name))
 
 
 class TestBenchObsOut:

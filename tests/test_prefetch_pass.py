@@ -305,14 +305,6 @@ class TestScheduling:
         schedules = schedule_chain(2, 64, include_stride=False)
         assert [(s.position, s.offset) for s in schedules] == [(1, 32)]
 
-    def test_stagger_depth(self):
-        schedules = schedule_chain(5, 20, max_depth=2)
-        assert [s.position for s in schedules] == [0, 1, 2]
-
-    def test_stagger_depth_zero_keeps_only_stride(self):
-        schedules = schedule_chain(5, 20, max_depth=0)
-        assert [s.position for s in schedules] == [0]
-
     @given(st.integers(1, 8), st.integers(1, 512))
     def test_offsets_monotonically_decrease(self, t, c):
         offsets = [offset_for(l, t, c) for l in range(t)]

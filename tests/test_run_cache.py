@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -111,6 +112,53 @@ class TestRunKey:
     def test_code_hash_is_cached_and_hex(self):
         assert simulator_code_hash() == simulator_code_hash()
         assert len(simulator_code_hash()) == 64
+
+    def test_code_hash_covers_what_a_served_answer_imports(self):
+        """A serve-store key is the request plus the code hash, not the
+        IR: every ``repro`` package that computing an answer loads must
+        be hashed, or stored answers outlive an edit to it.  Checked in
+        a fresh process, after an optimized compile with remarks and a
+        small simulate."""
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        from repro.bench.cache import _SIM_SOURCES
+        allowed = {
+            "obs": "wall-clock spans and metrics: never in a result",
+            "bench": "writes the entries; ENGINE_VERSION covers it",
+            "serve": "writes the entries; ENGINE_VERSION covers it",
+        }
+        script = textwrap.dedent("""
+            import sys
+            from repro.serve.protocol import execute_request, normalize_request
+            source = ("void f(long* restrict k, long* restrict b, long n)"
+                      " { for (long i = 0; i < n; i++) b[k[i]] += 1; }")
+            for raw in ({"kind": "compile", "source": source,
+                         "optimize": True, "include": ["remarks"]},
+                        {"kind": "simulate", "workload": "is",
+                         "small": True}):
+                assert execute_request(
+                    normalize_request(raw))["status"] == "ok"
+            for name, module in sorted(sys.modules.items()):
+                if (name.count(".") == 1 and name.startswith("repro.")
+                        and hasattr(module, "__path__")):
+                    print(name.split(".")[1])
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        packages = proc.stdout.split()
+        assert "analysis" in packages and "remarks" in packages
+        # Top-level modules (``repro.envcfg``) are not packages: the
+        # options they parse reach keys as values (``SimOptions`` in a
+        # run key, the request's fields in a serve key).
+        unhashed = [name for name in packages
+                    if name not in _SIM_SOURCES and name not in allowed]
+        assert not unhashed, unhashed
 
 
 class TestRunCacheStore:

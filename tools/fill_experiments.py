@@ -2,8 +2,9 @@
 
 Run after ``pytest benchmarks/ --benchmark-only``; replaces each
 ``MEASURED_*`` placeholder (or a previously inserted tagged block) with
-the corresponding table from ``benchmarks/results/``.  Idempotent:
-re-running refreshes the blocks in place.
+the archived tables of the named :data:`repro.bench.figures.FIGURES`
+entries, from ``benchmarks/results/``.  Idempotent: re-running
+refreshes the blocks in place.
 """
 
 from __future__ import annotations
@@ -13,31 +14,33 @@ import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from repro.bench.figures import FIGURES  # noqa: E402
+
 RESULTS = ROOT / "benchmarks" / "results"
 TARGET = ROOT / "EXPERIMENTS.md"
 
-#: placeholder -> result files (concatenated in order).
+#: placeholder -> catalogue entries (their tables concatenated in order).
 BLOCKS = {
-    "MEASURED_FIG2": ["fig2_prefetch_schemes.txt"],
-    "MEASURED_FIG4": ["fig4a_haswell.txt", "fig4b_a57.txt",
-                      "fig4c_a53.txt", "fig4d_xeon_phi.txt"],
-    "MEASURED_FIG5": ["fig5_stride_addition.txt"],
-    "MEASURED_FIG6": ["fig6_lookahead.txt"],
-    "MEASURED_FIG7": ["fig7_stagger_depth.txt"],
-    "MEASURED_FIG8": ["fig8_instruction_overhead.txt"],
-    "MEASURED_FIG9": ["fig9_bandwidth.txt"],
-    "MEASURED_FIG10": ["fig10_hugepages.txt"],
-    "MEASURED_ABLATIONS": ["ablation_scheduling.txt",
-                           "ablation_guard_cost.txt"],
+    "MEASURED_FIG2": ["fig2"],
+    "MEASURED_FIG4": ["fig4a", "fig4b", "fig4c", "fig4d"],
+    "MEASURED_FIG5": ["fig5"],
+    "MEASURED_FIG6": ["fig6"],
+    "MEASURED_FIG7": ["fig7"],
+    "MEASURED_FIG8": ["fig8"],
+    "MEASURED_FIG9": ["fig9"],
+    "MEASURED_FIG10": ["fig10"],
+    "MEASURED_ABLATIONS": ["ablation_scheduling", "ablation_guard_cost"],
 }
 
 
 def render(tag: str) -> str:
     chunks = []
     for name in BLOCKS[tag]:
-        path = RESULTS / name
+        path = RESULTS / FIGURES[name].archive
         if not path.exists():
-            chunks.append(f"(not yet measured: {name})")
+            chunks.append(f"(not yet measured: {path.name})")
         else:
             chunks.append(path.read_text().rstrip())
     body = "\n\n".join(chunks)
