@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ir.instructions import Alloc, Cast, GEP, Instruction, Phi, Select
-from ..ir.values import Argument, Constant, Value
+from ..ir.instructions import Alloc, Cast, GEP, Phi, Select
+from ..ir.values import Argument, Value
 
 
 @dataclass
@@ -64,12 +64,4 @@ def known_array_bound(ptr: Value) -> ArrayBound | None:
         return ArrayBound(count=obj.count, source="alloc")
     if isinstance(obj, Argument) and obj.array_size is not None:
         return ArrayBound(count=obj.array_size, source="argument")
-    return None
-
-
-def static_array_bound(ptr: Value) -> int | None:
-    """The compile-time element count behind ``ptr``, if it is constant."""
-    bound = known_array_bound(ptr)
-    if bound is not None and isinstance(bound.count, Constant):
-        return bound.count.value
     return None

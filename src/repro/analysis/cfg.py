@@ -11,11 +11,6 @@ from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 
 
-def successor_map(func: Function) -> dict[BasicBlock, list[BasicBlock]]:
-    """Map each block to its successor list."""
-    return {block: block.successors for block in func.blocks}
-
-
 def predecessor_map(func: Function) -> dict[BasicBlock, list[BasicBlock]]:
     """Map each block to its predecessor list (single scan, O(E))."""
     preds: dict[BasicBlock, list[BasicBlock]] = {
@@ -144,24 +139,3 @@ def dominance_frontiers(
                 frontiers[runner].add(block)
                 runner = idom.get(runner)
     return frontiers
-
-
-def instruction_dominates(a, b, idom=None) -> bool:
-    """Whether instruction ``a`` dominates instruction ``b``.
-
-    Both must be placed in the same function.  For same-block pairs this is
-    program order; otherwise it reduces to block dominance.
-    """
-    if a.parent is None or b.parent is None:
-        raise ValueError("both instructions must be placed in blocks")
-    if a.parent is b.parent:
-        block = a.parent
-        for inst in block:
-            if inst is a:
-                return True
-            if inst is b:
-                return False
-        raise ValueError("instructions not found in their parent block")
-    if idom is None:
-        idom = dominators(a.parent.parent)
-    return dominates(a.parent, b.parent, idom)

@@ -11,9 +11,8 @@ prefetch address generation fault-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import BinOp, Branch, Cmp, Instruction, Phi
 from ..ir.values import Argument, Constant, Value

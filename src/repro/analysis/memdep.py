@@ -10,7 +10,7 @@ may-alias reasoning behind that check.
 
 from __future__ import annotations
 
-from ..ir.instructions import Instruction, Load, Store
+from ..ir.instructions import Store
 from ..ir.values import Value
 from .allocsize import underlying_object
 from .loops import Loop
@@ -53,22 +53,3 @@ def may_alias(ptr_a: Value, ptr_b: Value) -> bool:
             (isinstance(obj_b, Argument) and obj_b.noalias):
         return False
     return True  # two different plain arguments might overlap
-
-
-def loop_may_clobber(loop: Loop, load: Load) -> bool:
-    """Whether any store in ``loop`` may write the array ``load`` reads."""
-    for store in stores_in_loop(loop):
-        if may_alias(store.ptr, load.ptr):
-            return True
-    return False
-
-
-def loads_clobbered_in_loop(loop: Loop,
-                            loads: list[Load]) -> list[Load]:
-    """Subset of ``loads`` whose source arrays may be stored to in the loop."""
-    stores = stores_in_loop(loop)
-    clobbered = []
-    for load in loads:
-        if any(may_alias(store.ptr, load.ptr) for store in stores):
-            clobbered.append(load)
-    return clobbered

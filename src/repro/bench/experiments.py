@@ -8,18 +8,15 @@ archives under ``benchmarks/results/``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..machine.configs import (ALL_SYSTEMS, HASWELL, MachineConfig)
-from ..machine.interpreter import Interpreter
-from ..machine.memory import Memory
-from ..machine.multicore import run_multicore
 from ..passes.prefetch import PrefetchOptions
 from ..workloads import (Graph500, IntegerSort, RandomAccess, hj2, hj8,
                          paper_benchmarks)
 from ..workloads.base import Workload
-from .runner import (RunSpec, VariantResult, current_sim, geometric_mean,
-                     run_specs, run_variant)
+from .runner import (RunSpec, VariantResult, geometric_mean, run_specs,
+                     run_variant)
 
 #: Look-ahead sweep used by Fig. 6.
 LOOKAHEAD_SWEEP = (4, 8, 16, 32, 64, 128, 256)
@@ -272,34 +269,23 @@ def fig9_bandwidth(machine: MachineConfig = HASWELL,
     without prefetching, sharing one DRAM channel.
 
     Normalisation: 1.0 = the per-unit-time work of a single core running
-    without prefetching.
+    without prefetching.  Core ``k`` sorts the keys of seed ``42 + k``.
     """
-    def make_workload():
-        return IntegerSort(num_keys=8000) if small else IntegerSort()
+    size = {"num_keys": 8000} if small else {}
 
-    def run(n_cores: int, variant: str) -> float:
-        modules, memories, args = [], [], []
-        for core in range(n_cores):
-            workload = make_workload()
-            workload.rng = __import__("numpy").random.default_rng(
-                42 + core)
-            module = workload.build_variant(variant)
-            memory = Memory(machine.line_size)
-            prepared = workload.prepare(memory)
-            modules.append(module)
-            memories.append(memory)
-            args.append(prepared.args)
-        result = run_multicore(modules, "kernel", args, machine,
-                               memories, fastpath=current_sim().fastpath)
-        return result.makespan
+    def makespan(n_cores: int, variant: str) -> float:
+        return run_variant([IntegerSort(**size, seed=42 + core)
+                            for core in range(n_cores)],
+                           variant, machine).cycles
 
-    base = run(1, "plain")
+    base = makespan(1, "plain")
     results = {}
     for n in cores:
         for variant, label in (("plain", "No Prefetching"),
                                ("auto", "Prefetching")):
-            makespan = run(n, variant)
-            results[(n, label)] = n * base / makespan
+            cycles = (base if (n, variant) == (1, "plain")
+                    else makespan(n, variant))
+            results[(n, label)] = n * base / cycles
     return results
 
 

@@ -77,10 +77,18 @@ def _series(title: str, x_label: str):
     return render
 
 
-def _fig4(letter: str, machine: MachineConfig, archive: str) -> Figure:
+#: Fig. 4's ``repro bench`` targets and the machine each one pins.
+FIG4_MACHINES = {"fig4a": HASWELL, "fig4b": A57, "fig4c": A53,
+                 "fig4d": XEON_PHI}
+
+
+def _fig4(name: str, machine: MachineConfig) -> Figure:
     """Fig. 4 on one machine; the Xeon Phi adds the ICC column.  With
     telemetry on, each auto run carries a snapshot, and its
-    prefetch-outcome summary joins the speedups."""
+    prefetch-outcome summary joins the speedups.  The archive is named
+    after the target and the machine (``fig4d_xeon_phi.txt``)."""
+    letter = name[-1]
+    archive = f"{name}_{machine.name.lower().replace(' ', '_')}.txt"
     include_icc = machine is XEON_PHI
     columns = {"auto": "Autogenerated", "manual": "Manual"}
     if include_icc:
@@ -107,7 +115,7 @@ def _fig4(letter: str, machine: MachineConfig, archive: str) -> Figure:
         return format_table(headers, body + [tail],
                             f"Fig. 4({letter}): speedups on {machine.name}")
 
-    return Figure(f"fig4{letter}", archive, run, render)
+    return Figure(name, archive, run, render)
 
 
 def _fig6(results: dict) -> str:
@@ -139,10 +147,7 @@ FIGURES: dict[str, Figure] = {figure.name: figure for figure in (
            lambda small, jobs: ex.fig2_prefetch_schemes(small=small),
            _pairs("Fig. 2: IS prefetching schemes on Haswell",
                   ["Scheme", "Speedup"])),
-    _fig4("a", HASWELL, "fig4a_haswell.txt"),
-    _fig4("b", A57, "fig4b_a57.txt"),
-    _fig4("c", A53, "fig4c_a53.txt"),
-    _fig4("d", XEON_PHI, "fig4d_xeon_phi.txt"),
+    *(_fig4(name, machine) for name, machine in FIG4_MACHINES.items()),
     Figure("fig5", "fig5_stride_addition.txt",
            lambda small, jobs: ex.fig5_stride_contribution(small=small,
                                                            jobs=jobs),

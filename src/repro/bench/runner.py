@@ -1,9 +1,12 @@
 """Experiment runner: workload × variant × machine → cycles and stats.
 
 Every figure's harness funnels through :func:`run_variant` (directly
-or through :func:`run_specs`), so results are produced identically
-everywhere: fresh memory, fresh module, functional validation of the
-architectural results, and cycle counts from the timed interpreter.
+or through :func:`run_specs`), Fig. 9's multicore runs included, so
+results are produced identically everywhere: fresh module, one run
+key, fresh memory per core, functional validation of every core's
+architectural results, and cycle counts from the timed interpreter —
+of one core, or of N cores sharing one DRAM channel, interleaved by
+:func:`~repro.machine.multicore.run_multicore`.
 
 The engine options (:class:`~repro.envcfg.SimOptions`) and the run
 cache are arguments; a caller that leaves them ``None`` gets the pair
@@ -23,9 +26,12 @@ from dataclasses import dataclass, field
 
 from ..envcfg import SimOptions
 from ..ir import print_module
+from ..machine.cache import CacheStats
 from ..machine.configs import MachineConfig
+from ..machine.dram import DRAMChannel
 from ..machine.interpreter import Interpreter
 from ..machine.memory import Memory
+from ..machine.multicore import run_multicore
 from ..obs.sinks import active, installed, span
 from ..passes.prefetch import PrefetchOptions
 from ..telemetry.timeline import TimelineRecorder
@@ -83,9 +89,10 @@ class TraceRows:
     """Sink of per-trace rows from every run simulated while it is
     installed (:func:`repro.obs.sinks.collecting`), each tagged with
     the run's workload, variant, machine, ``lookahead`` and ``knobs``
-    (see :func:`_knobs`) — the raw material of ``repro bench
-    --hot-report``.  Cache hits contribute nothing, and with no sink
-    installed runs keep no rows."""
+    (see :func:`_knobs`) and the ``core`` it ran on (``1/1`` for a
+    one-core run) — the raw material of ``repro bench --hot-report``.
+    Cache hits contribute nothing, and with no sink installed runs keep
+    no rows."""
 
     def __init__(self):
         self.records: list[dict] = []
@@ -121,8 +128,8 @@ class VariantResult:
         return self.cycles / self.iterations if self.iterations else 0.0
 
 
-def run_variant(workload: Workload, variant: str, machine: MachineConfig,
-                lookahead: int = 64,
+def run_variant(workload: Workload | list[Workload], variant: str,
+                machine: MachineConfig, lookahead: int = 64,
                 options: PrefetchOptions | None = None,
                 validate: bool = True,
                 cache: RunCache | bool | None = None,
@@ -130,9 +137,26 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
                 **manual_knobs) -> VariantResult:
     """Build, execute, and validate one variant on one machine.
 
+    :param workload: the instance one core runs, or a list of
+        instances, one per core: the cores run side by side on
+        ``machine``, each with its own caches, TLB and core model, all
+        sharing one DRAM channel (Fig. 9).  The module is built from
+        the first instance, so the list's instances should differ only
+        in their inputs (their seeds).  The row of an N-core run has
+        the fields of a one-core row: ``cycles`` is the makespan (the
+        last core to finish); ``instructions``, ``loads``,
+        ``prefetches``, ``iterations`` and ``tlb_walks`` are summed
+        over cores; ``dram_accesses`` counts the one shared channel;
+        ``l1_hit_rate`` pools every core's L1; ``telemetry`` and
+        ``timeline`` are the first core's snapshots (the timeline
+        sampled at every scheduling turn, not at its
+        ``sample_every``).  Every core's inputs are prepared and
+        validated, and its trace rows name it (``2/4``: the second of
+        four cores).
     :param cache: a :class:`RunCache`, ``False`` for none, or ``None``
         for the one :func:`run_defaults` installed.  A miss stores the
-        row together with the workload's RNG state after ``prepare``.
+        row together with the workload's RNG state after ``prepare``
+        (a list of states, one per instance, for a list).
         A hit builds the module (its IR is part of the key), restores
         that RNG state — so later runs on the instance draw the inputs,
         and get the keys, of an uncached sequence — and returns the
@@ -143,11 +167,13 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
         never change the measured cycles; their snapshots ride the
         result, and the whole value is part of the run's cache key.
     """
-    with span("bench", "run_variant", workload=workload.name,
-              variant=variant, machine=machine.name) as job:
-        with span("bench", "build", workload=workload.name,
-                  variant=variant):
-            module = workload.build_variant(
+    single = isinstance(workload, Workload)
+    instances = [workload] if single else workload
+    name = instances[0].name
+    with span("bench", "run_variant", workload=name, variant=variant,
+              machine=machine.name) as job:
+        with span("bench", "build", workload=name, variant=variant):
+            module = instances[0].build_variant(
                 variant, lookahead=lookahead, options=options,
                 **manual_knobs)
         sim, run_cache = _resolved(sim, cache)
@@ -163,48 +189,65 @@ def run_variant(workload: Workload, variant: str, machine: MachineConfig,
                 TELEMETRY["cached_runs"] += 1
                 return out
         job["cached"] = False
-        memory = Memory(machine.line_size)
-        with span("bench", "prepare", workload=workload.name):
-            prepared = workload.prepare(memory)
-        interp = Interpreter(
-            module, memory, machine=machine, fastpath=sim.fastpath,
-            telemetry=sim.telemetry,
-            timeline=(TimelineRecorder(window=sim.timeline_window)
-                      if sim.timeline_window is not None else None))
-        with span("bench", "simulate", workload=workload.name,
-                  variant=variant, machine=machine.name):
-            result = interp.run(workload.entry, prepared.args)
+        dram = DRAMChannel(machine.dram_latency, machine.dram_cycles_per_line,
+                           machine.dram_contention_penalty)
+        dram.set_sharers(len(instances))
+        runs, interps = [], []
+        for one in instances:
+            memory = Memory(machine.line_size)
+            with span("bench", "prepare", workload=name):
+                runs.append(one.prepare(memory))
+            interps.append(Interpreter(
+                module, memory, machine=machine, dram=dram,
+                fastpath=sim.fastpath, telemetry=sim.telemetry,
+                timeline=(TimelineRecorder(window=sim.timeline_window)
+                          if sim.timeline_window is not None else None)))
+        entry = instances[0].entry
+        with span("bench", "simulate", workload=name, variant=variant,
+                  machine=machine.name):
+            if len(interps) == 1:
+                results = [interps[0].run(entry, runs[0].args)]
+            else:
+                results = run_multicore(interps, entry,
+                                        [run.args for run in runs])
         if validate:
-            with span("bench", "validate", workload=workload.name):
-                prepared.validate()
-        ms = result.memory_system
+            for run in runs:
+                with span("bench", "validate", workload=name):
+                    run.validate()
+        l1 = [r.memory_system.l1.stats for r in results]
         out = VariantResult(
-            workload=workload.name,
+            workload=name,
             variant=variant,
             machine=machine.name,
-            cycles=result.cycles,
-            instructions=result.stats.instructions,
-            loads=result.stats.loads,
-            prefetches=result.stats.prefetches,
-            iterations=prepared.iterations,
-            l1_hit_rate=ms.l1.stats.hit_rate if ms else 0.0,
-            dram_accesses=ms.dram.stats.accesses if ms else 0,
-            tlb_walks=ms.tlb.stats.misses if ms else 0,
-            telemetry=result.telemetry,
-            timeline=result.timeline)
+            cycles=max(r.cycles for r in results),
+            instructions=sum(r.stats.instructions for r in results),
+            loads=sum(r.stats.loads for r in results),
+            prefetches=sum(r.stats.prefetches for r in results),
+            iterations=sum(run.iterations for run in runs),
+            l1_hit_rate=CacheStats(hits=sum(s.hits for s in l1),
+                                   misses=sum(s.misses for s in l1)
+                                   ).hit_rate,
+            dram_accesses=results[0].memory_system.dram.stats.accesses,
+            tlb_walks=sum(r.memory_system.tlb.stats.misses
+                          for r in results),
+            telemetry=results[0].telemetry,
+            timeline=results[0].timeline)
         TELEMETRY["simulated_runs"] += 1
         TELEMETRY["simulated_instructions"] += out.instructions
         trace_rows = active(TraceRows)
         if trace_rows is not None:
             knobs = _knobs(options, manual_knobs)
-            for row in interp.trace_report():
-                row.update(workload=workload.name, variant=variant,
-                           machine=machine.name, lookahead=lookahead,
-                           knobs=knobs)
-                trace_rows.records.append(row)
+            for core, interp in enumerate(interps, 1):
+                for row in interp.trace_report():
+                    row.update(workload=name, variant=variant,
+                               machine=machine.name, lookahead=lookahead,
+                               knobs=knobs, core=f"{core}/{len(interps)}")
+                    trace_rows.records.append(row)
         if run_cache is not None:
-            run_cache.put(key, {"row": dataclasses.asdict(out),
-                                "rng": workload.rng.bit_generator.state})
+            states = [one.rng.bit_generator.state for one in instances]
+            run_cache.put(key, {
+                "row": dataclasses.asdict(out),
+                "rng": states[0] if single else states})
         return out
 
 
@@ -220,19 +263,39 @@ def _knobs(options: PrefetchOptions | None, manual_knobs: dict) -> str:
     return ", ".join(f"{k}={v}" for k, v in knobs.items()) or "-"
 
 
-def _replay(entry: dict | None, workload: Workload) -> VariantResult | None:
-    """The row of a cache entry, with ``workload``'s RNG moved to the
-    state the entry's run left it in; ``None`` (a miss) for no entry or
-    one this code did not write — an older layout, a hand-edited file.
-    ``entry`` is shared with the cache's in-memory layer: read only."""
+def _replay(entry: dict | None,
+            workload: Workload | list[Workload]) -> VariantResult | None:
+    """The row of a cache entry, with the RNG of ``workload`` (of each
+    instance, for a list) moved to the state the entry's run left it
+    in; ``None`` (a miss) for no entry or one this code did not write —
+    an older layout, a hand-edited file.  ``entry`` is shared with the
+    cache's in-memory layer: read only."""
     if entry is None:
         return None
     try:
         out = VariantResult(**entry["row"])
-        workload.rng.bit_generator.state = entry["rng"]
+        if isinstance(workload, Workload):
+            workload.rng.bit_generator.state = entry["rng"]
+        else:
+            _restore(workload, entry["rng"])
     except (KeyError, TypeError, ValueError):
         return None
     return out
+
+
+def _restore(instances: list[Workload], states: list) -> None:
+    """Move every instance's RNG to its state in ``states``, or (on
+    a bad state) leave them all where they were and raise."""
+    if len(states) != len(instances):
+        raise ValueError("one RNG state per instance")
+    before = [one.rng.bit_generator.state for one in instances]
+    try:
+        for one, state in zip(instances, states):
+            one.rng.bit_generator.state = state
+    except (KeyError, TypeError, ValueError):
+        for one, state in zip(instances, before):
+            one.rng.bit_generator.state = state
+        raise
 
 
 @dataclass

@@ -334,10 +334,11 @@ def _cmd_compile(args: argparse.Namespace, out) -> int:
 
 def _bench_hot_report(figure, args: argparse.Namespace, out) -> None:
     """Run one table's experiment and print the hottest compiled
-    traces: the run they came from (its look-ahead ``c`` and the knobs
-    that differ from their defaults included), loop header, iteration
-    count and share of the simulated instructions, under a title
-    giving the share that ran on traces; then
+    traces: the run they came from (its look-ahead ``c``, the knobs
+    that differ from their defaults and the core, ``2/4`` in a
+    four-core run, included), loop header, iteration count and share
+    of the simulated instructions, under a title giving the share that
+    ran on traces; then
     ``TraceDeopt`` counts by stage and reason, and the trace JIT's
     remark stream."""
     from collections import Counter
@@ -355,11 +356,11 @@ def _bench_hot_report(figure, args: argparse.Namespace, out) -> None:
     rows = traces.records
     rows.sort(key=lambda r: r["instructions"], reverse=True)
     top = rows[:max(args.hot_top, 0)]
-    headers = ["workload", "variant", "c", "knobs", "machine",
+    headers = ["workload", "variant", "c", "knobs", "machine", "core",
                "function", "loop", "iterations", "instructions", "% sim"]
     body = [[r["workload"], r["variant"], r["lookahead"], r["knobs"],
-             r["machine"], r["function"], r["header"], r["iterations"],
-             r["instructions"],
+             r["machine"], r["core"], r["function"], r["header"],
+             r["iterations"], r["instructions"],
              (f"{100.0 * r['instructions'] / total:.1f}%"
               if total else "-")]
             for r in top]
@@ -432,10 +433,6 @@ def _bench_metrics(recorder):
     return registry
 
 
-#: fig4 letters pin their machine (paper Table 1 names).
-_FIG4_MACHINES = {"fig4a": "Haswell", "fig4b": "A57", "fig4c": "A53",
-                  "fig4d": "Xeon Phi"}
-
 #: What the workload-target commands accept, for error messages.
 _WORKLOAD_EXPECTED = ("a workload name (is, cg, ra, hj2, hj8, "
                       "g500-s16, g500-s21), 'quick', or fig4a-fig4d")
@@ -460,9 +457,10 @@ def _stats_workloads(target: str, small: bool):
     matched by name (case- and punctuation-insensitive, so ``hj2``
     finds HJ-2).
     """
+    from .bench.figures import FIG4_MACHINES
     from .workloads import canonical_name, paper_benchmarks
     suite = paper_benchmarks(small=small)
-    if target in ("quick", "suite", "all") or target in _FIG4_MACHINES:
+    if target in ("quick", "suite", "all") or target in FIG4_MACHINES:
         return suite
     matches = [w for w in suite
                if canonical_name(w.name) == canonical_name(target)]
@@ -475,19 +473,22 @@ def _resolve_target(command: str, args: argparse.Namespace):
     Returns ``(workloads, machine)``; or ``None`` with the uniform
     error already printed (exit code 2 is the caller's job).
     """
+    from .bench.figures import FIG4_MACHINES
     from .machine.configs import system_by_name
     target = args.target.lower()
     workloads = _stats_workloads(target, args.small)
     if workloads is None:
         _unknown_target(command, args.target, _WORKLOAD_EXPECTED)
         return None
-    machine_name = _FIG4_MACHINES.get(target, args.machine or "Haswell")
-    try:
-        machine = system_by_name(machine_name)
-    except KeyError:
-        print(f"error: unknown machine '{machine_name}'",
-              file=sys.stderr)
-        return None
+    machine = FIG4_MACHINES.get(target)
+    if machine is None:
+        machine_name = args.machine or "Haswell"
+        try:
+            machine = system_by_name(machine_name)
+        except KeyError:
+            print(f"error: unknown machine '{machine_name}'",
+                  file=sys.stderr)
+            return None
     return workloads, machine
 
 

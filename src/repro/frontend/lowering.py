@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..ir.basicblock import BasicBlock
 from ..ir.builder import IRBuilder
 from ..ir.function import Function
-from ..ir.instructions import Alloc, Instruction, Jump
+from ..ir.instructions import Alloc, Jump
 from ..ir.module import Module
 from ..ir.types import (FLOAT64, INT1, INT64, PointerType, Type, VOID,
                         FloatType, IntType)

@@ -12,7 +12,7 @@ from .function import Function
 from .instructions import (Alloc, BinOp, Branch, Call, Cast, Cmp, GEP,
                            Instruction, Jump, Load, Phi, Prefetch, Ret,
                            Select, Store)
-from .types import IntType, Type, INT64
+from .types import Type, INT64
 from .values import Constant, Value
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from .types import (FloatType, FunctionType, IntType, PointerType, Type,
-                    VOID, INT1, INT64)
+from .types import FloatType, IntType, PointerType, Type, VOID, INT1
 from .values import Constant, Value
 
 if TYPE_CHECKING:  # pragma: no cover

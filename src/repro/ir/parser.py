@@ -16,8 +16,7 @@ from .instructions import (Alloc, BinOp, Branch, Call, Cast, Cmp, GEP,
                            Instruction, Jump, Load, Phi, Prefetch, Ret,
                            Select, Store)
 from .module import Module
-from .types import (FloatType, IntType, PointerType, Type, VOID, INT1,
-                    INT64, parse_type)
+from .types import FloatType, PointerType, Type, INT1, INT64, parse_type
 from .values import Constant, UndefValue, Value
 
 

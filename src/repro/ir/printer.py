@@ -16,14 +16,13 @@ The format is LLVM-flavoured but simplified; it round-trips through
 
 from __future__ import annotations
 
-from .basicblock import BasicBlock
 from .function import Function
 from .instructions import (Alloc, BinOp, Branch, Call, Cast, Cmp, GEP,
                            Instruction, Jump, Load, Phi, Prefetch, Ret,
                            Select, Store)
 from .module import Module
 from .types import VoidType
-from .values import Argument, Constant, UndefValue, Value
+from .values import Constant, UndefValue, Value
 
 
 class Namer:

@@ -7,7 +7,7 @@ passes can rewrite the program with :meth:`Value.replace_all_uses_with`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .types import FloatType, IntType, PointerType, Type
 
@@ -137,11 +137,3 @@ def const(value, type: Type | None = None) -> Constant:
     if type is None:
         type = FLOAT64 if isinstance(value, float) else INT64
     return Constant(type, value)
-
-
-def iter_values(values) -> Iterator[Value]:
-    """Yield each element of ``values`` checked to be a :class:`Value`."""
-    for v in values:
-        if not isinstance(v, Value):
-            raise TypeError(f"expected Value, got {v!r}")
-        yield v

@@ -15,7 +15,7 @@ from .hwprefetch import StridePrefetcher
 from .interpreter import (Interpreter, RunResult, RunStats,
                           static_prefetch_pcs)
 from .memory import Allocation, Memory, MemoryFault
-from .multicore import MulticoreResult, run_multicore
+from .multicore import run_multicore
 from .system import MemoryStats, MemorySystem
 from .tlb import TLB, TLBStats
 
@@ -28,7 +28,7 @@ __all__ = [
     "StridePrefetcher",
     "Interpreter", "RunResult", "RunStats", "static_prefetch_pcs",
     "Allocation", "Memory", "MemoryFault",
-    "MulticoreResult", "run_multicore",
+    "run_multicore",
     "MemoryStats", "MemorySystem",
     "TLB", "TLBStats",
 ]

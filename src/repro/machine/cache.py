@@ -9,7 +9,7 @@ small" behaviour, where a late prefetch hides only part of the miss.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass

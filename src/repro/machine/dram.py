@@ -74,11 +74,6 @@ class DRAMChannel:
         self.stats.writebacks += 1
         self.stats.busy_cycles += self.cycles_per_line
 
-    def reset(self) -> None:
-        """Clear channel state between runs."""
-        self._next_free = 0.0
-        self.stats = DRAMStats()
-
     def snapshot(self) -> dict:
         """Configuration and statistics as a plain dict (JSON-ready)."""
         return {

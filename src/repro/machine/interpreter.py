@@ -16,15 +16,14 @@ several interpreters around a shared DRAM channel (Fig. 9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..ir.function import Function
 from ..ir.instructions import (Alloc, BinOp, Branch, Call, Cast, Cmp, GEP,
-                               Instruction, Jump, Load, Phi, Prefetch, Ret,
-                               Select, Store)
+                               Jump, Load, Phi, Prefetch, Ret, Select, Store)
 from ..ir.module import Module
-from ..ir.types import FloatType, IntType, PointerType, VoidType
-from ..ir.values import Argument, Constant, UndefValue, Value
+from ..ir.types import FloatType, IntType, VoidType
+from ..ir.values import Constant, UndefValue, Value
 from ..telemetry.collector import TelemetryCollector, resolve_collector
 from ..telemetry.timeline import TimelineRecorder, resolve_timeline
 from .configs import MachineConfig
@@ -32,7 +31,7 @@ from .core import make_core
 from .dram import DRAMChannel
 from .fastexec import (_ALLOC, _BIN, _CALL, _CAST, _CMP, _GEP, _LOAD,
                        _PREFETCH, _SELECT, _STORE)
-from .memory import Allocation, Memory, MemoryFault
+from .memory import Memory, MemoryFault
 from .system import MemorySystem
 from .tracejit import DEFAULT_THRESHOLD, NO_BUDGET, TraceJIT
 

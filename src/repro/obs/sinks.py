@@ -28,7 +28,7 @@ them.  Serve workers ship their records over the pool pipe
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 
 #: Sink type -> the innermost sink of that type this context
@@ -116,19 +116,24 @@ def collecting(*sinks):
         _SINKS.reset(token)
 
 
-@contextmanager
 def span(category: str, name: str, **args):
     """Record a wall-clock span around the block (no-op when no
-    recorder is active).
+    recorder is active: a ``nullcontext``, not a generator).
 
     Yields a dict the block may fill with result arguments (e.g. a
     cache probe setting ``hit``); they merge into ``args`` at close.
     """
-    extra: dict = {}
     recorder = _SINKS.get().get(SpanRecorder)
     if recorder is None:
-        yield extra
-        return
+        return nullcontext({})
+    return _recorded(recorder, category, name, args)
+
+
+@contextmanager
+def _recorded(recorder: SpanRecorder, category: str, name: str,
+              args: dict):
+    """:func:`span` with ``recorder`` installed."""
+    extra: dict = {}
     start = recorder.now_us()
     try:
         yield extra

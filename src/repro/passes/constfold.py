@@ -13,7 +13,7 @@ from ..ir.function import Function
 from ..ir.instructions import BinOp, Cast, Cmp, Instruction, Select
 from ..ir.module import Module
 from ..ir.printer import Namer
-from ..ir.types import FloatType, IntType
+from ..ir.types import IntType
 from ..ir.values import Constant, Value
 from ..remarks import active_emitter, emit
 

@@ -16,7 +16,6 @@ Conservative by construction:
 from __future__ import annotations
 
 from ..analysis.loops import Loop, LoopInfo
-from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (BinOp, Cast, Cmp, GEP, Instruction, Select)
 from ..ir.module import Module

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import Branch, Jump, Phi
+from ..ir.instructions import Branch, Jump
 from ..ir.module import Module
 from ..remarks import emit
 

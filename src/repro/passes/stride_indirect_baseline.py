@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from ..analysis.allocsize import known_array_bound
 from ..ir.builder import IRBuilder
 from ..ir.function import Function
-from ..ir.instructions import Cast, GEP, Instruction, Load, Prefetch
+from ..ir.instructions import Cast, GEP, Load, Prefetch
 from ..ir.module import Module
 from ..ir.printer import Namer
 from ..ir.types import IntType

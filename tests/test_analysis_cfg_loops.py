@@ -3,8 +3,7 @@
 import pytest
 
 from repro.analysis import (LoopInfo, dominance_frontiers, dominates,
-                            dominators, instruction_dominates,
-                            predecessor_map, reverse_postorder)
+                            dominators, predecessor_map, reverse_postorder)
 from repro.ir import INT64, IRBuilder, Module, VOID
 from tests.conftest import build_diamond_function, build_indirect_kernel
 
@@ -102,21 +101,6 @@ class TestDominators:
         idom = dominators(f)
         assert idom[f.block("inner")] is f.block("outer")
         assert dominates(f.block("outer"), f.block("outer.latch"), idom)
-
-    def test_instruction_dominates_same_block(self, indirect_module):
-        f = indirect_module.function("kernel")
-        loop = f.block("loop")
-        insts = loop.instructions
-        assert instruction_dominates(insts[0], insts[3])
-        assert not instruction_dominates(insts[3], insts[0])
-
-    def test_instruction_dominates_cross_block(self, diamond_module):
-        f = diamond_module.function("f")
-        entry_cmp = f.block("entry").instructions[0]
-        merge_phi = f.block("merge").phis[0]
-        assert instruction_dominates(entry_cmp, merge_phi)
-        then_inst = f.block("then").instructions[0]
-        assert not instruction_dominates(merge_phi, then_inst)
 
 
 class TestDominanceFrontiers:

@@ -5,8 +5,12 @@ import pytest
 from repro.bench import (fig2_prefetch_schemes, format_series,
                          format_table, geometric_mean, manual_knobs_for,
                          run_variant, table1_rows)
+from repro.bench.figures import FIGURES
+from repro.bench.runner import run_defaults
+from repro.envcfg import SimOptions
 from repro.machine import A53, HASWELL
 from repro.workloads import Graph500, IntegerSort, RandomAccess, hj2
+from repro.workloads.base import Workload
 
 
 class TestFormatting:
@@ -150,3 +154,75 @@ class TestDeterminism:
         a = run_variant(wl_a, "plain", HASWELL)
         b = run_variant(wl_b, "plain", HASWELL)
         assert a.cycles == b.cycles
+
+
+class TestMulticoreRuns:
+    """``run_variant`` over a list of instances runs one core per
+    instance, all sharing one DRAM channel, and reports one row."""
+
+    @staticmethod
+    def cores(n):
+        return [IntegerSort(num_keys=800, num_buckets=1 << 12, seed=42 + k)
+                for k in range(n)]
+
+    def test_one_instance_list_is_a_one_core_run(self):
+        alone, = self.cores(1)
+        assert (run_variant(self.cores(1), "auto", HASWELL)
+                == run_variant(alone, "auto", HASWELL))
+
+    def test_row_sums_cores_and_takes_the_makespan(self):
+        from repro.bench.runner import TELEMETRY, reset_telemetry
+        alone = [run_variant(one, "auto", HASWELL) for one in self.cores(2)]
+        reset_telemetry()
+        pair = run_variant(self.cores(2), "auto", HASWELL)
+        for name in ("instructions", "loads", "prefetches", "iterations"):
+            assert getattr(pair, name) == sum(getattr(r, name)
+                                              for r in alone), name
+        # The shared channel makes the makespan exceed either core's
+        # run alone.
+        assert pair.cycles > max(r.cycles for r in alone)
+        assert 0.0 < pair.l1_hit_rate < 1.0
+        # One simulated run, with every core's instructions.
+        assert TELEMETRY["simulated_runs"] == 1
+        assert TELEMETRY["simulated_instructions"] == pair.instructions
+
+
+def _workload_classes(cls=Workload) -> list:
+    out = []
+    for sub in cls.__subclasses__():
+        out += [sub, *_workload_classes(sub)]
+    return out
+
+
+class InvalidRun(Exception):
+    """What every validator raises in :class:`TestEveryFigureValidates`."""
+
+
+class TestEveryFigureValidates:
+    """Every catalogue entry that simulates validates the runs it
+    makes: with every ``PreparedRun.validate`` raising, the entry's
+    first run raises."""
+
+    @pytest.mark.parametrize(
+        "name", [name for name in FIGURES if name != "table1"])
+    def test_first_run_validates(self, name, monkeypatch):
+        prepared = []
+
+        def failing(prepare):
+            def wrapper(self, memory):
+                run = prepare(self, memory)
+                prepared.append(run)
+
+                def validate():
+                    raise InvalidRun(self.name)
+                run.validate = validate
+                return run
+            return wrapper
+
+        for cls in _workload_classes():
+            if "prepare" in cls.__dict__:
+                monkeypatch.setattr(cls, "prepare",
+                                    failing(cls.__dict__["prepare"]))
+        with run_defaults(SimOptions(), None), pytest.raises(InvalidRun):
+            FIGURES[name].run(True, 1)
+        assert len(prepared) == 1

@@ -234,22 +234,32 @@ class TestBenchHotReport:
         (deopts,) = re.findall(r"TraceDeopt by stage/reason: (.*)", out)
         assert "low-yield" not in deopts
 
-    def test_hot_report_rows_name_their_run(self):
-        """fig2 runs one IS instance five times, four of them manual
-        schemes that differ only in ``c`` or ``include_stride``: each
-        trace row names its run's look-ahead and knobs, so no two rows
-        read the same."""
-        code, out = run_cli("bench", "fig2", "--small", "--no-cache",
+    @staticmethod
+    def hot_rows(figure):
+        """The trace rows of ``figure``'s uncached hot report, all of
+        them, under a title that counts simulated instructions."""
+        code, out = run_cli("bench", figure, "--small", "--no-cache",
                             "--hot-report", "--jobs", "1",
                             "--hot-top", "100")
         assert code == 0
         lines = out.splitlines()
-        start = next(i for i, line in enumerate(lines)
-                     if line.startswith("Hottest traces")) + 4
-        rows = lines[start:lines.index("", start)]
-        assert len(rows) >= 5
-        assert len(set(rows)) == len(rows), rows
-        assert any("| include_stride=False |" in row for row in rows)
+        title = next(i for i, line in enumerate(lines)
+                     if line.startswith("Hottest traces"))
+        assert "(0 simulated instructions" not in lines[title]
+        return lines[title + 4:lines.index("", title + 4)]
+
+    def test_hot_report_rows_name_their_run(self):
+        """fig2 runs one IS instance five times, four of them manual
+        schemes that differ only in ``c`` or ``include_stride``; fig9
+        runs IS on one, two and four cores, whose traces differ only in
+        their core: each trace row names its run's look-ahead, knobs
+        and core, so no two rows read the same."""
+        for figure, cell in (("fig2", "| include_stride=False |"),
+                             ("fig9", "| 4/4 ")):
+            rows = self.hot_rows(figure)
+            assert len(rows) >= 5, figure
+            assert len(set(rows)) == len(rows), rows
+            assert any(cell in row for row in rows), figure
 
     def test_hot_report_same_at_jobs_2(self):
         """Forked workers hand back their trace rows, remarks and

@@ -294,13 +294,6 @@ class TestDRAM:
         assert d.access(0.0) == 208.0
         assert d.stats.writebacks == 1
 
-    def test_reset(self):
-        d = DRAMChannel(latency=200, cycles_per_line=8)
-        d.access(0.0)
-        d.reset()
-        assert d.access(0.0) == 200.0
-        assert d.stats.accesses == 1
-
 
 class TestStridePrefetcher:
     def test_trains_after_threshold(self):

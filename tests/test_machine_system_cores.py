@@ -4,10 +4,10 @@ import pytest
 
 from repro.ir import (FLOAT64, INT32, INT64, IRBuilder, Module, VOID,
                       pointer, verify_module)
-from repro.machine import (A53, A57, HASWELL, XEON_PHI, Interpreter,
-                           InOrderCore, Memory, MemoryFault, MemorySystem,
-                           OutOfOrderCore, make_core, run_multicore,
-                           system_by_name)
+from repro.machine import (A53, A57, HASWELL, XEON_PHI, DRAMChannel,
+                           Interpreter, InOrderCore, Memory, MemoryFault,
+                           MemorySystem, OutOfOrderCore, make_core,
+                           run_multicore, system_by_name)
 from tests.conftest import SIMPLE, SIMPLE_OOO, build_indirect_kernel
 
 
@@ -371,22 +371,27 @@ class TestMulticore:
         rng = np.random.default_rng(0)
 
         def setup(n_cores):
-            modules, memories, args = [], [], []
+            dram = DRAMChannel(HASWELL.dram_latency,
+                               HASWELL.dram_cycles_per_line,
+                               HASWELL.dram_contention_penalty)
+            dram.set_sharers(n_cores)
+            interpreters, args = [], []
             for _ in range(n_cores):
                 module = build_indirect_kernel(num_buckets=1 << 16)
                 mem = Memory()
                 keys = mem.allocate(8, 1500, "keys")
                 keys.fill(rng.integers(0, 1 << 16, 1500))
                 buckets = mem.allocate(8, 1 << 16, "buckets")
-                modules.append(module)
-                memories.append(mem)
+                interpreters.append(Interpreter(module, mem, machine=HASWELL,
+                                                dram=dram))
                 args.append([keys.base, buckets.base, 1500])
-            return modules, memories, args
+            return interpreters, args
 
-        m1, mem1, a1 = setup(1)
-        single = run_multicore(m1, "kernel", a1, HASWELL, mem1)
-        m4, mem4, a4 = setup(4)
-        quad = run_multicore(m4, "kernel", a4, HASWELL, mem4)
-        assert len(quad.per_core) == 4
+        i1, a1 = setup(1)
+        single = run_multicore(i1, "kernel", a1)
+        i4, a4 = setup(4)
+        quad = run_multicore(i4, "kernel", a4)
+        assert len(quad) == 4
         # Four cores sharing a channel take longer per task than one.
-        assert quad.makespan > single.makespan
+        assert (max(r.cycles for r in quad)
+                > max(r.cycles for r in single))

@@ -322,6 +322,67 @@ class TestHitPath:
         assert json.dumps(rc.get(key), sort_keys=True) == stored
 
 
+class TestMulticoreHitPath:
+    """A run over a list of instances (one per core, as Fig. 9 makes)
+    is one entry, keyed over every instance, that stores and restores
+    every instance's RNG state."""
+
+    @staticmethod
+    def cores():
+        return [IntegerSort(num_keys=1500, num_buckets=1 << 12,
+                            seed=42 + core) for core in range(2)]
+
+    def test_hit_restores_every_instance_rng(self, tmp_path, monkeypatch):
+        """The pair's entry is its own (its key is neither instance's),
+        and a hit on it moves both RNGs where the run left them."""
+        rc = RunCache(tmp_path)
+        first = self.cores()
+        ir = _ir(first[0])
+        key = run_key(ir, HASWELL, first, True, SIM)
+        assert key not in {run_key(ir, HASWELL, one, True, SIM)
+                           for one in first}
+        cold = run_variant(first, "plain", HASWELL, cache=rc)
+        assert rc.get(key)["row"] == dataclasses.asdict(cold)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("input work on a cache hit")
+
+        again = self.cores()
+        monkeypatch.setattr(IntegerSort, "prepare", refuse)
+        monkeypatch.setattr(runner, "Memory", refuse)
+        reset_telemetry()
+        assert run_variant(again, "plain", HASWELL, cache=rc) == cold
+        assert TELEMETRY["cached_runs"] == 1
+        assert ([canonical_token(wl.rng) for wl in again]
+                == [canonical_token(wl.rng) for wl in first])
+        # Each instance drew its own inputs: both states moved.
+        fresh = self.cores()
+        for wl, untouched in zip(again, fresh):
+            assert canonical_token(wl.rng) != canonical_token(untouched.rng)
+
+    @pytest.mark.parametrize("damage", ["short", "bad state"])
+    def test_bad_state_list_is_a_miss_that_moves_no_rng(self, tmp_path,
+                                                        damage):
+        """An entry whose state list does not fit the instances is a
+        miss, and no instance's RNG moves before the run re-prepares
+        it, so the rewritten entry is the one a clean run writes."""
+        pair = self.cores()
+        key = run_key(_ir(pair[0]), HASWELL, pair, True, SIM)
+        cold = run_variant(pair, "plain", HASWELL, cache=RunCache(tmp_path))
+        entry = RunCache(tmp_path).get(key)
+        states = entry["rng"]
+        RunCache(tmp_path).put(key, {
+            "row": entry["row"],
+            "rng": states[:1] if damage == "short"
+            else [states[0], {"bit_generator": "MT19937"}]})
+        reset_telemetry()
+        again = run_variant(self.cores(), "plain", HASWELL,
+                            cache=RunCache(tmp_path))
+        assert TELEMETRY["simulated_runs"] == 1
+        assert again == cold
+        assert RunCache(tmp_path).get(key) == entry
+
+
 class TestFigureLevelCaching:
     def test_second_figure_invocation_skips_simulation(self, tmp_path):
         """Acceptance: re-running a figure benchmark with unchanged
