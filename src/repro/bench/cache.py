@@ -1,13 +1,17 @@
 """Disk cache of simulation results keyed by run content.
 
 A run is identified by everything that determines its outcome: the
-built IR text (which already folds in the variant, look-ahead and pass
-options), the machine configuration, the *workload state* at build time
+build recipe (variant, look-ahead, pass options and manual knobs,
+exactly the arguments :meth:`~repro.workloads.base.Workload.build_variant`
+receives), the machine configuration, the *workload state* at build time
 (constructor parameters, input arrays, and the RNG state — ``prepare``
 draws from the shared generator, so the same parameters at a different
 point in a figure's run sequence hash differently, preserving the
 figures' data-generation sequencing), and a hash of the simulator's own
-source code so any engine change invalidates everything.
+source code so any engine change invalidates everything.  The recipe
+stands in for the built IR: the build is a deterministic function of
+the recipe, the workload's state and the hashed source, so a key is
+made, and a hit answered, without building anything.
 
 An entry is ``{"row": ..., "rng": ...}``: the JSON-serialised
 :class:`~repro.bench.runner.VariantResult` and the workload RNG's
@@ -49,7 +53,9 @@ _CODE_HASH: str | None = None
 
 #: Package subtrees whose source determines a stored result — a run
 #: cache entry, or a served answer keyed by request and this hash.
-#: ``analysis`` feeds the prefetch pass, so it shapes the built IR;
+#: Neither key holds the built IR, so every file a build runs must be
+#: here: ``ir``, ``frontend``, ``passes``, ``workloads`` and
+#: ``analysis``, which feeds the prefetch pass;
 #: ``remarks`` shapes a served result's remark list; ``telemetry``
 #: snapshots ride inside cached results, so a classification change
 #: must invalidate them.  ``obs`` holds wall-clock code only (spans,
@@ -105,17 +111,23 @@ def canonical_token(value) -> str:
     return repr(value)
 
 
-def run_key(ir_text: str, machine, workload, validate: bool,
-            sim) -> str:
+def run_key(variant: str, lookahead: int, options, manual_knobs: dict,
+            machine, workload, validate: bool, sim) -> str:
     """Content hash identifying one simulation run.
 
-    ``ir_text`` is the printed module *after* variant construction, so
-    variant / lookahead / pass options / manual knobs are all folded in
-    already; ``workload`` is tokenised at its pre-``prepare`` state.
-    ``sim`` (a :class:`~repro.envcfg.SimOptions`) is tokenised whole:
-    telemetry and timeline snapshots ride the cached row, so an entry
-    made with other engine options must never satisfy the request, and
-    hashing every field means none can be left out.
+    ``variant``, ``lookahead``, ``options`` and ``manual_knobs`` are the
+    build recipe, the arguments
+    :meth:`~repro.workloads.base.Workload.build_variant` receives.  They
+    are hashed as given, not normalised: two recipes that build the
+    same IR (``plain`` at two look-aheads, ``options=None`` next to
+    ``PrefetchOptions(lookahead=c)``) keep two entries — a duplicate,
+    never a wrong row.  ``workload`` is tokenised at its pre-build,
+    pre-``prepare`` state; the build reads it and the hashed source
+    only, so the recipe pins the module down.  ``sim`` (a
+    :class:`~repro.envcfg.SimOptions`) is tokenised whole: telemetry
+    and timeline snapshots ride the cached row, so an entry made with
+    other engine options must never satisfy the request, and hashing
+    every field means none can be left out.
     """
     token = "\n".join((
         simulator_code_hash(),
@@ -123,7 +135,7 @@ def run_key(ir_text: str, machine, workload, validate: bool,
         canonical_token(workload),
         repr(validate),
         canonical_token(sim),
-        ir_text,
+        canonical_token([variant, lookahead, options, manual_knobs]),
     ))
     return hashlib.sha256(token.encode()).hexdigest()
 

@@ -25,13 +25,12 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from ..envcfg import SimOptions
-from ..ir import print_module
 from ..machine.cache import CacheStats
 from ..machine.configs import MachineConfig
 from ..machine.dram import DRAMChannel
 from ..machine.interpreter import Interpreter
 from ..machine.memory import Memory
-from ..machine.multicore import run_multicore
+from ..machine.multicore import QUANTUM, run_multicore
 from ..obs.sinks import active, installed, span
 from ..passes.prefetch import PrefetchOptions
 from ..telemetry.timeline import TimelineRecorder
@@ -149,19 +148,30 @@ def run_variant(workload: Workload | list[Workload], variant: str,
         over cores; ``dram_accesses`` counts the one shared channel;
         ``l1_hit_rate`` pools every core's L1; ``telemetry`` and
         ``timeline`` are the first core's snapshots (the timeline
-        sampled at every scheduling turn, not at its
-        ``sample_every``).  Every core's inputs are prepared and
-        validated, and its trace rows name it (``2/4``: the second of
-        four cores).
+        sampled at every scheduling turn, so its ``sample_every`` is
+        :data:`~repro.machine.multicore.QUANTUM`).  Every core's inputs
+        are prepared and validated, and its trace rows name it
+        (``2/4``: the second of four cores).
     :param cache: a :class:`RunCache`, ``False`` for none, or ``None``
-        for the one :func:`run_defaults` installed.  A miss stores the
-        row together with the workload's RNG state after ``prepare``
-        (a list of states, one per instance, for a list).
-        A hit builds the module (its IR is part of the key), restores
+        for the one :func:`run_defaults` installed.  The key is made
+        before anything is built, from the build recipe (``variant``,
+        ``lookahead``, ``options``, ``manual_knobs``) as given, the
+        machine, the workload state with its RNG, ``validate`` and
+        ``sim`` (see :func:`~repro.bench.cache.run_key`).  A miss
+        builds the module once, after the probe, and stores the row
+        together with the workload's RNG state after ``prepare`` (a
+        list of states, one per instance, for a list).  A hit restores
         that RNG state — so later runs on the instance draw the inputs,
         and get the keys, of an uncached sequence — and returns the
-        row: no ``Memory`` is built and ``prepare``, simulation and
-        validation do not run.
+        row: nothing is built (no ``build`` span, no ``pass`` spans, no
+        pass remarks; ``repro explain`` builds its own module, see
+        :func:`repro.remarks.join.collect_remarks`), no ``Memory`` is
+        made and ``prepare``, simulation and validation do not run.
+        The recipe stands in for the IR because the simulator code
+        hash covers every file a build runs; a :class:`Workload`
+        subclass defined outside those packages is keyed only by its
+        class name and parameters, so an edit to its ``build`` keeps
+        its stale entries.
     :param sim: the engine options, or ``None`` for the ones
         :func:`run_defaults` installed.  Telemetry and the timeline
         never change the measured cycles; their snapshots ride the
@@ -172,26 +182,29 @@ def run_variant(workload: Workload | list[Workload], variant: str,
     name = instances[0].name
     with span("bench", "run_variant", workload=name, variant=variant,
               machine=machine.name) as job:
-        with span("bench", "build", workload=name, variant=variant):
-            module = instances[0].build_variant(
-                variant, lookahead=lookahead, options=options,
-                **manual_knobs)
         sim, run_cache = _resolved(sim, cache)
         key = None
         if run_cache is not None:
             # Keyed before prepare(): the RNG state at this point, plus
-            # the built IR, pin down the run's inputs exactly.
-            key = run_key(print_module(module), machine, workload,
-                          validate, sim)
+            # the build recipe, pin down the run's module and inputs.
+            key = run_key(variant, lookahead, options, manual_knobs,
+                          machine, workload, validate, sim)
             out = _replay(run_cache.get(key), workload)
             if out is not None:
                 job["cached"] = True
                 TELEMETRY["cached_runs"] += 1
                 return out
         job["cached"] = False
+        with span("bench", "build", workload=name, variant=variant):
+            module = instances[0].build_variant(
+                variant, lookahead=lookahead, options=options,
+                **manual_knobs)
         dram = DRAMChannel(machine.dram_latency, machine.dram_cycles_per_line,
                            machine.dram_contention_penalty)
         dram.set_sharers(len(instances))
+        # An N-core run is driven at the scheduler's quantum, whatever
+        # the recorder's own interval.
+        sample_every = QUANTUM if len(instances) > 1 else None
         runs, interps = [], []
         for one in instances:
             memory = Memory(machine.line_size)
@@ -200,7 +213,8 @@ def run_variant(workload: Workload | list[Workload], variant: str,
             interps.append(Interpreter(
                 module, memory, machine=machine, dram=dram,
                 fastpath=sim.fastpath, telemetry=sim.telemetry,
-                timeline=(TimelineRecorder(window=sim.timeline_window)
+                timeline=(TimelineRecorder(window=sim.timeline_window,
+                                           sample_every=sample_every)
                           if sim.timeline_window is not None else None)))
         entry = instances[0].entry
         with span("bench", "simulate", workload=name, variant=variant,

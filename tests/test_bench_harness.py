@@ -186,6 +186,24 @@ class TestMulticoreRuns:
         assert TELEMETRY["simulated_runs"] == 1
         assert TELEMETRY["simulated_instructions"] == pair.instructions
 
+    def test_timeline_states_the_scheduling_quantum(self):
+        """An N-core run samples its timeline at every scheduling turn,
+        and its snapshot says so; a one-core run keeps the recorder's
+        own interval, and neither moves a cycle."""
+        from repro.machine.multicore import QUANTUM
+        from repro.telemetry.timeline import DEFAULT_SAMPLE_EVERY
+
+        def cores(n):
+            return [IntegerSort(num_keys=3000, num_buckets=1 << 12,
+                                seed=42 + k) for k in range(n)]
+
+        sim = SimOptions(timeline_window=2000)
+        for n, every in ((1, DEFAULT_SAMPLE_EVERY), (2, QUANTUM)):
+            timed = run_variant(cores(n), "plain", HASWELL, sim=sim)
+            assert timed.timeline["sample_every"] == every, n
+            assert timed.cycles == run_variant(cores(n), "plain",
+                                               HASWELL).cycles
+
 
 def _workload_classes(cls=Workload) -> list:
     out = []

@@ -321,23 +321,26 @@ class TestConcurrentWriters:
 
     def test_schema_drifted_row_is_miss_for_runner(self, tmp_path):
         """A cached row whose keys no longer match VariantResult must
-        re-simulate, not crash."""
+        re-simulate, not crash, and be rewritten whole."""
+        import dataclasses
+
         from repro.bench.cache import run_key
         from repro.bench.runner import run_variant
         from repro.envcfg import SimOptions
-        from repro.ir import print_module
         from repro.machine import HASWELL
         from repro.workloads import IntegerSort
 
         def wl():
             return IntegerSort(num_keys=1000, num_buckets=1 << 10)
 
-        key = run_key(print_module(wl().build_variant("plain")),
-                      HASWELL, wl(), True, SimOptions())
+        key = run_key("plain", 64, None, {}, HASWELL, wl(), True,
+                      SimOptions())
         RunCache(tmp_path).put(key, {"not_a_field": 1})
         result = run_variant(wl(), "plain", HASWELL,
                              cache=RunCache(tmp_path))
         assert result.cycles > 0
+        assert RunCache(tmp_path).get(key)["row"] \
+            == dataclasses.asdict(result)
 
     def test_crashed_writer_leaves_no_entry(self, tmp_path):
         """An exception mid-put removes the temp file and stores

@@ -1,11 +1,14 @@
 """Unit tests for the run-result disk cache (bench/cache.py).
 
-Covers key stability and invalidation, cold/warm behaviour of
+Covers key stability and invalidation, the build recipe standing in
+for the built IR (the build is deterministic across processes, mutates
+nothing, and runs only hashed code), cold/warm behaviour of
 ``run_variant``, corrupted-entry handling, scoped-default resolution,
 the hit path's contract on all seven quick workloads (a hit restores
-the RNG state its entry stored and runs no ``prepare``), and the
-acceptance property: a second invocation of a figure benchmark with
-unchanged inputs hits the disk cache and skips re-simulation.
+the RNG state its entry stored, builds nothing and runs no
+``prepare``), and the acceptance property: a second invocation of a
+figure benchmark with unchanged inputs hits the disk cache and skips
+re-simulation.
 """
 
 from __future__ import annotations
@@ -13,6 +16,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -22,20 +29,24 @@ from repro.bench.cache import (RunCache, canonical_token, run_key,
 from repro.bench.runner import (RunSpec, TELEMETRY, reset_telemetry,
                                 run_defaults, run_specs, run_variant)
 from repro.envcfg import SimOptions
-from repro.ir import print_module
 from repro.machine import A53, HASWELL
 from repro.machine.memory import Memory
 from repro.passes import PrefetchOptions
-from repro.workloads import (IntegerSort, RandomAccess, paper_benchmarks,
-                             workload_by_name)
+from repro.workloads import (VARIANTS, IntegerSort, RandomAccess,
+                             paper_benchmarks, workload_by_name)
+from repro.workloads.base import Workload
 
-
-def _ir(workload, variant="plain", **kwargs):
-    return print_module(workload.build_variant(variant, **kwargs))
-
+from .test_bench_harness import _workload_classes
 
 #: Default engine options, for keys where they do not matter.
 SIM = SimOptions()
+
+
+def _key(workload, variant="plain", machine=HASWELL, lookahead=64,
+         options=None, validate=True, sim=SIM, **manual_knobs):
+    """The key ``run_variant`` probes for the same arguments."""
+    return run_key(variant, lookahead, options, manual_knobs, machine,
+                   workload, validate, sim)
 
 
 def small_is():
@@ -52,52 +63,63 @@ def quick(name):
 
 class TestRunKey:
     def test_stable_across_equal_instances(self):
-        k1 = run_key(_ir(small_is()), HASWELL, small_is(), True, SIM)
-        k2 = run_key(_ir(small_is()), HASWELL, small_is(), True, SIM)
-        assert k1 == k2
+        assert _key(small_is()) == _key(small_is())
 
-    def test_ir_change_invalidates(self):
+    def test_every_build_argument_invalidates(self):
+        """The recipe stands in for the built IR, so every argument
+        ``build_variant`` receives is part of the key: each variant,
+        the look-ahead, each pass option and a manual knob."""
         wl = small_is()
-        base = run_key(_ir(small_is()), HASWELL, wl, True, SIM)
-        for kwargs in (dict(variant="auto"),
-                       dict(variant="manual"),
-                       dict(variant="auto", lookahead=16),
-                       dict(variant="auto",
-                            options=PrefetchOptions(
-                                emit_stride_prefetch=False))):
-            assert run_key(_ir(small_is(), **kwargs), HASWELL, wl,
-                           True, SIM) != base
+        assert len({_key(wl, variant) for variant in VARIANTS}) \
+            == len(VARIANTS)
+        assert _key(wl, "auto", lookahead=16) != _key(wl, "auto")
+        base = _key(wl, "auto", options=PrefetchOptions())
+        changed = {"lookahead": 16, "emit_stride_prefetch": False,
+                   "allow_pure_calls": True, "enable_hoisting": True,
+                   "require_canonical_iv": True}
+        assert set(changed) == {f.name for f in
+                                dataclasses.fields(PrefetchOptions)}
+        for name, value in changed.items():
+            options = PrefetchOptions(**{name: value})
+            assert _key(wl, "auto", options=options) != base, name
+        assert (_key(wl, "manual", include_stride=False)
+                != _key(wl, "manual"))
+
+    def test_recipe_is_hashed_as_given(self):
+        """Recipes that build the same IR are not merged: a duplicate
+        entry, never a wrong row."""
+        wl = small_is()
+        assert _key(wl, "plain", lookahead=4) != _key(wl, "plain")
+        assert (_key(wl, "auto", options=PrefetchOptions(lookahead=64))
+                != _key(wl, "auto"))
 
     def test_machine_and_params_invalidate(self):
-        ir = _ir(small_is())
         wl = small_is()
-        base = run_key(ir, HASWELL, wl, True, SIM)
-        assert run_key(ir, A53, wl, True, SIM) != base
-        assert run_key(ir, HASWELL.with_small_pages(), wl,
-                       True, SIM) != base
+        base = _key(wl)
+        assert _key(wl, machine=A53) != base
+        assert _key(wl, machine=HASWELL.with_small_pages()) != base
         other = IntegerSort(num_keys=1501, num_buckets=1 << 12)
-        assert run_key(ir, HASWELL, other, True, SIM) != base
-        assert run_key(ir, HASWELL, wl, False, SIM) != base
+        assert _key(other) != base
+        assert _key(wl, validate=False) != base
 
     def test_every_sim_option_invalidates(self):
-        ir, wl = _ir(small_is()), small_is()
-        base = run_key(ir, HASWELL, wl, True, SIM)
+        wl = small_is()
+        base = _key(wl)
         changed = {"fastpath": False, "telemetry": True,
                    "timeline_window": 5000}
         assert set(changed) == {f.name for f in
                                 dataclasses.fields(SimOptions)}
         for name, value in changed.items():
             sim = dataclasses.replace(SIM, **{name: value})
-            assert run_key(ir, HASWELL, wl, True, sim) != base, name
+            assert _key(wl, sim=sim) != base, name
 
     def test_rng_advancement_invalidates(self):
         """After prepare() the shared RNG has moved, so a repeat run of
         the same instance is (correctly) a different run."""
         wl = small_is()
-        ir = _ir(wl)
-        before = run_key(ir, HASWELL, wl, True, SIM)
+        before = _key(wl)
         wl.prepare(Memory())
-        assert run_key(ir, HASWELL, wl, True, SIM) != before
+        assert _key(wl) != before
 
     def test_canonical_token_arrays_and_rng(self):
         import numpy as np
@@ -119,11 +141,6 @@ class TestRunKey:
         be hashed, or stored answers outlive an edit to it.  Checked in
         a fresh process, after an optimized compile with remarks and a
         small simulate."""
-        import subprocess
-        import sys
-        import textwrap
-        from pathlib import Path
-
         from repro.bench.cache import _SIM_SOURCES
         allowed = {
             "obs": "wall-clock spans and metrics: never in a result",
@@ -159,6 +176,106 @@ class TestRunKey:
         unhashed = [name for name in packages
                     if name not in _SIM_SOURCES and name not in allowed]
         assert not unhashed, unhashed
+
+
+#: The recipe grid of :class:`TestRecipeKey`'s cross-process test: it
+#: pads the heap with ``argv[1]`` objects, builds every recipe in grid
+#: order or (``argv[2] == "reverse"``) backwards, and prints ``[label,
+#: sha256 of the printed module]`` for each, in grid order, as JSON.
+_BUILD_GRID = textwrap.dedent("""
+    import hashlib, json, sys
+    pad = [object() for _ in range(int(sys.argv[1]))]
+    from repro.bench.experiments import manual_knobs_for
+    from repro.ir import print_module
+    from repro.machine.configs import ALL_SYSTEMS
+    from repro.passes import PrefetchOptions
+    from repro.workloads import paper_benchmarks
+
+    grid = []
+    for size in ("small", "full"):
+        for wl in paper_benchmarks(small=size == "small"):
+            for c in (4, 64, 256):
+                for variant in ("plain", "auto", "icc"):
+                    grid.append((size, wl, variant, c, None, {}))
+                for machine in ALL_SYSTEMS:
+                    grid.append((size, wl, "manual", c, None,
+                                 manual_knobs_for(wl, machine)))
+            for options in (PrefetchOptions(emit_stride_prefetch=False),
+                            PrefetchOptions(enable_hoisting=True)):
+                grid.append((size, wl, "auto", 64, options, {}))
+    order = list(range(len(grid)))
+    if sys.argv[2] == "reverse":
+        order.reverse()
+    out = [None] * len(grid)
+    for i in order:
+        size, wl, variant, c, options, knobs = grid[i]
+        module = wl.build_variant(variant, lookahead=c, options=options,
+                                  **knobs)
+        out[i] = [f"{size} {wl.name} {variant} c={c} {options} {knobs}",
+                  hashlib.sha256(print_module(module).encode()).hexdigest()]
+    print(json.dumps(out))
+""")
+
+
+class TestRecipeKey:
+    """The key names the build recipe, not the module it builds: that
+    is exact only while the build is a function of the recipe, the
+    workload's state and the hashed source."""
+
+    def test_printed_ir_agrees_across_processes(self):
+        """Every suite workload, small and full size, built as each
+        variant (manual with each system's knobs) at three look-aheads
+        and with two non-default pass options, prints the same module
+        in processes with other hash seeds, heap layouts and build
+        orders — and the same recipe twice in one process."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", _BUILD_GRID, str(pad), order],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "PYTHONHASHSEED": seed})
+            for seed, pad, order in (("0", 0, "forward"),
+                                     ("1", 100_003, "reverse"),
+                                     ("12345", 7_919, "forward"))]
+        grids = []
+        try:
+            for proc in procs:
+                stdout, stderr = proc.communicate(timeout=300)
+                assert proc.returncode == 0, stderr
+                grids.append(json.loads(stdout))
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+        assert grids[1] == grids[0]
+        assert grids[2] == grids[0]
+        digests: dict[str, set] = {}
+        for label, digest in grids[0]:
+            digests.setdefault(label, set()).add(digest)
+        assert all(len(seen) == 1 for seen in digests.values())
+
+    def test_build_mutates_nothing(self):
+        """The key tokenises the workload before the build, so the
+        build must leave its token (RNG included) as it found it."""
+        for small in (True, False):
+            for wl in paper_benchmarks(small=small):
+                for variant in VARIANTS:
+                    before = canonical_token(wl)
+                    wl.build_variant(variant)
+                    assert canonical_token(wl) == before, (wl.name,
+                                                           variant)
+
+    def test_code_hash_covers_every_build(self):
+        """Every workload class is defined under a hashed package, so
+        an edit to any ``build`` changes every key; a subclass defined
+        elsewhere would be keyed by its name and parameters only."""
+        from repro.bench.cache import _SIM_SOURCES
+        hashed = {f"repro.{package}" for package in _SIM_SOURCES}
+        outside = [f"{cls.__module__}.{cls.__qualname__}"
+                   for cls in _workload_classes()
+                   if ".".join(cls.__module__.split(".")[:2]) not in hashed]
+        assert _workload_classes()
+        assert not outside
 
 
 class TestRunCacheStore:
@@ -221,8 +338,7 @@ class TestRunVariantCaching:
         def sequence(wl, rc):
             rows, keys = [], []
             for variant in ("plain", "auto", "manual"):
-                keys.append(run_key(_ir(wl, variant), HASWELL, wl, True,
-                                    SIM))
+                keys.append(_key(wl, variant))
                 rows.append(run_variant(
                     wl, variant, HASWELL,
                     cache=rc if variant == "plain" else False))
@@ -251,6 +367,10 @@ class TestRunVariantCaching:
         assert second == first
         assert TELEMETRY["simulated_runs"] == 0
         assert TELEMETRY["cached_runs"] == 2
+
+
+def _refuse_build(*args, **kwargs):
+    raise AssertionError("build on a cache hit")
 
 
 class TestHitPath:
@@ -287,12 +407,22 @@ class TestHitPath:
         assert run_variant(wl, "plain", HASWELL, cache=rc) == cold
         assert canonical_token(wl.rng) == canonical_token(first.rng)
 
+    def test_hit_builds_nothing(self, tmp_path, monkeypatch):
+        """The key is made from the recipe before any build, so a hit
+        returns its row with ``build_variant`` refusing to run."""
+        rc = RunCache(tmp_path)
+        cold = run_variant(small_is(), "auto", HASWELL, cache=rc)
+        monkeypatch.setattr(Workload, "build_variant", _refuse_build)
+        reset_telemetry()
+        assert run_variant(small_is(), "auto", HASWELL, cache=rc) == cold
+        assert TELEMETRY["cached_runs"] == 1
+
     @pytest.mark.parametrize("name", QUICK)
     def test_entry_without_rng_state_is_a_miss(self, tmp_path, name):
         """An entry in the layout written before the RNG state was
         stored (the bare row) re-simulates and is rewritten whole."""
         wl = quick(name)
-        key = run_key(_ir(wl), HASWELL, wl, True, SIM)
+        key = _key(wl)
         cold = run_variant(wl, "plain", HASWELL, cache=RunCache(tmp_path))
         entry = RunCache(tmp_path).get(key)
         assert set(entry) == {"row", "rng"}
@@ -311,7 +441,7 @@ class TestHitPath:
         on one cache return equal rows and leave that dict as stored."""
         rc = RunCache(tmp_path)
         wl = quick(name)
-        key = run_key(_ir(wl), HASWELL, wl, True, SIM)
+        key = _key(wl)
         cold = run_variant(wl, "plain", HASWELL, cache=rc)
         stored = json.dumps(rc.get(key), sort_keys=True)
         reset_telemetry()
@@ -337,10 +467,8 @@ class TestMulticoreHitPath:
         and a hit on it moves both RNGs where the run left them."""
         rc = RunCache(tmp_path)
         first = self.cores()
-        ir = _ir(first[0])
-        key = run_key(ir, HASWELL, first, True, SIM)
-        assert key not in {run_key(ir, HASWELL, one, True, SIM)
-                           for one in first}
+        key = _key(first)
+        assert key not in {_key(one) for one in first}
         cold = run_variant(first, "plain", HASWELL, cache=rc)
         assert rc.get(key)["row"] == dataclasses.asdict(cold)
 
@@ -360,6 +488,15 @@ class TestMulticoreHitPath:
         for wl, untouched in zip(again, fresh):
             assert canonical_token(wl.rng) != canonical_token(untouched.rng)
 
+    def test_hit_builds_nothing(self, tmp_path, monkeypatch):
+        """Fig. 9's two-core hit returns its row without a build."""
+        rc = RunCache(tmp_path)
+        cold = run_variant(self.cores(), "auto", HASWELL, cache=rc)
+        monkeypatch.setattr(Workload, "build_variant", _refuse_build)
+        reset_telemetry()
+        assert run_variant(self.cores(), "auto", HASWELL, cache=rc) == cold
+        assert TELEMETRY["cached_runs"] == 1
+
     @pytest.mark.parametrize("damage", ["short", "bad state"])
     def test_bad_state_list_is_a_miss_that_moves_no_rng(self, tmp_path,
                                                         damage):
@@ -367,7 +504,7 @@ class TestMulticoreHitPath:
         miss, and no instance's RNG moves before the run re-prepares
         it, so the rewritten entry is the one a clean run writes."""
         pair = self.cores()
-        key = run_key(_ir(pair[0]), HASWELL, pair, True, SIM)
+        key = _key(pair)
         cold = run_variant(pair, "plain", HASWELL, cache=RunCache(tmp_path))
         entry = RunCache(tmp_path).get(key)
         states = entry["rng"]

@@ -211,11 +211,14 @@ class TestRunnerIntegration:
 
     def test_run_key_separates_telemetry(self):
         wl = self.make_workload()
-        ir = "func"
-        on = run_key(ir, HASWELL, wl, True, SimOptions(telemetry=True))
-        off = run_key(ir, HASWELL, wl, True, SimOptions(telemetry=False))
+
+        def key(sim):
+            return run_key("auto", 64, None, {}, HASWELL, wl, True, sim)
+
+        on = key(SimOptions(telemetry=True))
+        off = key(SimOptions(telemetry=False))
         assert on != off
-        assert off == run_key(ir, HASWELL, wl, True, SimOptions())
+        assert off == key(SimOptions())
 
     def test_snapshot_round_trips_through_disk_cache(self, tmp_path):
         cache = RunCache(tmp_path)

@@ -369,11 +369,13 @@ class TestTimelineCacheInteraction:
         from repro.bench.cache import run_key
         from repro.workloads import IntegerSort
         wl = IntegerSort(num_keys=500, num_buckets=1 << 10)
-        base = run_key("ir", HASWELL, wl, True, SimOptions())
-        on = SimOptions(timeline_window=2000)
-        assert run_key("ir", HASWELL, wl, True, on) != base
-        assert run_key("ir", HASWELL, wl, True,
-                       SimOptions(timeline_window=None)) == base
+
+        def key(sim):
+            return run_key("plain", 64, None, {}, HASWELL, wl, True, sim)
+
+        base = key(SimOptions())
+        assert key(SimOptions(timeline_window=2000)) != base
+        assert key(SimOptions(timeline_window=None)) == base
 
     def test_window_is_part_of_the_key(self, tmp_path):
         """A cached run at one window must not answer another."""
