@@ -13,6 +13,15 @@ stands in for the built IR: the build is a deterministic function of
 the recipe, the workload's state and the hashed source, so a key is
 made, and a hit answered, without building anything.
 
+Every part of the key is a :func:`canonical_token`.  The machine and
+the engine options are frozen dataclasses that one run after another
+shares, so each such object is tokenised once and its token kept by
+identity (never by ``==``: equal values may tokenise differently); the
+workload, whose RNG moves with every run, is tokenised afresh each
+time.  A warm hit is then one hash over tokens that mostly exist
+already, plus one file read (:meth:`ContentStore.get
+<repro.serve.cas.ContentStore.get>`).
+
 An entry is ``{"row": ..., "rng": ...}``: the JSON-serialised
 :class:`~repro.bench.runner.VariantResult` and the workload RNG's
 ``bit_generator.state`` after ``prepare``.  A hit restores that state
@@ -36,7 +45,7 @@ each instance remembers recent entries in a bounded per-process memory;
 from __future__ import annotations
 
 import hashlib
-import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -78,16 +87,62 @@ def simulator_code_hash() -> str:
     return _CODE_HASH
 
 
+#: Tokens of frozen dataclass instances that can never change, by
+#: ``id``: ``id -> (instance, token)``.  An entry holds its instance,
+#: so no other object can take that id while the entry stands; the map
+#: empties whenever it reaches :data:`TOKEN_MEMORY` entries.  Readers
+#: take no lock; writers hold :data:`_TOKENS_LOCK`.
+_TOKENS: dict[int, tuple[object, str]] = {}
+_TOKENS_LOCK = threading.Lock()
+
+#: Most instances :data:`_TOKENS` holds at once.
+TOKEN_MEMORY = 256
+
+#: Exact types that are immutable leaves.
+_ATOMS = frozenset((type(None), bool, int, float, str))
+
+
+def _frozen(value) -> bool:
+    """Whether ``value`` is an instance of a frozen dataclass."""
+    params = getattr(type(value), "__dataclass_params__", None)
+    return params is not None and params.frozen
+
+
+def _immutable(value) -> bool:
+    """Whether ``value`` can never change: an atom, a tuple of such
+    values, or a frozen dataclass instance whose attributes all are."""
+    kind = type(value)
+    if kind in _ATOMS:
+        return True
+    if kind is tuple:
+        return all(map(_immutable, value))
+    return _frozen(value) and all(map(_immutable, vars(value).values()))
+
+
 def canonical_token(value) -> str:
     """Stable textual form of a (possibly nested) run parameter.
 
-    Arrays hash by content, RNGs by bit-generator state, and arbitrary
-    objects (workloads, CSR graphs) by class name + canonicalised
-    ``__dict__`` — so two workload instances with equal parameters and
-    equal RNG state produce equal tokens.
+    An atom is its ``repr``; an array hashes by content; a dict is its
+    sorted ``key:value`` token pairs; an RNG is ``rng(...)`` over the
+    token of its bit-generator state, read once (int and str leaves by
+    ``repr``, an array leaf by content, never printed: numpy abbreviates
+    a long printed array); any other object (configs, workloads, CSR
+    graphs) is its class name + the token of its ``__dict__`` — so two
+    workload instances with equal parameters and equal RNG state
+    produce equal tokens.
+
+    A frozen dataclass instance whose attributes are all atoms, tuples
+    or such instances (``MachineConfig`` with its ``CacheConfig``s,
+    ``SimOptions``) is tokenised once: :data:`_TOKENS` keeps its token
+    by identity, never by ``==`` — ``CacheConfig(32768, 8, 4)`` equals
+    ``CacheConfig(32768, 8, 4.0)``, but their tokens differ.  An
+    instance that holds a list or dict is tokenised on every call.
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if type(value) in _ATOMS or isinstance(value, (bool, int, float, str)):
         return repr(value)
+    known = _TOKENS.get(id(value))
+    if known is not None and known[0] is value:
+        return known[1]
     if isinstance(value, np.ndarray):
         body = hashlib.sha256(
             np.ascontiguousarray(value).tobytes()).hexdigest()
@@ -95,25 +150,30 @@ def canonical_token(value) -> str:
     if isinstance(value, np.generic):
         return repr(value.item())
     if isinstance(value, np.random.Generator):
-        state = json.dumps(value.bit_generator.state, sort_keys=True,
-                           default=repr)
-        return f"rng({state})"
+        return f"rng({canonical_token(value.bit_generator.state)})"
     if isinstance(value, dict):
-        items = sorted(value.items(), key=lambda kv: repr(kv[0]))
-        return "{" + ",".join(
+        return "{" + ",".join(sorted([
             f"{canonical_token(k)}:{canonical_token(v)}"
-            for k, v in items) + "}"
+            for k, v in value.items()])) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(canonical_token(v) for v in value) + "]"
     if hasattr(value, "__dict__"):
-        return (f"{type(value).__qualname__}"
-                f"({canonical_token(vars(value))})")
+        token = (f"{type(value).__qualname__}"
+                 f"({canonical_token(vars(value))})")
+        if _frozen(value) and _immutable(value):
+            with _TOKENS_LOCK:
+                if len(_TOKENS) >= TOKEN_MEMORY:
+                    _TOKENS.clear()
+                _TOKENS[id(value)] = (value, token)
+        return token
     return repr(value)
 
 
 def run_key(variant: str, lookahead: int, options, manual_knobs: dict,
             machine, workload, validate: bool, sim) -> str:
-    """Content hash identifying one simulation run.
+    """Content hash identifying one simulation run: the SHA-256 of
+    the simulator code hash and the :func:`canonical_token` of every
+    argument, one per line.
 
     ``variant``, ``lookahead``, ``options`` and ``manual_knobs`` are the
     build recipe, the arguments
@@ -127,7 +187,11 @@ def run_key(variant: str, lookahead: int, options, manual_knobs: dict,
     :class:`~repro.envcfg.SimOptions`) is tokenised whole: telemetry
     and timeline snapshots ride the cached row, so an entry made with
     other engine options must never satisfy the request, and hashing
-    every field means none can be left out.
+    every field means none can be left out.  ``machine`` and ``sim``
+    are tokenised once per object (see :func:`canonical_token`), so
+    keying many runs with one object costs a lookup each after the
+    first; an equal object made anew (``with_huge_pages()`` per call)
+    is tokenised anew, to the same token.
     """
     token = "\n".join((
         simulator_code_hash(),

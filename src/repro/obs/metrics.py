@@ -19,15 +19,11 @@ Exposition is dual:
 * callers assemble their own JSON snapshots from the child values
   (``repro serve`` keeps its ``repro-serve-metrics-v1`` shape).
 
-Percentiles come in two flavours, both here so every consumer agrees:
-
-* :func:`nearest_rank` — the standard ceil-based nearest-rank
-  percentile of an exact sorted sample (``perf/run.py``).  This
-  replaces the old ``round()``-based form whose banker's rounding
-  under-reported (e.g. p50 of 5 samples picked the 2nd, not the 3rd).
-* :meth:`Histogram.quantile` on a child — an estimate from the bucket
-  counts (linear interpolation inside the winning bucket; the +Inf
-  bucket answers the running max).
+Percentiles are :func:`nearest_rank` — the standard ceil-based
+nearest-rank percentile of an exact sorted sample (``perf/run.py`` and
+the ``repro serve`` JSON snapshot) — so every consumer agrees.  This
+replaces the old ``round()``-based form whose banker's rounding
+under-reported (e.g. p50 of 5 samples picked the 2nd, not the 3rd).
 """
 
 from __future__ import annotations
@@ -181,32 +177,6 @@ class _HistogramChild(_Child):
                 running += c
                 out.append(running)
         return out
-
-    def quantile(self, q: float) -> float:
-        """Estimated q-quantile (q in [0, 1]) from the bucket counts.
-
-        Nearest-rank over buckets, linearly interpolated inside the
-        winning bucket; a rank landing in the +Inf bucket answers the
-        running max (the only honest bound we have there).
-        """
-        with self._lock:
-            total = self.count
-            counts = list(self.counts)
-            observed_max = self.max
-        if total == 0:
-            return 0.0
-        rank = max(1, math.ceil(q * total))
-        cum = 0
-        lower = 0.0
-        for bound, c in zip(self.bounds, counts):
-            if cum + c >= rank:
-                if c == 0:
-                    return min(bound, observed_max)
-                frac = (rank - cum) / c
-                return min(lower + (bound - lower) * frac, observed_max)
-            cum += c
-            lower = bound
-        return observed_max
 
 
 class MetricFamily:

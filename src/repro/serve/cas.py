@@ -74,11 +74,16 @@ class ContentStore:
     """
 
     def __init__(self, root: str | os.PathLike):
-        self.root = Path(root)
+        self._root = os.fspath(Path(root))
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self._empty_memory()
+
+    @property
+    def root(self) -> Path:
+        """The store directory."""
+        return Path(self._root)
 
     def _empty_memory(self) -> None:
         # key -> (dict, serialised bytes), least recently used first.
@@ -129,31 +134,44 @@ class ContentStore:
             self.hits += 1
             return entry[0]
 
+    def _file(self, key: str) -> str:
+        """Filesystem location of ``key``, ``<root>/<key[:2]>/<key>.json``,
+        for a key that :func:`valid_key` has passed: an unvalidated key
+        containing ``/`` or ``..`` would escape the store root (path
+        traversal)."""
+        return f"{self._root}/{key[:2]}/{key}.json"
+
     def _path(self, key: str) -> Path:
-        """Filesystem location of ``key`` — which must be a validated
-        content key: an unvalidated key containing ``/`` or ``..``
-        would escape the store root (path traversal)."""
+        """:meth:`_file` of ``key`` as a path, after checking the key."""
         if not valid_key(key):
             raise ValueError(f"invalid content key {key[:80]!r}")
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._file(key))
 
     def get(self, key: str) -> dict | None:
-        """The stored dict for ``key``, from memory or else from disk,
-        or ``None``.
+        """The stored dict for ``key``, from memory or else from disk
+        (:meth:`_file`, opened by its string path), or ``None``.
 
         Any unreadable entry — missing, truncated, non-JSON, non-dict,
         deleted between stat and read by a concurrent GC, or addressed
-        by a malformed key — counts as a miss: readers never crash on
-        another process's half-state (or a hostile key).
+        by a malformed key, which is checked before any file is opened
+        — counts as a miss: readers never crash on another process's
+        half-state (or a hostile key).
         """
-        data = self.recall(key)
-        if data is not None:
-            return data
-        try:
-            raw = self._path(key).read_bytes()
-            data = json.loads(raw)
-        except (OSError, ValueError):
-            data = None
+        data = None
+        if valid_key(key):  # else never joined into a path
+            data = self.recall(key)
+            if data is not None:
+                return data
+            try:
+                fd = os.open(self._file(key), os.O_RDONLY)
+                try:
+                    # A short read leaves invalid JSON: a miss.
+                    raw = os.read(fd, os.fstat(fd).st_size)
+                finally:
+                    os.close(fd)
+                data = json.loads(raw)
+            except (OSError, ValueError):
+                data = None
         with self._lock:
             if not isinstance(data, dict):
                 self.misses += 1

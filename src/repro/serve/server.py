@@ -46,12 +46,13 @@ import asyncio
 import json
 import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..envcfg import env_int
 from ..obs.logs import AccessLogger
-from ..obs.metrics import LATENCY_BUCKETS_MS, Registry
+from ..obs.metrics import LATENCY_BUCKETS_MS, Registry, nearest_rank
 from ..obs.sinks import SpanRecorder, collecting, span
 from ..obs.trace import (DEFAULT_CAPACITY, TraceBuffer, make_record,
                          new_request_id)
@@ -120,6 +121,11 @@ STAGE_OF = {
 
 #: Pipeline stages with their own latency histogram series.
 STAGES = tuple(dict.fromkeys(STAGE_OF.values()))
+
+#: Most recent observations per latency series that the JSON
+#: snapshot's p50 and p99 are read from, exactly (nearest rank); the
+#: histograms keep every observation, in buckets, for Prometheus.
+QUANTILE_SAMPLES = 1024
 
 
 def stage_ms(records: list[dict]) -> dict[str, float]:
@@ -226,6 +232,9 @@ class ServeMetrics:
             "Request traces currently held in the trace buffer.")
         for stage in STAGES:  # pre-create: catalogue check sees all
             self.stage_latency.labels(stage=stage)
+        # The last QUANTILE_SAMPLES observations of each series.
+        self._recent = {name: deque(maxlen=QUANTILE_SAMPLES)
+                        for name in ("latency", *STAGES)}
 
     # -- observation hooks --------------------------------------------
 
@@ -234,6 +243,7 @@ class ServeMetrics:
         self.http_requests.labels(method=method, route=route,
                                   status=str(status)).inc()
         self.latency.labels().observe(latency_ms)
+        self._recent["latency"].append(latency_ms)
 
     def observe_job(self, norm: dict, status: int) -> None:
         self.job_requests.labels(
@@ -244,6 +254,7 @@ class ServeMetrics:
         """One sample per stage the span records cover."""
         for stage, ms in stage_ms(records).items():
             self.stage_latency.labels(stage=stage).observe(ms)
+            self._recent[stage].append(ms)
 
     def coalesce_hit(self) -> None:
         self._coalesce.inc()
@@ -325,10 +336,14 @@ class ServeMetrics:
         if server.pool is not None:
             self._restarts.labels().set_from(server.pool.restarts)
 
-    def _histogram_row(self, child) -> dict:
+    def _histogram_row(self, child, series: str) -> dict:
+        """One series' all-time ``count`` and ``max``, and its p50 and
+        p99 by nearest rank over its last ``samples`` observations."""
+        recent = sorted(self._recent[series])
         return {"count": child.count,
-                "p50": round(child.quantile(0.50), 3),
-                "p99": round(child.quantile(0.99), 3),
+                "samples": len(recent),
+                "p50": round(nearest_rank(recent, 50), 3),
+                "p99": round(nearest_rank(recent, 99), 3),
                 "max": round(child.max, 3)}
 
     def snapshot(self, server: "Server") -> dict:
@@ -339,7 +354,8 @@ class ServeMetrics:
             for c in self.job_requests.children()]
         latency = self.latency.labels()
         stages = {
-            child.labelvalues[0]: self._histogram_row(child)
+            child.labelvalues[0]: self._histogram_row(
+                child, child.labelvalues[0])
             for child in self.stage_latency.children()
             if child.count}
         return {
@@ -362,7 +378,7 @@ class ServeMetrics:
             "workers": {"count": server.pool.size if server.pool else 0,
                         "restarts": (server.pool.restarts
                                      if server.pool else 0)},
-            "latency_ms": self._histogram_row(latency),
+            "latency_ms": self._histogram_row(latency, "latency"),
             "stages": stages,
             "traces": {"buffered": len(server.traces),
                        "capacity": server.traces.capacity},

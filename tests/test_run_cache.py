@@ -1,9 +1,11 @@
 """Unit tests for the run-result disk cache (bench/cache.py).
 
-Covers key stability and invalidation, the build recipe standing in
-for the built IR (the build is deterministic across processes, mutates
-nothing, and runs only hashed code), cold/warm behaviour of
-``run_variant``, corrupted-entry handling, scoped-default resolution,
+Covers key stability and invalidation, config tokens kept by identity
+(each equals what re-tokenising its value gives), the build recipe
+standing in for the built IR (the build and the key are deterministic
+across processes, the build mutates nothing and runs only hashed
+code), cold/warm behaviour of ``run_variant``, corrupted-entry and
+malformed-key handling, scoped-default resolution,
 the hit path's contract on all seven quick workloads (a hit restores
 the RNG state its entry stored, builds nothing and runs no
 ``prepare``), and the acceptance property: a second invocation of a
@@ -13,25 +15,33 @@ re-simulation.
 
 from __future__ import annotations
 
+import builtins
+import copy
 import dataclasses
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import threading
+import weakref
 from pathlib import Path
 
 import pytest
 
-from repro.bench import runner
+from repro.bench import cache, runner
 from repro.bench.cache import (RunCache, canonical_token, run_key,
                                simulator_code_hash)
 from repro.bench.runner import (RunSpec, TELEMETRY, reset_telemetry,
                                 run_defaults, run_specs, run_variant)
 from repro.envcfg import SimOptions
 from repro.machine import A53, HASWELL
+from repro.machine.configs import CacheConfig, MachineConfig
 from repro.machine.memory import Memory
 from repro.passes import PrefetchOptions
+from repro.serve.cas import ContentStore
 from repro.workloads import (VARIANTS, IntegerSort, RandomAccess,
                              paper_benchmarks, workload_by_name)
 from repro.workloads.base import Workload
@@ -131,6 +141,21 @@ class TestRunKey:
         r1.integers(0, 10)
         assert canonical_token(r1) != canonical_token(r2)
 
+        def mt19937(flip):
+            rng = np.random.Generator(np.random.MT19937(7))
+            state = rng.bit_generator.state
+            state["state"]["key"][300] ^= flip
+            rng.bit_generator.state = state
+            return rng
+
+        # Its state is a 624-word array: printed under a small
+        # threshold, two states that differ mid-array would read alike.
+        with np.printoptions(threshold=10):
+            assert canonical_token(mt19937(0)) == canonical_token(
+                mt19937(0))
+            assert canonical_token(mt19937(0)) != canonical_token(
+                mt19937(1))
+
     def test_code_hash_is_cached_and_hex(self):
         assert simulator_code_hash() == simulator_code_hash()
         assert len(simulator_code_hash()) == 64
@@ -178,41 +203,200 @@ class TestRunKey:
         assert not unhashed, unhashed
 
 
+def _fresh(value) -> str:
+    """The token of ``value`` worked out anew: a deep copy is a new
+    object, so no kept token can stand for it."""
+    return canonical_token(copy.deepcopy(value))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Holder:
+    """A frozen dataclass whose fields can still change inside."""
+
+    name: str
+    inner: tuple
+
+
+class TestConfigTokens:
+    """A frozen config's token is kept by identity: every kept token
+    must be the one re-tokenising its value gives."""
+
+    @pytest.fixture(autouse=True)
+    def _no_kept_tokens(self, monkeypatch):
+        """Each test starts with an empty token memory, however full
+        the tests before it left the module's."""
+        monkeypatch.setattr(cache, "_TOKENS", {})
+
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["int-first", "float-first"])
+    def test_equal_values_keep_their_own_tokens(self, reverse):
+        """Values that compare equal but tokenise differently get their
+        own tokens and their own run keys, whichever goes first."""
+        def caches(latency):
+            return dataclasses.replace(HASWELL, caches=(
+                CacheConfig(32768, 8, latency),) + HASWELL.caches[1:])
+
+        wl = small_is()
+        pairs = [(CacheConfig(32768, 8, 4), CacheConfig(32768, 8, 4.0)),
+                 (caches(4), caches(4.0)),
+                 (HASWELL, dataclasses.replace(HASWELL,
+                                               dram_latency=220.0))]
+        for pair in pairs:
+            first, second = reversed(pair) if reverse else pair
+            assert first == second
+            tokens = [canonical_token(first), canonical_token(second)]
+            assert tokens == [_fresh(first), _fresh(second)]
+            assert tokens[0] != tokens[1]
+            if isinstance(first, MachineConfig):
+                assert _key(wl, machine=first) != _key(wl, machine=second)
+
+    def test_mutable_fields_are_tokenised_on_every_call(self):
+        """A frozen dataclass that holds a list, directly or under a
+        tuple or another frozen dataclass, is re-tokenised after the
+        list changes."""
+        items = [1]
+        direct = _Holder("direct", (items,))
+        nested = _Holder("nested", (_Holder("inner", (1, items)),))
+        before = [canonical_token(direct), canonical_token(nested)]
+        items.append(2)
+        after = [canonical_token(direct), canonical_token(nested)]
+        assert after == [_fresh(direct), _fresh(nested)]
+        assert after[0] != before[0] and after[1] != before[1]
+
+    def test_no_token_for_another_object(self):
+        """Short-lived configs with distinct fields, each tokenised and
+        dropped: CPython hands a dropped object's id to the next, so a
+        token kept by bare id would answer for the wrong config."""
+        for i in range(1000):
+            config = CacheConfig(64 * (i + 1), 1 + i % 16, i % 7)
+            assert canonical_token(config) == _fresh(config), i
+            machine = dataclasses.replace(A53, mshrs=i)
+            assert canonical_token(machine) == _fresh(machine), i
+            del config, machine
+
+    def test_token_memory_is_bounded(self):
+        """After 10,000 distinct configs, the kept tokens, and the
+        configs they keep alive, stay at the bound."""
+        alive = []
+        for i in range(10_000):
+            config = CacheConfig(64 * (i + 1), 8, 4)
+            canonical_token(config)
+            alive.append(weakref.ref(config))
+            del config
+        gc.collect()
+        assert len(cache._TOKENS) <= cache.TOKEN_MEMORY
+        assert sum(ref() is not None for ref in alive) \
+            <= cache.TOKEN_MEMORY
+
+    def test_threads_share_the_token_memory(self):
+        """Four threads tokenise their own short-lived configs and one
+        shared machine under a 10 µs switch interval: every token is
+        its value's, and the memory never passes its bound."""
+        shared = dataclasses.replace(HASWELL)
+        want = _fresh(shared)
+        errors, done = [], []
+
+        def work(seed):
+            try:
+                for i in range(1500):
+                    config = CacheConfig(64 * (i + 1), 1 + seed, i % 7)
+                    if (canonical_token(config) != _fresh(config)
+                            or canonical_token(shared) != want
+                            or len(cache._TOKENS) > cache.TOKEN_MEMORY):
+                        errors.append((seed, i))
+            except Exception as exc:  # else the thread dies unseen
+                errors.append((seed, exc))
+            else:
+                done.append(seed)
+
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(done) == [0, 1, 2, 3]
+
+    def test_shared_config_objects_are_tokenised_once(self, monkeypatch):
+        """The machine and options of a run are tokenised once however
+        many keys name them; a new object equal to one is tokenised
+        anew."""
+        wl = small_is()
+        machine = dataclasses.replace(HASWELL)
+        sim = dataclasses.replace(SIM)
+        first = _key(wl, machine=machine, sim=sim)
+        calls = []
+        immutable = cache._immutable
+        monkeypatch.setattr(cache, "_immutable",
+                            lambda value: calls.append(value)
+                            or immutable(value))
+        assert _key(wl, machine=machine, sim=sim) == first
+        assert calls == []
+        assert _key(wl, machine=dataclasses.replace(machine),
+                    sim=sim) == first
+        assert calls
+
+
 #: The recipe grid of :class:`TestRecipeKey`'s cross-process test: it
 #: pads the heap with ``argv[1]`` objects, builds every recipe in grid
 #: order or (``argv[2] == "reverse"``) backwards, and prints ``[label,
-#: sha256 of the printed module]`` for each, in grid order, as JSON.
+#: sha256 of the printed module, run key]`` for each, in grid order, as
+#: JSON.  Each run key is made before its build, as ``run_variant``
+#: makes it.
 _BUILD_GRID = textwrap.dedent("""
     import hashlib, json, sys
     pad = [object() for _ in range(int(sys.argv[1]))]
+    from repro.bench.cache import run_key
     from repro.bench.experiments import manual_knobs_for
+    from repro.envcfg import SimOptions
     from repro.ir import print_module
-    from repro.machine.configs import ALL_SYSTEMS
+    from repro.machine.configs import A57, ALL_SYSTEMS, HASWELL
     from repro.passes import PrefetchOptions
-    from repro.workloads import paper_benchmarks
+    from repro.workloads import IntegerSort, paper_benchmarks
 
     grid = []
     for size in ("small", "full"):
         for wl in paper_benchmarks(small=size == "small"):
             for c in (4, 64, 256):
                 for variant in ("plain", "auto", "icc"):
-                    grid.append((size, wl, variant, c, None, {}))
+                    grid.append((size, wl, variant, c, None, {}, HASWELL))
                 for machine in ALL_SYSTEMS:
                     grid.append((size, wl, "manual", c, None,
-                                 manual_knobs_for(wl, machine)))
+                                 manual_knobs_for(wl, machine), machine))
             for options in (PrefetchOptions(emit_stride_prefetch=False),
                             PrefetchOptions(enable_hoisting=True)):
-                grid.append((size, wl, "auto", 64, options, {}))
+                grid.append((size, wl, "auto", 64, options, {}, HASWELL))
+    # A machine made for its run, as Fig. 10's pages are, and a
+    # two-core list of instances, as Fig. 9 runs.
+    grid.append(("small", paper_benchmarks(small=True)[0], "auto", 64,
+                 None, {}, A57.with_huge_pages()))
+    grid.append(("small", [IntegerSort(num_keys=8000, seed=42 + core)
+                           for core in range(2)], "auto", 64, None, {},
+                 HASWELL))
     order = list(range(len(grid)))
     if sys.argv[2] == "reverse":
         order.reverse()
     out = [None] * len(grid)
     for i in order:
-        size, wl, variant, c, options, knobs = grid[i]
-        module = wl.build_variant(variant, lookahead=c, options=options,
-                                  **knobs)
-        out[i] = [f"{size} {wl.name} {variant} c={c} {options} {knobs}",
-                  hashlib.sha256(print_module(module).encode()).hexdigest()]
+        size, wl, variant, c, options, knobs, machine = grid[i]
+        key = run_key(variant, c, options, knobs, machine, wl, True,
+                      SimOptions())
+        first = wl[0] if isinstance(wl, list) else wl
+        module = first.build_variant(variant, lookahead=c,
+                                     options=options, **knobs)
+        cores = len(wl) if isinstance(wl, list) else 1
+        out[i] = [f"{size} {first.name}x{cores} {variant} c={c} "
+                  f"{options} {knobs} {machine.name} "
+                  f"page_bits={machine.page_bits}",
+                  hashlib.sha256(print_module(module).encode()).hexdigest(),
+                  key]
     print(json.dumps(out))
 """)
 
@@ -225,9 +409,11 @@ class TestRecipeKey:
     def test_printed_ir_agrees_across_processes(self):
         """Every suite workload, small and full size, built as each
         variant (manual with each system's knobs) at three look-aheads
-        and with two non-default pass options, prints the same module
-        in processes with other hash seeds, heap layouts and build
-        orders — and the same recipe twice in one process."""
+        and with two non-default pass options, plus a huge-page machine
+        and a two-core list, prints the same module and makes the same
+        run key in processes with other hash seeds, heap layouts and
+        build orders — and the same recipe twice in one process prints
+        the same module."""
         src = Path(__file__).resolve().parent.parent / "src"
         procs = [subprocess.Popen(
             [sys.executable, "-c", _BUILD_GRID, str(pad), order],
@@ -250,9 +436,11 @@ class TestRecipeKey:
         assert grids[1] == grids[0]
         assert grids[2] == grids[0]
         digests: dict[str, set] = {}
-        for label, digest in grids[0]:
+        for label, digest, _ in grids[0]:
             digests.setdefault(label, set()).add(digest)
         assert all(len(seen) == 1 for seen in digests.values())
+        keys = [key for _, _, key in grids[0]]
+        assert len(set(keys)) == len(keys)
 
     def test_build_mutates_nothing(self):
         """The key tokenises the workload before the build, so the
@@ -297,6 +485,26 @@ class TestRunCacheStore:
         assert rc.get(key) is None
         rc._path(key).write_text(json.dumps([1, 2]))  # wrong shape
         assert rc.get(key) is None
+
+    def test_malformed_key_is_a_miss_without_a_read(self, tmp_path,
+                                                    monkeypatch):
+        """A key that is not a full SHA-256 hexdigest, one that would
+        leave the store root among them, reads as a miss before any
+        file is opened."""
+        (tmp_path / "secret.json").write_text('{"row": 1}')
+        store = ContentStore(tmp_path / "store")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"opened {args[:1]} for a malformed key")
+
+        for module in (builtins, io, os):
+            monkeypatch.setattr(module, "open", refuse)
+        keys = ["../secret", "ab/../../secret", "/etc/passwd",
+                "AB" * 32, "ab" * 31, "ab" * 32 + "\n", "ab" * 33, "",
+                None, 7, ["ab" * 32]]
+        for key in keys:
+            assert store.get(key) is None, key
+        assert (store.hits, store.misses) == (0, len(keys))
 
     def test_resolve(self, tmp_path):
         """``cache=None`` is the scoped default (none outside every

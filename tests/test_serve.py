@@ -518,6 +518,41 @@ class TestStoreMemory:
                 canonical(first["result"])
         serve_scenario(scenario)(tmp_path)
 
+    def test_snapshot_quantiles_are_exact(self, tmp_path):
+        """After one fresh compile job and 50 repeats, the snapshot's
+        p50 and p99 of ``probe``, ``admission`` and ``latency_ms`` are
+        the nearest-rank quantiles of the 51 times the requests
+        recorded — remembered probes take microseconds, which a
+        quantile interpolated inside the first 0.5 ms bucket hid."""
+        from repro.obs.metrics import nearest_rank
+        from repro.serve.server import stage_ms
+
+        async def scenario(server):
+            bodies = []
+            for _ in range(51):
+                status, body = await roundtrip(server, self.COMPILE)
+                assert status == 200
+                bodies.append(body)
+            assert [b["cached"] for b in bodies] == [False] + [True] * 50
+            status, snapshot = await roundtrip(server, None, "GET",
+                                               "/metrics")
+            rows = {"latency_ms": (snapshot["latency_ms"],
+                                   [b["latency_ms"] for b in bodies])}
+            for stage in ("probe", "admission"):
+                rows[stage] = (snapshot["stages"][stage], [
+                    stage_ms(server.traces.get(
+                        b["request_id"])["server_spans"])[stage]
+                    for b in bodies])
+            for name, (row, times) in rows.items():
+                times.sort()
+                assert row["p50"] == round(nearest_rank(times, 50), 3), \
+                    (name, row, times)
+                assert row["p99"] == round(nearest_rank(times, 99), 3), \
+                    (name, row, times)
+                assert row["p50"] <= row["p99"] <= row["max"], name
+                assert row["count"] == row["samples"] == 51, name
+        serve_scenario(scenario)(tmp_path)
+
     def test_memory_hit_body_matches_disk_hit_body(self, tmp_path):
         """The same stored result answers alike from memory and, on a
         second server over the same root, from disk."""
