@@ -5,11 +5,17 @@ nest to one generated-Python closure; this module writes the source for
 the instructions it splices in.  :class:`_Emitter` turns instruction
 tuples of the slot-machine form (:mod:`repro.machine.interpreter`) into
 source text: register slots become function locals (``r{i}`` for
-values, ``t{i}`` for ready times), and constants, per-op latencies and
-the core's issue/retire arithmetic are baked into the text.  Common
-64-bit integer wrap-around arithmetic, comparisons and casts are emitted
-as inline expressions (no closure call), each load or store keeps the
-allocation it last touched in locals, and an L1 hit probe (see
+values, ``t{i}`` for ready times).  The text holds the loop's shape and
+the machine: slots, pcs, block indices, element sizes and bit widths,
+per-op latencies, the core's issue/retire arithmetic and the memory
+system's geometry (line, set and page shifts and masks).  It holds no
+IR constant: each constant operand is a local ``_c{i}``, one per
+occurrence in emission order, which the trace reads at entry from the
+tuple ``_K`` in its env, so one code object serves every look-ahead and
+input size of a loop.  Common 64-bit integer wrap-around arithmetic,
+comparisons and casts are emitted as inline expressions (no closure
+call), each load or store keeps the allocation it last touched in
+locals, and an L1 hit probe (see
 :class:`~repro.machine.system.MemorySystem`) is inlined with a call to
 the memory walk as the fallback.
 :func:`compile_source` compiles every generated source through one
@@ -110,14 +116,16 @@ _INLINE_CMP = {
     "uge": f"({{a}} & {_M64}) >= ({{b}} & {_M64})",
 }
 
-#: Compiled generated sources kept per process.  Source embeds every
-#: constant (slots, pcs, latencies, machine parameters) but no object
-#: identities, so one code object serves every interpreter with the
-#: same loop shape.  Measured distinct sources (each one trace): 45-47
-#: for one pass of the benchmark's figs-cold workload with its warm-up
-#: (seeds 1-10), 196 for ``repro bench fig6 --small --no-cache --jobs
-#: 1`` and 360 for all 11 figures in one process, so none of them
-#: evicts; a long-lived serve worker stops growing here.
+#: Compiled generated sources kept per process.  Source holds the loop's
+#: shape and the machine (slots, pcs, latencies, cache geometry) but no
+#: IR constant and no object identity, so one code object serves every
+#: interpreter that runs the same loop shape on the same machine, at
+#: any look-ahead or input size.  Measured distinct sources (each one
+#: trace): 38-45 for one pass of the benchmark's figs-cold workload with
+#: its warm-up (seeds 1-10), 52 for ``repro bench fig6 --small
+#: --no-cache --jobs 1``, 170 for all 13 simulating figures in one
+#: process, and 8 in a serve worker after the benchmark's serve warm-up
+#: and 96 fresh simulate jobs, so none of them evicts.
 _CODE_CACHE_SIZE = 1024
 
 
@@ -159,14 +167,15 @@ class _Emitter:
 
     One instance accumulates source lines (:attr:`body`) and runtime
     bindings (:attr:`env`) for a single generated closure.  Operands are
-    function locals ``r{i}`` / ``t{i}``; every slot touched is recorded
-    in :attr:`slots` so the trace assembler can emit the load/store
+    function locals: ``r{i}`` / ``t{i}`` for a slot, ``_c{i}`` for a
+    constant (:attr:`consts`).  Every slot touched is recorded in
+    :attr:`slots` so the trace assembler can emit the load/store
     prologue and epilogue, and :meth:`prologue` / :meth:`epilogue` hold
-    the emitter's own locals: the core's state, each memory site's
-    allocation memo and the probe's hit counters.  The timing
-    arithmetic (issue/retire, L1 hit probe, blocking thresholds) is the
-    transcription of the core and memory-system models documented in
-    the module docstring.
+    the emitter's own locals: the constants, the core's state, each
+    memory site's allocation memo and the probe's hit counters.  The
+    timing arithmetic (issue/retire, L1 hit probe, blocking thresholds)
+    is the transcription of the core and memory-system models
+    documented in the module docstring.
 
     :param mode: ``"inorder"`` or ``"ooo"``, the core model transcribed.
     :param bind: the runtime objects generated code binds to:
@@ -181,6 +190,9 @@ class _Emitter:
         self.body: list[str] = []
         self.slots: set[int] = set()
         self.counts = {"loads": 0, "stores": 0, "prefetches": 0}
+        #: the IR constants, one per operand occurrence in emission
+        #: order: ``consts[i]`` is the trace local ``_c{i}``.
+        self.consts: list = []
         self.site = 0
         self._nfn = 0
         self.probe = None
@@ -243,8 +255,15 @@ class _Emitter:
         return f"t{slot}"
 
     def operand(self, is_const: bool, payload) -> str:
-        """Source text of one pre-resolved operand."""
-        return repr(payload) if is_const else self.reg(payload)
+        """Source text of one pre-resolved operand: a register local,
+        or for a constant a fresh local ``_c{i}`` that the prologue
+        reads from the env's ``_K``.  Equal constants never share a
+        local, so the text is the same whichever values coincide."""
+        if not is_const:
+            return self.reg(payload)
+        name = f"_c{len(self.consts)}"
+        self.consts.append(payload)
+        return name
 
     def fn_call(self, fn) -> str:
         name = f"_f{self._nfn}"
@@ -255,10 +274,14 @@ class _Emitter:
     # -- the trace's own locals ----------------------------------------
 
     def prologue(self) -> None:
-        """Load the core's state into locals; start every site's
-        allocation memo empty (its first access looks the allocation
-        up) and every probe hit counter at zero."""
+        """Read the IR constants and the core's state into locals; start
+        every site's allocation memo empty (its first access looks the
+        allocation up) and every probe hit counter at zero."""
         emit = self.out
+        if self.consts:
+            self.env["_K"] = tuple(self.consts)
+            emit("".join(f"_c{i}, " for i in range(len(self.consts)))
+                 + "= _K")
         if self.mode == "inorder":
             emit("t = _core.time")
         else:

@@ -29,7 +29,13 @@ dispatch loop:
    state hoisted into locals across the whole nest, an L1 hit probe
    inlined per memory site, and phi moves emitted as parallel local
    copies.  Every loop of the tree runs as a native ``while`` with
-   *no* per-block dispatch until a guard fires.
+   *no* per-block dispatch until a guard fires.  The IR constants
+   (operands, phi-move sources, constant branch conditions) are
+   locals the trace reads at entry, so its source depends only on the
+   nest's shape and the machine, and ``compile()`` runs once per shape
+   in a process (:func:`~repro.machine.fastexec.compile_source`):
+   another look-ahead or input size reuses the code object; each
+   interpreter still records and emits its own traces.
 
 Branches
 --------
@@ -462,7 +468,7 @@ class _Assembler:
             return pos + 1
         _, cc, c, tgt, tmoves, e, emoves = term
         em.branch(None if cc else em.rdy(c))
-        cond = repr(c) if cc else em.reg(c)
+        cond = em.operand(cc, c)
         if tgt == e:
             # Both edges reach one block; only the phi moves differ.
             self.suite(f"if {cond}:", self.moves, tmoves)
@@ -563,7 +569,7 @@ class _Assembler:
         """Parallel-copy phi moves on locals (read all, then write)."""
         em = self.em
         for k, (_dst, c, v) in enumerate(moves):
-            em.out(f"_p{k} = {repr(v) if c else em.reg(v)}")
+            em.out(f"_p{k} = {em.operand(c, v)}")
             em.out(f"_q{k} = {'0.0' if c else em.rdy(v)}")
         for k, (dst, _c, _v) in enumerate(moves):
             em.out(f"{em.reg(dst)} = _p{k}")

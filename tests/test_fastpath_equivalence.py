@@ -14,6 +14,7 @@ and compare everything.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 
 import numpy as np
@@ -345,13 +346,13 @@ def snapshot(interp: Interpreter, result=None) -> dict:
 
 
 def engine_snapshots(make_workload, variant: str, machine,
-                     telemetry: bool) -> list[dict]:
+                     telemetry: bool, lookahead: int = 64) -> list[dict]:
     """A workload variant's snapshot under each engine, reference
     first."""
     snaps = []
     for fastpath in (False, True):
         wl = make_workload()
-        module = wl.build_variant(variant)
+        module = wl.build_variant(variant, lookahead)
         mem = Memory(machine.line_size)
         prepared = wl.prepare(mem)
         interp = Interpreter(module, mem, machine=machine,
@@ -498,6 +499,55 @@ class TestFaultEquivalence:
                 "misaligned-store": f"misaligned store at {bad:#x}",
                 "unmapped": f"access to unmapped address {bad:#x}"}
         assert messages[0] == want[fault]
+
+
+#: A decimal literal past the largest double once multiplied by 10.0.
+_HUGE = "1" + "0" * 308 + ".0"
+
+
+class TestNonFiniteConstants:
+    """The frontend folds an overflowing float expression to a constant
+    ``inf``, ``-inf`` or ``nan``; a traced loop that reads one, as an
+    operand or as a phi-move source, must return the reference engine's
+    value (NaN equal to NaN), in the same cycles with the same
+    counters."""
+
+    FACTORS = {"inf": f"({_HUGE} * 10.0)",
+               "-inf": f"(0.0 - {_HUGE} * 10.0)",
+               "nan": f"({_HUGE} * 10.0 - {_HUGE} * 10.0)"}
+    #: per site, the loop body around ``{k}`` and the IR line's marker.
+    LOOPS = {"operand": ("s = s + a[i] * {k};", "fmul f64 %2, {c}"),
+             "phi": ("double t = s; if (a[i] > 0.5) {{ t = {k}; }} "
+                     "s = t + a[i];", "[{c}, if.then]")}
+
+    @pytest.mark.parametrize("site", sorted(LOOPS))
+    @pytest.mark.parametrize("constant", sorted(FACTORS))
+    @pytest.mark.parametrize("machine", (A53, HASWELL),
+                             ids=lambda m: m.name)
+    def test_traced_loop_matches_reference(self, machine, constant, site):
+        from repro.frontend import compile_source
+        from repro.ir import print_module
+
+        body, marker = self.LOOPS[site]
+        module = compile_source(
+            "double f(double* restrict a, long n) { double s = 0.0; "
+            "for (long i = 0; i < n; i++) { "
+            f"{body.format(k=self.FACTORS[constant])} }} return s; }}")
+        assert any(line.endswith(marker.format(c=constant))
+                   for line in print_module(module).splitlines())
+        runs = []
+        for fastpath in (False, True):
+            mem = Memory(machine.line_size)
+            a = mem.allocate(8, 100, "a", is_float=True)
+            a.fill([1.0] * 100)
+            interp = Interpreter(module, mem, machine=machine,
+                                 fastpath=fastpath)
+            result = interp.run("f", [a.base, 100])
+            assert bool(interp.trace_report()) == fastpath
+            runs.append((repr(result.value), result.cycles,
+                         snapshot(interp, result)))
+        assert runs[1] == runs[0]
+        assert runs[0][0] == constant
 
 
 class TestWorkloadEquivalence:
@@ -660,5 +710,45 @@ class TestCodeCache:
                 assert build(i)() == i
             assert fastexec._compile_cached.cache_info().currsize <= bound
             assert build(0)() == 0
+        finally:
+            fastexec._compile_cached.cache_clear()
+
+    def test_one_code_object_per_loop_shape(self):
+        """A trace's text holds the loop's shape and the machine but no
+        IR constant, so one code object serves every look-ahead and
+        input size: from an empty cache, the first run of each
+        (workload, machine) pair compiles and no later run does, and
+        every run equals the reference engine.  IS's trace reads the
+        constants 64, 32, 1999, 1999, 1, 1 at look-ahead 64 and 2, 1,
+        1999, 1999, 1, 1 at look-ahead 2: an emitter that gave equal
+        constants one local would write other text for the two."""
+        from repro.machine import fastexec
+        from repro.workloads import IntegerSort, workload_by_name
+
+        def misses() -> int:
+            return fastexec._compile_cached.cache_info().misses
+
+        fastexec._compile_cached.cache_clear()
+        try:
+            for machine in (A53, HASWELL):
+                for name in ("is", "ra", "hj2"):
+                    make = functools.partial(workload_by_name, name,
+                                             small=True)
+                    for lookahead in (64, 2, 17, 4096):
+                        before = misses()
+                        slow, fast = engine_snapshots(
+                            make, "auto", machine, telemetry=False,
+                            lookahead=lookahead)
+                        assert fast == slow
+                        compiled = misses() - before
+                        assert (compiled > 0) == (lookahead == 64), \
+                            (machine.name, name, lookahead, compiled)
+                before = misses()
+                slow, fast = engine_snapshots(
+                    lambda: IntegerSort(num_keys=3000,
+                                        num_buckets=1 << 16),
+                    "auto", machine, telemetry=False)
+                assert fast == slow
+                assert misses() == before
         finally:
             fastexec._compile_cached.cache_clear()

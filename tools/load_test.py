@@ -57,20 +57,24 @@ def build_mix(unique: int, total: int, small: bool,
 
     Returns ``(unique_requests, schedule)`` where ``schedule`` is a
     shuffled list of indices into ``unique_requests`` of length
-    ``total``.  The unique set cycles workloads × variants × machines.
+    ``total``.  The unique set cycles machines × workloads × recipes,
+    where each workload's ``auto`` job comes at two look-aheads next to
+    each other.  The two share their traces' code, so the look-ahead-2
+    job runs on code compiled for the look-ahead-64 one in
+    :func:`direct_results`, and in a worker that served that one first.
     """
     workloads = ["is", "cg", "ra", "hj2", "hj8"]
-    variants = ["plain", "auto"]
+    recipes = [("auto", 64), ("auto", 2), ("plain", 64)]
     machines = ["Haswell", "A53"]
     pool = []
     for machine in machines:
-        for variant in variants:
-            for workload in workloads:
+        for workload in workloads:
+            for variant, lookahead in recipes:
                 pool.append({
                     "schema": "repro-serve-request-v1",
                     "kind": "simulate", "workload": workload,
                     "small": small, "variant": variant,
-                    "machine": machine, "lookahead": 64,
+                    "machine": machine, "lookahead": lookahead,
                     "validate": True, "tier": "auto", "include": []})
     uniques = pool[:max(1, min(unique, len(pool)))]
     rng = random.Random(seed)
